@@ -8,6 +8,7 @@ evaluation.
 
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,33 @@ def bench_artifact():
             return out_path
 
         yield write
+
+
+@pytest.fixture()
+def paired_walls():
+    """Wall times of two functions, run back to back ``repeats`` times.
+
+    Returns ``[(first_s, second_s), ...]``, one pair per repeat.  The
+    two runs of a pair sit a moment apart, so host-speed drift between
+    pairs (a shared machine swings up to ~2x for seconds at a time)
+    scales both walls of a pair alike and cancels out of its ratio;
+    gate on the median pair ratio, not on separately taken bests.
+
+    Usage: ``pairs = paired_walls(first, second, repeats=12)``.
+    """
+
+    def measure(first, second, repeats: int):
+        pairs = []
+        for _ in range(repeats):
+            walls = []
+            for function in (first, second):
+                started = time.perf_counter()
+                function()
+                walls.append(time.perf_counter() - started)
+            pairs.append(tuple(walls))
+        return pairs
+
+    return measure
 
 
 @pytest.fixture(scope="session")

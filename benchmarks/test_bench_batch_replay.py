@@ -11,15 +11,18 @@ purely replay evaluation, and both paths are cross-checked summary for
 summary first -- the batch axis must not buy a single bit of drift.
 
 The tentpole's acceptance bar: the batched engine is at least **8x**
-faster on the thousand-replay sweep.  A thousand-replay single-server
-governor sweep is reported alongside (unasserted).
+faster on the thousand-replay sweep, as the median of per-pair ratios
+(the ``paired_walls`` fixture: each pair times both paths back to back,
+so host-speed drift between pairs cancels out of the ratio).  A
+thousand-replay single-server governor sweep is reported alongside
+(unasserted).
 
 Emits a machine-readable ``BENCH_batch.json`` artifact (set
 ``BENCH_BATCH_JSON`` to redirect it) so CI can archive the perf
 trajectory.
 """
 
-import time
+import statistics
 
 from repro.core.config import default_server
 from repro.dvfs import GOVERNORS, GovernorSimulator, LoadTrace
@@ -36,16 +39,16 @@ _STEPS = 60
 _FLEET_SIZE = 4
 
 
-def _best_of(function, repeats=_REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - started)
-    return best
+def _median_walls_and_speedup(pairs):
+    """Median batched and looped walls, and the median pair speedup."""
+    return (
+        statistics.median(batched for batched, _ in pairs),
+        statistics.median(looped for _, looped in pairs),
+        statistics.median(looped / batched for batched, looped in pairs),
+    )
 
 
-def test_bench_batch_replay(benchmark, bench_artifact):
+def test_bench_batch_replay(benchmark, bench_artifact, paired_walls):
     context = ModelContext(default_server())
     traces = [
         LoadTrace.bursty(steps=_STEPS, seed=seed) for seed in range(_SEEDS)
@@ -95,9 +98,9 @@ def test_bench_batch_replay(benchmark, bench_artifact):
     assert batched == looped, "batched engine drifted from looped kernels"
 
     benchmark(run_batched)
-    batched_s = _best_of(run_batched)
-    looped_s = _best_of(run_looped)
-    fleet_speedup = looped_s / batched_s
+    batched_s, looped_s, fleet_speedup = _median_walls_and_speedup(
+        paired_walls(run_batched, run_looped, _REPEATS)
+    )
 
     # The same sweep shape on single servers, reported alongside.
     single_specs = [
@@ -117,9 +120,11 @@ def test_bench_batch_replay(benchmark, bench_artifact):
             for spec in single_specs
         ]
 
-    single_batched_s = _best_of(run_single_batched)
-    single_looped_s = _best_of(run_single_looped)
-    single_speedup = single_looped_s / single_batched_s
+    single_batched_s, single_looped_s, single_speedup = (
+        _median_walls_and_speedup(
+            paired_walls(run_single_batched, run_single_looped, _REPEATS)
+        )
+    )
 
     print()
     print(
@@ -128,7 +133,7 @@ def test_bench_batch_replay(benchmark, bench_artifact):
     )
     print(
         format_table(
-            ("sweep", "batched (ms)", "looped (ms)", "speedup"),
+            ("sweep", "batched (ms)", "looped (ms)", "median pair speedup"),
             [
                 (
                     f"fleet {len(specs)} replays "

@@ -5,13 +5,16 @@ quarantine-mode :class:`~repro.kernels.batch.BatchReplayRunner` pays
 one no-plan chaos check and one ``try`` frame per replay, and on the
 same thousand-replay fleet sweep as ``test_bench_batch_replay`` that
 must stay **under 3%** of the plain runner's wall time -- after first
-cross-checking that both modes produce bit-identical summaries.
+cross-checking that both modes produce bit-identical summaries.  The
+gate is the median of per-pair ratios (the ``paired_walls`` fixture):
+each pair times the two modes back to back, so a host whose speed
+drifts between pairs scales both walls of a pair alike.
 
 Emits a machine-readable ``BENCH_resilience.json`` artifact (set
 ``BENCH_RESILIENCE_JSON`` to redirect it).
 """
 
-import time
+import statistics
 
 from repro.core.config import default_server
 from repro.dvfs import GOVERNORS, LoadTrace
@@ -23,31 +26,15 @@ from repro.workloads.cloudsuite import WEB_SEARCH
 
 MAX_GUARDED_OVERHEAD = 0.03
 # The two paths differ by one predictable branch per replay, so the
-# true gap is well under 1%; min-of-12 keeps shared-machine noise from
-# dominating the comparison.
+# true gap is well under 1%; the median of 12 back-to-back pair ratios
+# keeps shared-machine speed swings from dominating the comparison.
 _REPEATS = 12
 _SEEDS = 100
 _STEPS = 60
 _FLEET_SIZE = 4
 
 
-def _best_of_pair(first, second, repeats=_REPEATS):
-    """Min-of-N for two functions, interleaved.
-
-    Alternating the candidates inside one loop keeps slow drift
-    (frequency scaling, cache warmth) from biasing whichever path
-    happens to be timed last.
-    """
-    bests = [float("inf"), float("inf")]
-    for _ in range(repeats):
-        for index, function in enumerate((first, second)):
-            started = time.perf_counter()
-            function()
-            bests[index] = min(bests[index], time.perf_counter() - started)
-    return tuple(bests)
-
-
-def test_bench_resilience_overhead(benchmark, bench_artifact):
+def test_bench_resilience_overhead(benchmark, bench_artifact, paired_walls):
     context = ModelContext(default_server())
     traces = [
         LoadTrace.bursty(steps=_STEPS, seed=seed) for seed in range(_SEEDS)
@@ -82,8 +69,10 @@ def test_bench_resilience_overhead(benchmark, bench_artifact):
     assert run_guarded() == run_plain(), "guarded path drifted"
 
     benchmark(run_guarded)
-    plain_s, guarded_s = _best_of_pair(run_plain, run_guarded)
-    overhead = guarded_s / plain_s - 1.0
+    pairs = paired_walls(run_plain, run_guarded, _REPEATS)
+    overhead = statistics.median(guarded / plain for plain, guarded in pairs) - 1.0
+    plain_s = statistics.median(plain for plain, _ in pairs)
+    guarded_s = statistics.median(guarded for _, guarded in pairs)
 
     print()
     print(
@@ -91,7 +80,7 @@ def test_bench_resilience_overhead(benchmark, bench_artifact):
     )
     print(
         format_table(
-            ("mode", "best (ms)", "overhead"),
+            ("mode", "median (ms)", "median pair overhead"),
             [
                 ("plain", f"{plain_s * 1e3:.1f}", "-"),
                 (
@@ -121,6 +110,7 @@ def test_bench_resilience_overhead(benchmark, bench_artifact):
 
     assert overhead < MAX_GUARDED_OVERHEAD, (
         f"fault-free quarantine mode costs {overhead * 100:.2f}% over the "
-        f"plain batch (limit {MAX_GUARDED_OVERHEAD * 100:.0f}%): "
+        f"plain batch in the median pair (limit "
+        f"{MAX_GUARDED_OVERHEAD * 100:.0f}%): medians "
         f"{guarded_s * 1e3:.1f} ms vs {plain_s * 1e3:.1f} ms"
     )

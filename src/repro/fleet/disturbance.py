@@ -22,14 +22,15 @@ Schedules are plain frozen data (hashable, JSON-able via
 :meth:`DisturbanceSchedule.summary`), validated at construction: event
 kinds, crash/restore pairing per node and same-step conflicts are all
 rejected with precise errors.  Bounds against a concrete fleet and
-trace are checked by :meth:`DisturbanceSchedule.validate_for` when a
-replay runs.
+trace, and total outages (a step with every node crashed), are checked
+by :meth:`DisturbanceSchedule.validate_for` before a replay's first
+step.
 
-Crash/restore (and marker) schedules replay through the columnar
-kernel in :mod:`repro.kernels.fleet` bit-for-bit with the object path;
-thermal caps mutate per-node platform views, which only the object
-path models, so :attr:`DisturbanceSchedule.kernel_supported` gates the
-dispatch.
+Every schedule replays through the columnar kernel in
+:mod:`repro.kernels.fleet` bit-for-bit with the object path: crashes
+and restores move power states on the kernel's state timeline, and a
+thermal cap becomes a per-(node, step) top grid index that bounds the
+node's governor choices.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ LOAD_SURGE = "load_surge"
 
 EVENT_KINDS = (NODE_CRASH, NODE_RESTORE, THERMAL_CAP, LOAD_SURGE)
 """Event kinds a schedule may carry, in canonical order."""
-
-_KERNEL_KINDS = frozenset((NODE_CRASH, NODE_RESTORE, LOAD_SURGE))
 
 
 @dataclass(frozen=True)
@@ -239,16 +238,6 @@ class DisturbanceSchedule:
         return tuple(kind for kind in EVENT_KINDS if kind in present)
 
     @property
-    def kernel_supported(self) -> bool:
-        """True when the columnar fleet kernel models every event kind.
-
-        Crash/restore (and the inert surge marker) only move power
-        states, which the kernel's state timeline resolves; thermal
-        caps mutate per-node platform views and take the object path.
-        """
-        return all(event.kind in _KERNEL_KINDS for event in self.events)
-
-    @property
     def max_step(self) -> int:
         """The latest event step (-1 for an empty schedule)."""
         return max((event.step for event in self.events), default=-1)
@@ -273,7 +262,8 @@ class DisturbanceSchedule:
         A crash of node 12 on an 8-node fleet, or an event scheduled
         beyond the trace's last step, is a silent no-op bug waiting to
         happen; both fail here with precise errors before the replay
-        starts.
+        starts.  So does a total outage: a step whose routing would
+        find every node crashed, naming the crash events behind it.
         """
         for event in self.events:
             if event.node_id is not None and event.node_id >= fleet_size:
@@ -286,6 +276,41 @@ class DisturbanceSchedule:
                     f"{event.kind} event at step {event.step} is beyond the "
                     f"trace's {steps} steps"
                 )
+        # A node is down for step t's routing when it crashed before t
+        # and is not restored by t; down sets only grow the step after a
+        # crash, so those are the only steps to check.  (Crash/restore
+        # pairing makes each node's down windows disjoint.)
+        windows = self._down_windows()
+        for step in sorted({crash.step + 1 for crash, _ in windows}):
+            if step >= steps:
+                break
+            down = [
+                crash
+                for crash, back in windows
+                if crash.step < step and (back is None or back > step)
+            ]
+            if len(down) == fleet_size:
+                crashes = ", ".join(
+                    f"node_crash({crash.node_id}, {crash.step})"
+                    for crash in sorted(down, key=lambda e: (e.step, e.node_id))
+                )
+                raise ValueError(
+                    f"total outage at step {step}: every node of the "
+                    f"{fleet_size}-node fleet is down after {crashes}, "
+                    "leaving no node to route load to"
+                )
+
+    def _down_windows(self) -> List[Tuple[DisturbanceEvent, Optional[int]]]:
+        """Each crash with the step its node is restored (None: never)."""
+        windows: List[Tuple[DisturbanceEvent, Optional[int]]] = []
+        open_crashes: Dict[int, DisturbanceEvent] = {}
+        for event in sorted(self.events, key=lambda e: e.step):
+            if event.kind == NODE_CRASH:
+                open_crashes[event.node_id] = event
+            elif event.kind == NODE_RESTORE:
+                windows.append((open_crashes.pop(event.node_id), event.step))
+        windows.extend((crash, None) for crash in open_crashes.values())
+        return windows
 
     def summary(self) -> List[Dict[str, object]]:
         """JSON-able event list (pinned by the golden fixtures)."""

@@ -210,10 +210,6 @@ class ServerNode:
         if self.previous_frequency_hz > capped_frequencies[-1]:
             self.previous_frequency_hz = capped_frequencies[-1]
 
-    def clear_thermal_cap(self) -> None:
-        """Restore the full shared grid (no-op when uncapped)."""
-        self._capped_platform = None
-
     # -- stepping --------------------------------------------------------------------
 
     def step(

@@ -140,6 +140,25 @@ class FleetSimulator:
             for index in range(self.fleet_size)
         ]
 
+    def _check_caps(self, disturbances: DisturbanceSchedule) -> None:
+        """Reject a thermal cap that leaves its node no reachable frequency.
+
+        Runs before dispatch, so the kernel and the object path both
+        fail before step 0 with the same error, not when the replay
+        reaches the cap's step.
+        """
+        for event in disturbances.events:
+            if event.kind != THERMAL_CAP:
+                continue
+            bottom = self._sim.platform.min_frequency_hz
+            if event.max_frequency_hz < bottom:
+                raise ValueError(
+                    f"thermal_cap event at step {event.step} caps node "
+                    f"{event.node_id} at {event.max_frequency_hz} Hz, below "
+                    f"the grid bottom of {bottom} Hz: the node would have "
+                    "no reachable frequency"
+                )
+
     # -- queueing tail -----------------------------------------------------------------
 
     def _node_tail_latency(self, step: NodeStep) -> float:
@@ -195,10 +214,11 @@ class FleetSimulator:
         kernel equivalence tests pin it).  Custom policy subclasses
         always take the reference path.
 
-        ``disturbances`` injects timed failures mid-replay: crashes and
-        restores replay on both paths bit-for-bit; thermal caps mutate
-        per-node platform views, so any schedule carrying one takes the
-        reference path.
+        ``disturbances`` injects timed failures mid-replay; crashes,
+        restores and thermal caps replay on both paths bit-for-bit.  The
+        schedule is validated before the first step: events must fit
+        the fleet and trace, no step may find every node crashed, and
+        no cap may fall below the platform grid's bottom frequency.
         """
         if isinstance(routing, str):
             routing = router_by_name(routing)
@@ -224,6 +244,7 @@ class FleetSimulator:
         steps = len(trace)
         if disturbances is not None:
             disturbances.validate_for(self.fleet_size, steps)
+            self._check_caps(disturbances)
         use_queueing = (
             self.queueing
             and self.workload.is_scale_out
@@ -233,9 +254,7 @@ class FleetSimulator:
             from repro.kernels import fleet as fleet_kernel
 
             governor = self._make_governor()
-            if fleet_kernel.supports(
-                routing, governor, self.autoscaler, disturbances=disturbances
-            ):
+            if fleet_kernel.supports(routing, governor, self.autoscaler):
                 span.set(kernel=True)
                 obs.count("fleet.kernel_replays")
                 fleet_columns, node_columns = fleet_kernel.fleet_replay_columns(

@@ -609,6 +609,7 @@ def _batched_sequential_selection(
                 utilization,
                 utilization * nominal_capacity,
                 previous[serving],
+                table.nominal_index,
             )
             idx3d[:, :, step][serving] = chosen
             previous[serving] = chosen
@@ -743,6 +744,7 @@ class FleetReplayBatch:
                     shares3d[serving3d],
                     shares3d[serving3d] * nominal_capacity,
                     idx3d[serving3d],
+                    table.nominal_index,
                 )
                 idx3d[serving3d] = chosen
             else:
@@ -1187,9 +1189,10 @@ class BatchReplayRunner:
                     routing = self._resolve_routing(spec.routing)
                     # Disturbance schedules stay per-replay: the batched
                     # (B, N, T) state machine has no event timeline, so
-                    # they replay through the simulator path (which still
-                    # dispatches crash/restore schedules to the
-                    # single-replay kernel, bit-for-bit).
+                    # they replay through the simulator path, which
+                    # dispatches every schedule (crash/restore and
+                    # thermal caps alike) to the single-replay kernel,
+                    # bit-for-bit.
                     if spec.disturbances is None and fleet_kernel.supports(
                         routing, governor, spec.autoscaler
                     ):

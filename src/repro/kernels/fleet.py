@@ -18,7 +18,9 @@ in bulk:
 3. **Governor selection** -- memoryless policies select every
    (serving node, step) pair in one batched kernel call; the stateful
    ``conservative`` (and any policy under ``least_loaded``) advances
-   all nodes one step at a time, vectorized across the fleet.
+   all nodes one step at a time, vectorized across the fleet.  Thermal
+   caps become a per-(node, step) top grid index that bounds every
+   choice.
 4. **Columns** -- every per-node and fleet-level column is a gather or
    reduction over the ``(fleet_size, steps)`` arrays; fleet sums
    accumulate node-by-node in ascending id order, reproducing the
@@ -53,6 +55,7 @@ from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.disturbance import (
     NODE_CRASH,
     NODE_RESTORE,
+    THERMAL_CAP,
     DisturbanceSchedule,
 )
 from repro.fleet.node import NodeState
@@ -91,20 +94,49 @@ def supports(
     routing: RoutingPolicy,
     governor: Governor,
     autoscaler: Autoscaler | None,
-    disturbances: DisturbanceSchedule | None = None,
 ) -> bool:
     """True when this (routing, governor, autoscaler) trio has a kernel.
 
-    Crash/restore disturbance schedules stay on the kernel (they only
-    move power states); thermal caps mutate per-node platform views and
-    force the object-based reference path.
+    Every disturbance schedule replays on the kernel: crashes and
+    restores move power states on the state timeline, and thermal caps
+    become a per-(node, step) top grid index clamping selection.
     """
     return (
         type(routing) in ROUTING_KERNEL_TYPES
         and has_kernel(governor)
         and (autoscaler is None or type(autoscaler) is Autoscaler)
-        and (disturbances is None or disturbances.kernel_supported)
     )
+
+
+def _cap_tops(
+    disturbances: DisturbanceSchedule | None,
+    table: FrequencyTable,
+    fleet_size: int,
+    steps: int,
+) -> np.ndarray | None:
+    """Per (node, step): the top grid index a thermal cap leaves.
+
+    A cap holds from its step onward until a later cap on the same node
+    replaces it (even a higher one).  ``None`` when the schedule caps
+    nothing, so uncapped replays keep the scalar nominal index.  The
+    caller has checked every cap against the grid bottom.
+    """
+    caps = [
+        event
+        for event in (disturbances.events if disturbances else ())
+        if event.kind == THERMAL_CAP
+    ]
+    if not caps:
+        return None
+    top2d = np.full((fleet_size, steps), table.nominal_index, dtype=np.int64)
+    for event in sorted(caps, key=lambda event: event.step):
+        top2d[event.node_id, event.step:] = (
+            np.searchsorted(
+                table.frequencies_hz, event.max_frequency_hz, side="right"
+            )
+            - 1
+        )
+    return top2d
 
 
 @dataclass(eq=False)
@@ -315,6 +347,7 @@ def _sequential_selection(
     shares2d: np.ndarray,
     idx2d: np.ndarray,
     fleet_size: int,
+    top2d: np.ndarray | None,
 ) -> None:
     """Step-at-a-time selection for state-coupled policies.
 
@@ -322,19 +355,27 @@ def _sequential_selection(
     ``least_loaded`` routing (shares depend on the previous step's
     frequencies) and the ``conservative`` governor (one notch off the
     node's own previous choice).  Vectorized across the fleet at each
-    step; woken nodes restart from the nominal frequency exactly like
-    :meth:`ServerNode.wake`.
+    step; woken nodes restart from the top of their grid exactly like
+    :meth:`ServerNode.wake`, and a thermal cap clamps a node's previous
+    index from its step on, whatever the node's power state, like
+    :meth:`ServerNode.apply_thermal_cap`.
     """
     least_loaded = type(routing) is LeastLoadedRouting
     nominal_capacity = table.nominal_capacity_uips
     capacities = table.capacity_uips.tolist()
-    previous = np.full(fleet_size, table.nominal_index, dtype=np.int64)
+    tops = np.full(fleet_size, table.nominal_index, dtype=np.int64)
+    previous = tops.copy()
     for index, mass in enumerate(mass_list):
+        if top2d is not None:
+            tops = top2d[:, index]
+            # The previous index never exceeds the cap in force, so
+            # clamping every step only bites at a cap's own step.
+            np.minimum(previous, tops, out=previous)
         for node in timeline.woken[index]:
-            previous[node] = table.nominal_index
+            previous[node] = tops[node]
         for node in timeline.restarted[index]:
             # Static-fleet restores wake(0): DVFS history resets.
-            previous[node] = table.nominal_index
+            previous[node] = tops[node]
         if least_loaded:
             targets = (
                 timeline.serving_ids[index] or timeline.active_ids[index]
@@ -359,7 +400,12 @@ def _sequential_selection(
             utilization = shares2d[selector, index]
             demand = utilization * nominal_capacity
             chosen = select_step_indices(
-                governor, table, utilization, demand, previous[selector]
+                governor,
+                table,
+                utilization,
+                demand,
+                previous[selector],
+                table.nominal_index if top2d is None else tops[selector],
             )
             idx2d[selector, index] = chosen
             previous[selector] = chosen
@@ -522,11 +568,15 @@ def fleet_replay_columns(
 ) -> Tuple[Dict[str, np.ndarray], Dict[int, Dict[str, np.ndarray]]]:
     """One routing policy's fleet replay as (fleet, per-node) columns.
 
-    Caller guarantees :func:`supports` holds for the trio; the result
-    is bit-for-bit identical to ``FleetSimulator.run``'s object path.
-    Routing targets come from the pre-crash states (a node crashing
-    this step was still routed its share -- now dropped as violations)
-    while every per-node column reflects the post-crash states.
+    Caller guarantees :func:`supports` holds for the trio and has
+    validated ``disturbances`` against the fleet, trace and grid; the
+    result is bit-for-bit identical to ``FleetSimulator.run``'s object
+    path.  Routing targets come from the pre-crash states (a node
+    crashing this step was still routed its share -- now dropped as
+    violations) while every per-node column reflects the post-crash
+    states.  Thermal caps clamp every governor choice to the node's
+    per-step top index; demand stays relative to the full platform's
+    nominal capacity, so a capped node keeps its true share.
     """
     steps = len(trace)
     utilization = np.asarray(trace.utilization, dtype=np.float64)
@@ -535,6 +585,7 @@ def fleet_replay_columns(
     nominal_capacity = table.nominal_capacity_uips
 
     timeline = _resolve_states(mass_list, fleet_size, autoscaler, disturbances)
+    top2d = _cap_tops(disturbances, table, fleet_size, steps)
     serving2d = timeline.state2d == _SERVING
     booting2d = timeline.state2d == _BOOTING
     if timeline.route_state2d is timeline.state2d:
@@ -550,7 +601,7 @@ def fleet_replay_columns(
         shares2d = np.zeros((fleet_size, steps), dtype=np.float64)
         _sequential_selection(
             table, governor, routing, mass_list, timeline, shares2d, idx2d,
-            fleet_size,
+            fleet_size, top2d,
         )
     else:
         if routing_type is RoundRobinRouting:
@@ -574,12 +625,13 @@ def fleet_replay_columns(
                 shares2d[serving2d],
                 shares2d[serving2d] * nominal_capacity,
                 idx2d[serving2d],
+                table.nominal_index if top2d is None else top2d[serving2d],
             )
             idx2d[serving2d] = chosen
         else:
             _sequential_selection(
                 table, governor, routing, mass_list, timeline, shares2d,
-                idx2d, fleet_size,
+                idx2d, fleet_size, top2d,
             )
 
     demand2d = shares2d * nominal_capacity

@@ -6,8 +6,10 @@ Each kernel is the whole-array twin of one registered
 array to grid *indices* in a handful of NumPy operations.  The
 arithmetic mirrors the scalar policies term for term (the same
 tolerance-scaled coverage comparison, the same threshold tests, the
-same nominal-frequency fallbacks), so kernel and reference replays are
-bit-for-bit identical -- the property tests pin exactly that.
+same top-of-grid fallbacks), so kernel and reference replays are
+bit-for-bit identical -- the property tests pin exactly that.  The top
+is an argument: the nominal index on the full grid, or per-element
+indices where a thermal cap cuts a node's grid short.
 
 The memoryless policies (``performance``, ``powersave``, ``ondemand``,
 ``qos_tracker``) are pure batch selections, so a fleet stepper can run
@@ -24,7 +26,7 @@ silently getting the base-class kernel.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Union
 
 import numpy as np
 
@@ -38,9 +40,25 @@ from repro.dvfs.governors import (
 )
 from repro.kernels.table import FrequencyTable
 
+Top = Union[int, np.ndarray]
+"""The highest grid index a selection may pick: ``table.nominal_index``
+for the full grid, or a per-element array where thermal caps cut the
+grid short (broadcast against the observations)."""
+
 StepKernel = Callable[
-    [Governor, FrequencyTable, np.ndarray, np.ndarray, np.ndarray], np.ndarray
+    [Governor, FrequencyTable, np.ndarray, np.ndarray, np.ndarray, Top],
+    np.ndarray,
 ]
+
+
+def _covering_or_top(indices: np.ndarray, top: Top) -> np.ndarray:
+    """Lowest covering indices on the grid cut at ``top``.
+
+    The cut grid is a prefix of the full one, so its lowest covering
+    point is the full grid's when that lies at or below ``top``; a miss
+    (-1) or a hit above the cap falls back to the cut grid's top.
+    """
+    return np.where((indices < 0) | (indices > top), top, indices)
 
 
 def _performance_step(
@@ -49,8 +67,9 @@ def _performance_step(
     utilization: np.ndarray,
     demand_uips: np.ndarray,
     previous_index: np.ndarray,
+    top: Top,
 ) -> np.ndarray:
-    return np.full(utilization.shape, table.nominal_index, dtype=np.int64)
+    return np.full(utilization.shape, top, dtype=np.int64)
 
 
 def _powersave_step(
@@ -59,6 +78,7 @@ def _powersave_step(
     utilization: np.ndarray,
     demand_uips: np.ndarray,
     previous_index: np.ndarray,
+    top: Top,
 ) -> np.ndarray:
     return np.zeros(utilization.shape, dtype=np.int64)
 
@@ -69,13 +89,11 @@ def _ondemand_step(
     utilization: np.ndarray,
     demand_uips: np.ndarray,
     previous_index: np.ndarray,
+    top: Top,
 ) -> np.ndarray:
     target = demand_uips / governor.up_threshold
-    indices = table.lowest_covering_indices(target)
-    indices = np.where(indices < 0, table.nominal_index, indices)
-    return np.where(
-        utilization > governor.up_threshold, table.nominal_index, indices
-    )
+    indices = _covering_or_top(table.lowest_covering_indices(target), top)
+    return np.where(utilization > governor.up_threshold, top, indices)
 
 
 def _qos_tracker_step(
@@ -84,9 +102,11 @@ def _qos_tracker_step(
     utilization: np.ndarray,
     demand_uips: np.ndarray,
     previous_index: np.ndarray,
+    top: Top,
 ) -> np.ndarray:
-    indices = table.lowest_covering_indices(demand_uips, require_qos=True)
-    return np.where(indices < 0, table.nominal_index, indices)
+    return _covering_or_top(
+        table.lowest_covering_indices(demand_uips, require_qos=True), top
+    )
 
 
 def _conservative_step(
@@ -95,6 +115,7 @@ def _conservative_step(
     utilization: np.ndarray,
     demand_uips: np.ndarray,
     previous_index: np.ndarray,
+    top: Top,
 ) -> np.ndarray:
     capacity = table.capacity_uips[previous_index]
     positive = capacity > 0.0
@@ -106,7 +127,7 @@ def _conservative_step(
     notch = (load > governor.up_threshold).astype(np.int64) - (
         load < governor.down_threshold
     ).astype(np.int64)
-    return np.clip(previous_index + notch, 0, len(table) - 1)
+    return np.clip(previous_index + notch, 0, top)
 
 
 STEP_KERNELS: Dict[type, StepKernel] = {
@@ -140,10 +161,20 @@ def select_step_indices(
     utilization: np.ndarray,
     demand_uips: np.ndarray,
     previous_index: np.ndarray,
+    top: Top,
 ) -> np.ndarray:
-    """Grid indices for one batch of observations (one per element)."""
+    """Grid indices for one batch of observations (one per element).
+
+    ``top`` is the highest index each choice may take: the scalar
+    ``table.nominal_index`` on the full grid, or per-element indices
+    for thermally capped nodes, where every policy behaves exactly as
+    its ``select`` does on the capped
+    :class:`~repro.dvfs.governors.PlatformView`.
+    """
     kernel = STEP_KERNELS[type(governor)]
-    return kernel(governor, table, utilization, demand_uips, previous_index)
+    return kernel(
+        governor, table, utilization, demand_uips, previous_index, top
+    )
 
 
 def select_batch_trace_indices(
@@ -165,14 +196,16 @@ def select_batch_trace_indices(
             utilization2d.shape, table.nominal_index, dtype=np.int64
         )
         return select_step_indices(
-            governor, table, utilization2d, demand2d, previous
+            governor, table, utilization2d, demand2d, previous,
+            table.nominal_index,
         )
     rows, steps = utilization2d.shape
     out = np.empty((rows, steps), dtype=np.int64)
     previous = np.full(rows, table.nominal_index, dtype=np.int64)
     for step in range(steps):
         previous = select_step_indices(
-            governor, table, utilization2d[:, step], demand2d[:, step], previous
+            governor, table, utilization2d[:, step], demand2d[:, step],
+            previous, table.nominal_index,
         )
         out[:, step] = previous
     return out
@@ -190,7 +223,9 @@ def select_trace_indices(
     demand = utilization * table.nominal_capacity_uips
     if is_memoryless_kernel(governor):
         previous = np.full(utilization.shape, table.nominal_index, dtype=np.int64)
-        return select_step_indices(governor, table, utilization, demand, previous)
+        return select_step_indices(
+            governor, table, utilization, demand, previous, table.nominal_index
+        )
     # conservative: one notch per step off the previous choice -- a
     # scalar chain over plain floats (the table rows are plain lists
     # here, so the loop body is a few float ops, no array scalars).

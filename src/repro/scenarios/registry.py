@@ -388,9 +388,8 @@ def _builtin_specs() -> List[ScenarioSpec]:
                 "grid is capped at 1.2 GHz (~60% of nominal capacity) "
                 "while it keeps receiving its full routed share, so burst "
                 "fronts overflow the capped node and recover in the lulls. "
-                "Thermal caps shrink a per-node platform view, which only "
-                "the object path models -- this scenario exercises the "
-                "reference fallback."
+                "The cap replays on the columnar kernel as a per-(node, "
+                "step) top grid index, bit-for-bit with the object path."
             ),
         ),
         ScenarioSpec(

@@ -1,10 +1,11 @@
 """Tests for timed failure injection and the resilience metrics.
 
-Covers the disturbance data model (event/schedule validation), the
-crash / restore / thermal-cap semantics on the object path, bit-for-bit
-kernel parity for crash/restore schedules, the batch runner's fallback
-for disturbed replays, and the two robustness bugfixes the disturbance
-sweeps exposed (boot-grace and cold-start utilisation).
+Covers the disturbance data model (event/schedule validation, total
+outages and below-grid caps rejected before step 0), the crash /
+restore / thermal-cap semantics, bit-for-bit kernel parity for every
+schedule kind, the batch runner's fallback for disturbed replays, and
+the two robustness bugfixes the disturbance sweeps exposed (boot-grace
+and cold-start utilisation).
 """
 
 import math
@@ -12,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.dvfs import LoadTrace, governor_by_name
+from repro import obs
+from repro.dvfs import GOVERNORS, LoadTrace, governor_by_name
 from repro.fleet import (
     Autoscaler,
     DisturbanceEvent,
@@ -26,8 +28,9 @@ from repro.fleet import (
     node_restore,
     thermal_cap,
 )
+from repro.fleet.result import FLEET_COLUMNS, NODE_COLUMNS
 from repro.kernels.batch import BatchReplayRunner, ReplaySpec
-from repro.workloads.cloudsuite import WEB_SEARCH
+from repro.workloads.cloudsuite import DATA_SERVING, WEB_SEARCH
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +132,79 @@ def test_validate_for_checks_fleet_and_trace_bounds():
     schedule.validate_for(fleet_size=8, steps=24)
 
 
+def test_validate_for_rejects_a_total_outage():
+    schedule = DisturbanceSchedule(events=(node_crash(0, 2), node_crash(1, 3)))
+    with pytest.raises(
+        ValueError,
+        match=r"total outage at step 4: .* down after node_crash\(0, 2\), "
+        r"node_crash\(1, 3\)",
+    ):
+        schedule.validate_for(fleet_size=2, steps=8)
+    # A third node survives both crashes.
+    schedule.validate_for(fleet_size=3, steps=8)
+    # A crash on the final step leaves no later step without a node.
+    DisturbanceSchedule(
+        events=(node_crash(0, 2), node_crash(1, 7))
+    ).validate_for(fleet_size=2, steps=8)
+    # A node restored by a step is up for that step's routing ...
+    DisturbanceSchedule(
+        events=(node_crash(0, 2), node_restore(0, 4), node_crash(1, 3))
+    ).validate_for(fleet_size=2, steps=8)
+    # ... one restored a step later leaves a one-step outage.
+    with pytest.raises(ValueError, match="total outage at step 4"):
+        DisturbanceSchedule(
+            events=(node_crash(0, 2), node_restore(0, 5), node_crash(1, 3))
+        ).validate_for(fleet_size=2, steps=8)
+
+
+@pytest.mark.parametrize("reference", [False, True], ids=["kernel", "reference"])
+def test_total_outage_fails_before_any_step_runs(crash_fleet, reference):
+    schedule = DisturbanceSchedule(
+        events=tuple(node_crash(node, 2 + node) for node in range(4))
+    )
+    with obs.capture() as window:
+        with pytest.raises(ValueError, match="total outage at step 6"):
+            crash_fleet.run(
+                LoadTrace.constant(0.4, steps=8, step_seconds=60.0),
+                "round_robin",
+                reference=reference,
+                disturbances=schedule,
+            )
+    # Neither path was dispatched, so not a single step ran.
+    deltas = window.counter_deltas()
+    assert "fleet.kernel_replays" not in deltas
+    assert "fleet.reference_replays" not in deltas
+
+
+def test_below_grid_cap_fails_before_step_0_on_both_paths(
+    crash_fleet, websearch_simulator
+):
+    bottom = websearch_simulator.platform.min_frequency_hz
+    schedule = DisturbanceSchedule(events=(thermal_cap(1, 6, bottom / 2),))
+    trace = LoadTrace.constant(0.4, steps=8, step_seconds=60.0)
+    messages = []
+    for reference in (False, True):
+        with obs.capture() as window:
+            with pytest.raises(ValueError) as raised:
+                crash_fleet.run(
+                    trace,
+                    "round_robin",
+                    reference=reference,
+                    disturbances=schedule,
+                )
+        deltas = window.counter_deltas()
+        assert "fleet.kernel_replays" not in deltas
+        assert "fleet.reference_replays" not in deltas
+        messages.append(str(raised.value))
+    kernel_message, reference_message = messages
+    assert kernel_message == reference_message
+    assert kernel_message == (
+        f"thermal_cap event at step 6 caps node 1 at {bottom / 2} Hz, below "
+        f"the grid bottom of {bottom} Hz: the node would have no reachable "
+        "frequency"
+    )
+
+
 def test_schedule_views():
     schedule = DisturbanceSchedule(
         events=(node_crash(0, 2), node_restore(0, 6), load_surge(4))
@@ -139,9 +215,13 @@ def test_schedule_views():
     assert schedule.max_step == 6
     assert schedule.events_at(4) == (load_surge(4),)
     assert schedule.events_at(2, kind="node_restore") == ()
-    assert schedule.kernel_supported
     capped = schedule.with_events(thermal_cap(1, 3, 1.2e9))
-    assert len(capped) == 4 and not capped.kernel_supported
+    assert len(capped) == 4 and capped.kinds == (
+        "node_crash",
+        "node_restore",
+        "thermal_cap",
+        "load_surge",
+    )
     assert DisturbanceSchedule().max_step == -1
 
 
@@ -194,8 +274,6 @@ def test_thermal_cap_shrinks_the_grid_and_clamps_history(websearch_simulator):
     assert node.previous_frequency_hz == node.platform.frequencies[-1]
     # ... while the demand reference stays the full platform's nominal.
     assert node.nominal_capacity_uips == full.nominal_capacity_uips
-    node.clear_thermal_cap()
-    assert node.platform.frequencies == full.frequencies
 
 
 def test_thermal_cap_below_the_grid_bottom_is_rejected(websearch_simulator):
@@ -262,11 +340,14 @@ def test_autoscaled_restore_readmits_through_the_wake_path(default_context):
     assert result.wake_count >= 1
 
 
-def test_thermal_cap_forces_the_reference_path_and_caps_the_node(crash_fleet):
+def test_thermal_cap_runs_on_the_kernel_and_caps_the_node(crash_fleet):
     trace = LoadTrace.constant(0.95, steps=10, step_seconds=60.0)
     schedule = DisturbanceSchedule(events=(thermal_cap(0, 2, 1.2e9),))
-    assert not schedule.kernel_supported
-    result = crash_fleet.run(trace, "round_robin", disturbances=schedule)
+    with obs.capture() as window:
+        result = crash_fleet.run(trace, "round_robin", disturbances=schedule)
+    deltas = window.counter_deltas()
+    assert deltas["fleet.kernel_replays"] == 1
+    assert deltas.get("fleet.reference_replays", 0) == 0
     frequencies = result.node_column(0, "frequency_hz")
     assert (frequencies[2:] <= 1.2e9).all()
     # Uncapped peers keep buying the full grid for the same share.
@@ -286,38 +367,112 @@ def test_disturbed_replay_rejects_out_of_range_events(crash_fleet):
 # -- kernel parity ----------------------------------------------------------------------
 
 
+# Quiet start (an autoscaled fleet parks its top nodes), a peak that
+# wakes everyone, a dip to zero and a saturating second peak.
+_PARITY_TRACE = LoadTrace(
+    name="parity",
+    step_seconds=60.0,
+    utilization=(
+        0.15, 0.12, 0.2, 0.1, 0.18, 0.25, 0.6, 0.85, 0.9, 0.8, 0.95, 0.7,
+        0.5, 0.45, 0.55, 0.3, 0.1, 0.05, 0.0, 0.2, 0.9, 1.0, 0.95, 0.6,
+    ),
+)
+
+
+def _parity_schedules(fleet_size, grid):
+    """Named crash/restore and thermal-cap schedules for one fleet.
+
+    ``grid`` is the platform's ascending frequency grid.  A one-node
+    fleet cannot lose its only node for a whole step, so its restores
+    follow the crash immediately.
+    """
+    last = fleet_size - 1
+    steps = len(_PARITY_TRACE)
+    solo = fleet_size == 1
+    return {
+        "crash_restore": (
+            node_crash(0, 8), node_restore(0, 9 if solo else 14), load_surge(20)
+        ),
+        "cap_at_step_0": (thermal_cap(0, 0, (grid[2] + grid[3]) / 2),),
+        "cap_mid_trace": (thermal_cap(last, steps // 2, grid[1]),),
+        "cap_on_last_step": (thermal_cap(0, steps - 1, grid[0]),),
+        "cap_above_grid_top": (thermal_cap(0, 3, grid[-1] * 2.0),),
+        # Under an autoscaler the top node is off at step 1; the peak
+        # wakes it onto its capped grid.
+        "cap_on_off_node": (thermal_cap(last, 1, grid[2]),),
+        "recap_lower_then_higher": (
+            thermal_cap(0, 4, grid[1]), thermal_cap(0, 12, grid[-2])
+        ),
+        "cap_with_crash_restore": (
+            (thermal_cap(0, 5, grid[2]), node_crash(0, 6), node_restore(0, 7))
+            if solo
+            else (node_crash(0, 6), thermal_cap(0, 8, grid[2]), node_restore(0, 12))
+        ),
+    }
+
+
 @pytest.mark.parametrize("routing", ["round_robin", "spread", "pack", "least_loaded"])
-@pytest.mark.parametrize("autoscaled", [False, True], ids=["static", "autoscaled"])
+@pytest.mark.parametrize(
+    "autoscaler",
+    [None, Autoscaler(wake_steps=2), Autoscaler(wake_steps=0)],
+    ids=["static", "autoscaled", "instant"],
+)
 def test_crash_restore_kernel_matches_reference(
-    default_context, routing, autoscaled
+    default_context, routing, autoscaler
 ):
-    simulator = FleetSimulator(
-        default_context,
-        WEB_SEARCH,
-        fleet_size=5,
-        autoscaler=Autoscaler() if autoscaled else None,
-    )
-    trace = LoadTrace.diurnal(steps=30)
-    schedule = DisturbanceSchedule(
-        events=(node_crash(0, 8), node_restore(0, 14), load_surge(20))
-    )
-    kernel = simulator.run(trace, routing, disturbances=schedule)
-    reference = simulator.run(
-        trace, routing, reference=True, disturbances=schedule
-    )
-    for name in ("energy_j", "violation", "served_uips", "serving_servers"):
-        np.testing.assert_array_equal(
-            kernel.column(name), reference.column(name), err_msg=name
-        )
-    for node_id in kernel.node_ids:
-        for name in ("state", "frequency_hz", "energy_j"):
-            np.testing.assert_array_equal(
-                kernel.node_column(node_id, name),
-                reference.node_column(node_id, name),
-                err_msg=f"node {node_id} {name}",
-            )
-    assert kernel.summary() == reference.summary()
-    assert kernel.resilience() == reference.resilience()
+    """Every disturbance schedule: kernel == object path, bit for bit.
+
+    Crash/restore and thermal-cap schedules over every governor, one-
+    and five-node fleets, and Web Search (M/G/1 tails) and Data Serving.
+    """
+    for workload in (WEB_SEARCH, DATA_SERVING):
+        grid = default_context.frequency_table(workload).frequencies_hz.tolist()
+        for fleet_size in (1, 5):
+            for governor in GOVERNORS:
+                simulator = FleetSimulator(
+                    default_context,
+                    workload,
+                    fleet_size=fleet_size,
+                    governor=governor,
+                    autoscaler=autoscaler,
+                )
+                schedules = _parity_schedules(fleet_size, grid)
+                for name, events in schedules.items():
+                    schedule = DisturbanceSchedule(events=events)
+                    label = f"{workload.name}/{fleet_size}/{governor}/{name}"
+                    reference = simulator.run(
+                        _PARITY_TRACE, routing, reference=True,
+                        disturbances=schedule,
+                    )
+                    _assert_bit_identical(
+                        simulator.run(
+                            _PARITY_TRACE, routing, disturbances=schedule
+                        ),
+                        reference,
+                        label,
+                    )
+                    if name == "cap_on_off_node" and autoscaler and fleet_size > 1:
+                        # The cap really lands on a parked node that the
+                        # peak wakes later.
+                        states = reference.node_column(fleet_size - 1, "state")
+                        assert states[1] == int(NodeState.OFF), label
+                        assert (states[2:] == int(NodeState.SERVING)).any(), label
+
+
+def _assert_bit_identical(kernel, reference, label):
+    for column in FLEET_COLUMNS:
+        assert np.array_equal(
+            kernel.column(column), reference.column(column), equal_nan=True
+        ), f"{label}: fleet column {column}"
+    for node_id in reference.node_ids:
+        for column in NODE_COLUMNS:
+            assert np.array_equal(
+                kernel.node_column(node_id, column),
+                reference.node_column(node_id, column),
+                equal_nan=True,
+            ), f"{label}: node {node_id} column {column}"
+    assert kernel.summary() == reference.summary(), label
+    assert kernel.resilience() == reference.resilience(), label
 
 
 def test_batch_runner_falls_back_for_disturbed_replays(default_context):

@@ -14,11 +14,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.dvfs import GOVERNORS, LoadTrace
+from repro.dvfs import GOVERNORS, LoadTrace, governor_by_name
+from repro.dvfs.governors import LoadObservation, PlatformView
 from repro.fleet import ROUTERS, Autoscaler, FleetSimulator
 from repro.fleet.result import FLEET_COLUMNS, NODE_COLUMNS
 from repro.fleet.routing import SpreadRouting
-from repro.kernels import fleet_kernel_supports
+from repro.kernels import fleet_kernel_supports, select_step_indices
 from repro.kernels.fleet import supports, tail_latencies
 from repro.kernels.table import FrequencyTable
 from repro.latency.queueing import MG1Queue, MM1Queue
@@ -167,6 +168,55 @@ def test_saturating_bursts_hit_the_queueing_tail_branches(
     assert_fleets_bit_identical(kernel, reference)
     # The stress case actually stressed: some queue saturated.
     assert kernel.saturated_step_count > 0
+
+
+# -- thermal caps: the step kernels on a grid cut at ``top`` -----------------------------
+
+
+@pytest.mark.parametrize("governor", sorted(GOVERNORS))
+def test_capped_step_kernels_match_select_on_the_capped_view(
+    governor, websearch_simulator
+):
+    """For every cap top c: select_step_indices(top=c) == select on the cut grid.
+
+    Sweeps demand from idle past the nominal capacity and, for the
+    stateful ``conservative``, every previous index the cut grid allows.
+    The scalar top and its per-element array form must agree.
+    """
+    policy = governor_by_name(governor)
+    table = websearch_simulator.table
+    full = websearch_simulator.platform
+    grid = table.frequencies_hz.tolist()
+    utilization = np.linspace(0.0, 1.1, 45)
+    demand = utilization * table.nominal_capacity_uips
+    for top in range(len(table)):
+        capped = PlatformView(
+            frequencies=full.frequencies[: top + 1],
+            capacity_uips=full.capacity_uips,
+            qos_ok=full.qos_ok,
+        )
+        for previous in range(top + 1):
+            expected = [
+                grid.index(
+                    policy.select(
+                        LoadObservation(
+                            utilization=u,
+                            demand_uips=d,
+                            previous_frequency_hz=grid[previous],
+                        ),
+                        capped,
+                    )
+                )
+                for u, d in zip(utilization.tolist(), demand.tolist())
+            ]
+            previous_index = np.full(utilization.shape, previous, dtype=np.int64)
+            for cap in (top, np.full(utilization.shape, top, dtype=np.int64)):
+                chosen = select_step_indices(
+                    policy, table, utilization, demand, previous_index, cap
+                )
+                assert chosen.tolist() == expected, (
+                    f"{governor}: top {top}, previous {previous}"
+                )
 
 
 # -- private kernel branches the simulators cannot reach --------------------------------

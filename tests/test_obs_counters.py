@@ -17,7 +17,7 @@ from repro import obs
 from repro.core.config import default_server
 from repro.dvfs import GovernorSimulator, LoadTrace
 from repro.dvfs.governors import PerformanceGovernor
-from repro.fleet import FleetSimulator
+from repro.fleet import DisturbanceSchedule, FleetSimulator, thermal_cap
 from repro.kernels import BatchReplayRunner, ReplaySpec
 from repro.opt import PolicyConfig, PolicyTuner
 from repro.sweep.context import ModelContext
@@ -153,6 +153,42 @@ def test_fleet_replay_span_and_tail_dedup_counters(default_context):
     assert span.attributes["steps"] == len(trace)
     assert span.attributes["kernel"] is True
     assert span.attributes["disturbed"] is False
+
+
+def test_capped_fleet_replays_count_kernel_not_reference(default_context):
+    """Thermal caps run on the kernel, alone and as a batch fallback."""
+    schedule = DisturbanceSchedule(events=(thermal_cap(0, 3, 1.2e9),))
+    trace = LoadTrace.bursty(steps=12, seed=4)
+    simulator = FleetSimulator(default_context, WEB_SEARCH, fleet_size=2)
+    with obs.capture() as cap:
+        simulator.run(trace, "pack", disturbances=schedule)
+    deltas = cap.counter_deltas()
+    assert deltas["fleet.kernel_replays"] == 1
+    assert deltas.get("fleet.reference_replays", 0) == 0
+    (span,) = [s for s in cap.spans if s.name == "fleet.replay"]
+    assert span.attributes["kernel"] is True
+    assert span.attributes["disturbed"] is True
+
+    spec = ReplaySpec(
+        workload=WEB_SEARCH,
+        trace=trace,
+        fleet_size=2,
+        routing="pack",
+        disturbances=schedule,
+    )
+    with obs.capture() as cap:
+        BatchReplayRunner(default_context).run([spec])
+    deltas = cap.counter_deltas()
+    assert deltas["batch.fallback_replays"] == 1
+    assert deltas["fleet.kernel_replays"] == 1
+    assert deltas.get("fleet.reference_replays", 0) == 0
+
+    # reference=True still forces the object path for a capped schedule.
+    with obs.capture() as cap:
+        simulator.run(trace, "pack", reference=True, disturbances=schedule)
+    deltas = cap.counter_deltas()
+    assert deltas["fleet.reference_replays"] == 1
+    assert deltas.get("fleet.kernel_replays", 0) == 0
 
 
 def test_tuner_rung_span_counts_evaluations_and_duplicates(default_context):

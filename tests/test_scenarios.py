@@ -7,6 +7,7 @@ import pytest
 from repro import obs
 from repro.core.config import default_server
 from repro.dvfs import GOVERNORS, GovernorSimulator, load_trace_by_name
+from repro.fleet.routing import ROUTERS
 from repro.scenarios import (
     ALL_WORKLOADS,
     ANALYSES,
@@ -653,7 +654,8 @@ def test_stress_spec_validates_disturbance_tuples():
         disturbances=(("node_crash", 0, 6), ("node_restore", 0, 10)),
     )
     schedule = spec.disturbance_schedule()
-    assert len(schedule) == 2 and schedule.kernel_supported
+    assert schedule.kinds == ("node_crash", "node_restore")
+    assert len(schedule) == 2
     with pytest.raises(ValueError, match="stress_probe.*unknown disturbance"):
         _stress_spec(disturbances=(("comet", 0, 6),))
     with pytest.raises(ValueError, match="without a preceding crash"):
@@ -683,6 +685,12 @@ def test_stress_scenarios_are_registered_with_goldens():
         "node_crash",
         "node_restore",
     )
-    assert not get_scenario(
-        "stress_thermal_cap"
-    ).disturbance_schedule().kernel_supported
+    capped = get_scenario("stress_thermal_cap")
+    assert capped.disturbance_schedule().kinds == ("thermal_cap",)
+    with obs.capture() as window:
+        ScenarioRunner().run(capped)
+    deltas = window.counter_deltas()
+    # One kernel replay per routing: the capped fleet never falls back
+    # to the object path.
+    assert deltas["fleet.kernel_replays"] == len(ROUTERS)
+    assert deltas.get("fleet.reference_replays", 0) == 0
