@@ -5,21 +5,24 @@ autoscaling on/off x 100 bursty trace seeds, four servers each --
 through :class:`~repro.kernels.batch.BatchReplayRunner` (ten
 ``(100, 4, 60)`` tensor batches) and through the straightforward loop
 of per-replay :meth:`FleetSimulator.run` calls, which already dispatch
-to the single-replay kernels.  Both run on the same warmed
-:class:`~repro.sweep.context.ModelContext`, so the measured work is
-purely replay evaluation, and both paths are cross-checked summary for
-summary first -- the batch axis must not buy a single bit of drift.
+to the single-replay kernels.  The sweep runs once per routing: the
+closed-form ``round_robin``, ``pack``'s accumulated spill and the
+frequency-coupled, step-sequential ``least_loaded``.  Both paths run on
+the same warmed :class:`~repro.sweep.context.ModelContext`, so the
+measured work is purely replay evaluation, and both are cross-checked
+summary for summary first -- the batch axis must not buy a single bit
+of drift.
 
 The tentpole's acceptance bar: the batched engine is at least **8x**
-faster on the thousand-replay sweep, as the median of per-pair ratios
-(the ``paired_walls`` fixture: each pair times both paths back to back,
-so host-speed drift between pairs cancels out of the ratio).  A
-thousand-replay single-server governor sweep is reported alongside
-(unasserted).
+faster on each routing's thousand-replay sweep, as the median of
+per-pair ratios (the ``paired_walls`` fixture: each pair times both
+paths back to back, so host-speed drift between pairs cancels out of
+the ratio).  A thousand-replay single-server governor sweep is reported
+alongside (unasserted).
 
 Emits a machine-readable ``BENCH_batch.json`` artifact (set
-``BENCH_BATCH_JSON`` to redirect it) so CI can archive the perf
-trajectory.
+``BENCH_BATCH_JSON`` to redirect it) with one ``fleet`` entry per
+routing, so CI can archive the perf trajectory.
 """
 
 import statistics
@@ -33,6 +36,7 @@ from repro.utils.tables import format_table
 from repro.workloads.cloudsuite import WEB_SEARCH
 
 MIN_BATCH_SPEEDUP = 8.0
+ROUTINGS = ("round_robin", "pack", "least_loaded")
 _REPEATS = 3
 _SEEDS = 100
 _STEPS = 60
@@ -48,20 +52,15 @@ def _median_walls_and_speedup(pairs):
     )
 
 
-def test_bench_batch_replay(benchmark, bench_artifact, paired_walls):
-    context = ModelContext(default_server())
-    traces = [
-        LoadTrace.bursty(steps=_STEPS, seed=seed) for seed in range(_SEEDS)
-    ]
-    governors = list(GOVERNORS)
-    scaler_settings = (None, Autoscaler())
+def _fleet_sweep(context, runner, traces, governors, scaler_settings, routing):
+    """The (batched, looped) runs of one routing's thousand replays."""
     specs = [
         ReplaySpec(
             workload=WEB_SEARCH,
             trace=trace,
             governor=governor,
             fleet_size=_FLEET_SIZE,
-            routing="round_robin",
+            routing=routing,
             autoscaler=autoscaler,
         )
         for governor in governors
@@ -69,8 +68,6 @@ def test_bench_batch_replay(benchmark, bench_artifact, paired_walls):
         for trace in traces
     ]
     assert len(specs) == 1000
-    runner = BatchReplayRunner(context)
-    context.frequency_table(WEB_SEARCH)  # warm the shared table
 
     def run_batched():
         return runner.run(specs).summaries()
@@ -87,20 +84,42 @@ def test_bench_batch_replay(benchmark, bench_artifact, paired_walls):
                     autoscaler=autoscaler,
                 )
                 for trace in traces:
-                    summaries.append(
-                        simulator.run(trace, "round_robin").summary()
-                    )
+                    summaries.append(simulator.run(trace, routing).summary())
         return summaries
 
-    # Same thousand replays, summary for summary, bit for bit.
-    batched = run_batched()
-    looped = run_looped()
-    assert batched == looped, "batched engine drifted from looped kernels"
+    return run_batched, run_looped
 
-    benchmark(run_batched)
-    batched_s, looped_s, fleet_speedup = _median_walls_and_speedup(
-        paired_walls(run_batched, run_looped, _REPEATS)
-    )
+
+def test_bench_batch_replay(benchmark, bench_artifact, paired_walls):
+    context = ModelContext(default_server())
+    traces = [
+        LoadTrace.bursty(steps=_STEPS, seed=seed) for seed in range(_SEEDS)
+    ]
+    governors = list(GOVERNORS)
+    scaler_settings = (None, Autoscaler())
+    runner = BatchReplayRunner(context)
+    context.frequency_table(WEB_SEARCH)  # warm the shared table
+
+    fleet = {}
+    for routing in ROUTINGS:
+        run_batched, run_looped = _fleet_sweep(
+            context, runner, traces, governors, scaler_settings, routing
+        )
+        # Same thousand replays, summary for summary, bit for bit.
+        assert run_batched() == run_looped(), (
+            f"batched engine drifted from looped kernels ({routing})"
+        )
+        if routing == ROUTINGS[0]:
+            benchmark(run_batched)
+        batched_s, looped_s, speedup = _median_walls_and_speedup(
+            paired_walls(run_batched, run_looped, _REPEATS)
+        )
+        fleet[routing] = {
+            "batched_s": batched_s,
+            "looped_s": looped_s,
+            "speedup": speedup,
+            "min_speedup": MIN_BATCH_SPEEDUP,
+        }
 
     # The same sweep shape on single servers, reported alongside.
     single_specs = [
@@ -129,43 +148,41 @@ def test_bench_batch_replay(benchmark, bench_artifact, paired_walls):
     print()
     print(
         f"Batched replay engine vs looped kernel calls "
-        f"({len(specs)} fleet / {len(single_specs)} single replays)"
+        f"(1000 fleet replays per routing / {len(single_specs)} single)"
+    )
+    rows = [
+        (
+            f"fleet {routing} ({_FLEET_SIZE} servers, {_STEPS} steps)",
+            f"{entry['batched_s'] * 1e3:.1f}",
+            f"{entry['looped_s'] * 1e3:.1f}",
+            f"{entry['speedup']:.1f}x",
+        )
+        for routing, entry in fleet.items()
+    ]
+    rows.append(
+        (
+            f"single-server {len(single_specs)} replays",
+            f"{single_batched_s * 1e3:.1f}",
+            f"{single_looped_s * 1e3:.1f}",
+            f"{single_speedup:.1f}x",
+        )
     )
     print(
         format_table(
             ("sweep", "batched (ms)", "looped (ms)", "median pair speedup"),
-            [
-                (
-                    f"fleet {len(specs)} replays "
-                    f"({_FLEET_SIZE} servers, {_STEPS} steps)",
-                    f"{batched_s * 1e3:.1f}",
-                    f"{looped_s * 1e3:.1f}",
-                    f"{fleet_speedup:.1f}x",
-                ),
-                (
-                    f"single-server {len(single_specs)} replays",
-                    f"{single_batched_s * 1e3:.1f}",
-                    f"{single_looped_s * 1e3:.1f}",
-                    f"{single_speedup:.1f}x",
-                ),
-            ],
+            rows,
         )
     )
 
     artifact = {
         "benchmark": "batch_replay",
-        "replays": len(specs),
+        "replays": 1000,
         "fleet_size": _FLEET_SIZE,
         "steps": _STEPS,
         "governors": governors,
         "autoscaler_settings": len(scaler_settings),
         "trace_seeds": _SEEDS,
-        "fleet": {
-            "batched_s": batched_s,
-            "looped_s": looped_s,
-            "speedup": fleet_speedup,
-            "min_speedup": MIN_BATCH_SPEEDUP,
-        },
+        "fleet": fleet,
         "single_server": {
             "replays": len(single_specs),
             "batched_s": single_batched_s,
@@ -174,13 +191,15 @@ def test_bench_batch_replay(benchmark, bench_artifact, paired_walls):
         },
     }
     out_path = bench_artifact("batch", artifact)
-    print(
-        f"wrote {out_path} (fleet {fleet_speedup:.1f}x, "
-        f"single {single_speedup:.1f}x)"
+    speedups = ", ".join(
+        f"{routing} {entry['speedup']:.1f}x" for routing, entry in fleet.items()
     )
+    print(f"wrote {out_path} (fleet {speedups}, single {single_speedup:.1f}x)")
 
-    # The acceptance bar: >= 8x on the thousand-replay fleet sweep.
-    assert fleet_speedup >= MIN_BATCH_SPEEDUP, (
-        f"batched engine is only {fleet_speedup:.1f}x faster than looped "
-        f"single-replay kernel calls (need >= {MIN_BATCH_SPEEDUP}x)"
-    )
+    # The acceptance bar: >= 8x on every routing's thousand-replay sweep.
+    for routing, entry in fleet.items():
+        assert entry["speedup"] >= MIN_BATCH_SPEEDUP, (
+            f"batched engine is only {entry['speedup']:.1f}x faster than "
+            f"looped single-replay kernel calls on {routing} "
+            f"(need >= {MIN_BATCH_SPEEDUP}x)"
+        )

@@ -7,19 +7,22 @@ trace axis; this module adds the batch axis:
 
 * **Single-server stacks** -- B (governor, trace) replays become one
   ``(B, T)`` utilisation tensor (rows padded to the longest trace).
-  Memoryless governors select the whole tensor in one cover-matrix
-  pass; ``conservative`` walks the T axis once with all B rows
-  advancing a notch per step in parallel
+  Memoryless governors select the whole tensor in one covering search
+  (a ``searchsorted`` per demand); ``conservative`` walks the T axis
+  once with all B rows advancing a notch per step in parallel
   (:func:`~repro.kernels.governors.select_batch_trace_indices`).
 * **Fleet stacks** -- B fleet replays sharing one (workload, fleet
   size, governor, routing, autoscaler) configuration become
-  ``(B, N, T)`` tensors.  The autoscaler's power-state machine,
-  ``pack``'s sequential fill and ``least_loaded``'s frequency-coupled
-  weights stay step-sequential *within* a replay but operate on
-  length-B / ``(B, N)`` slices *across* the batch; queueing tails go
-  through the deduplicating closed-form
+  ``(B, N, T)`` tensors, evaluated in five stages (each one
+  ``batch.*`` span per batch): the autoscaler's power-state
+  ``timeline``; ``routing``, where ``pack``'s spill is one node-axis
+  accumulate over the whole tensor, shared with the single-replay
+  kernel; ``selection``, where ``least_loaded``'s frequency-coupled
+  weights and ``conservative`` stay step-sequential *within* a replay
+  but run on whole ``(B, N)`` step slices *across* the batch;
+  queueing ``tails`` through the deduplicating closed-form
   :func:`~repro.kernels.fleet.tail_latencies` kernel once for the
-  whole batch.
+  whole batch; and the column gathers and fleet sums (``reduce``).
 * **Summaries** -- per-replay scalar summaries are axis-1 reductions
   over exact-length row blocks (rows grouped by trace length, because
   reducing a zero-padded row would change pairwise-summation order and
@@ -64,9 +67,9 @@ from repro.fleet.node import NodeState
 from repro.fleet.result import FleetResult
 from repro.fleet.routing import (
     LeastLoadedRouting,
+    PackRouting,
     RoundRobinRouting,
     RoutingPolicy,
-    SpreadRouting,
     router_by_name,
 )
 from repro.kernels import fleet as fleet_kernel
@@ -481,170 +484,79 @@ def _batched_state_timeline(
     return state3d, wake3d
 
 
-def _batched_even_split(
-    mass2d: np.ndarray, target3d: np.ndarray, valid2d: np.ndarray
-) -> np.ndarray:
-    """``mass / |targets|`` on the target mask, zero elsewhere."""
-    counts2d = target3d.sum(axis=1)
-    if np.any((counts2d == 0) & valid2d):
-        raise ValueError(fleet_kernel._NO_ACTIVE_NODE)
-    safe = np.where(counts2d == 0, 1, counts2d)
-    return np.where(
-        target3d, (mass2d / safe)[:, np.newaxis, :], 0.0
-    )
-
-
-def _batched_pack_shares(
-    routing, mass2d, serving3d, active3d, valid2d
-) -> np.ndarray:
-    """Pack's sequential fill, batched: loop nodes, vectorize rows.
-
-    The spill arithmetic is order-dependent float subtraction, so the
-    fill walks nodes in id order exactly like the scalar loop -- but
-    each walk step updates all B remainders at once.  Subtracting a
-    zero take is float-exact, so rows that already drained (the scalar
-    loop's ``break``) pass through unchanged.
-    """
-    batch, fleet_size, steps = serving3d.shape
-    shares3d = np.zeros((batch, fleet_size, steps), dtype=np.float64)
-    fill = routing.fill_fraction
-    for step in range(steps):
-        serving = serving3d[:, :, step]
-        targets = np.where(
-            serving.any(axis=1)[:, np.newaxis],
-            serving,
-            active3d[:, :, step],
-        )
-        if np.any(~targets.any(axis=1) & valid2d[:, step]):
-            raise ValueError(fleet_kernel._NO_ACTIVE_NODE)
-        remaining = mass2d[:, step].copy()
-        for node in range(fleet_size):
-            eligible = targets[:, node] & (remaining > 0.0)
-            take = np.where(
-                eligible, np.minimum(fill, remaining), 0.0
-            )
-            shares3d[:, node, step] = take
-            remaining = remaining - take
-        overflowing = remaining > 0.0
-        if overflowing.any():
-            counts = targets.sum(axis=1)
-            safe = np.where(counts == 0, 1, counts)
-            extra = np.where(overflowing, remaining / safe, 0.0)
-            shares3d[:, :, step] += np.where(
-                targets, extra[:, np.newaxis], 0.0
-            )
-    return shares3d
-
-
 def _batched_sequential_selection(
     table: FrequencyTable,
     governor: Governor,
-    least_loaded: bool,
     mass2d: np.ndarray,
     serving3d: np.ndarray,
-    active3d: np.ndarray,
     wake3d: np.ndarray,
-    shares3d: np.ndarray,
-    idx3d: np.ndarray,
-    valid2d: np.ndarray,
-) -> None:
+    target3d: np.ndarray,
+    shares3d: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
     """Step-at-a-time selection, vectorized across batch and fleet.
 
     The batched twin of ``_sequential_selection``: ``least_loaded``
-    weights couple to the previous step's frequencies and the
-    ``conservative`` governor to each node's own previous choice, so
-    the T axis stays a loop -- but each step is (B, N) array math.
+    (``shares3d=None``, routed here) weights couple to the previous
+    step's frequencies and the ``conservative`` governor to each node's
+    own previous choice, so the T axis stays a loop.  The inputs are
+    transposed step-major once, and each step is a few whole-``(B, N)``
+    array ops: the governor runs on every node and ``np.where`` keeps
+    the serving nodes' choices.  Returns ``(shares3d, idx3d)``; the
+    index of a non-serving node is its last choice, which no column
+    reads.
     """
     batch, fleet_size, steps = serving3d.shape
+    nominal_index = table.nominal_index
     nominal_capacity = table.nominal_capacity_uips
-    capacities = table.capacity_uips
-    previous = np.full(
-        (batch, fleet_size), table.nominal_index, dtype=np.int64
-    )
+    least_loaded = shares3d is None
+    serving_t = np.ascontiguousarray(serving3d.transpose(2, 0, 1))
+    serving_steps = serving_t.any(axis=(1, 2)).tolist()
+    wake_t = wake3d.transpose(2, 0, 1)
+    wake_steps = wake3d.any(axis=(0, 1)).tolist()
+    if least_loaded:
+        target_t = np.ascontiguousarray(target3d.transpose(2, 0, 1))
+        count_t = np.maximum(target_t.sum(axis=2), 1).astype(np.float64)
+        mass_t = np.ascontiguousarray(mass2d.T)[:, :, np.newaxis]
+        weight_of = table.capacity_uips / nominal_capacity
+        shares_t = np.empty((steps, batch, fleet_size), dtype=np.float64)
+    else:
+        shares_t = np.ascontiguousarray(shares3d.transpose(2, 0, 1))
+    idx_t = np.empty((steps, batch, fleet_size), dtype=np.int64)
+    previous = np.full((batch, fleet_size), nominal_index, dtype=np.int64)
     for step in range(steps):
-        woken = wake3d[:, :, step]
-        if woken.any():
-            previous[woken] = table.nominal_index
+        if wake_steps[step]:
+            previous = np.where(wake_t[step], nominal_index, previous)
         if least_loaded:
-            serving = serving3d[:, :, step]
-            targets = np.where(
-                serving.any(axis=1)[:, np.newaxis],
-                serving,
-                active3d[:, :, step],
-            )
-            if np.any(~targets.any(axis=1) & valid2d[:, step]):
-                raise ValueError(fleet_kernel._NO_ACTIVE_NODE)
-            weights = np.where(
-                targets, capacities[previous] / nominal_capacity, 0.0
-            )
-            # Accumulate in ascending node order (adding the zero
-            # weight of a non-target is float-exact), mirroring the
-            # scalar loop's sequential addition.
-            total = np.zeros(batch, dtype=np.float64)
-            for node in range(fleet_size):
-                total = total + weights[:, node]
-            fallback = total <= 0.0
-            if fallback.any():
-                counts = targets.sum(axis=1)
+            targets = target_t[step]
+            weights = np.where(targets, weight_of[previous], 0.0)
+            # Accumulate is strictly sequential in ascending node order
+            # (adding the zero weight of a non-target is float-exact),
+            # mirroring the scalar loop's running sum.
+            total = np.add.accumulate(weights, axis=1)[:, -1]
+            if total.min() <= 0.0:
+                fallback = total <= 0.0
                 weights = np.where(
                     fallback[:, np.newaxis] & targets, 1.0, weights
                 )
-                total = np.where(
-                    fallback,
-                    np.maximum(counts, 1).astype(np.float64),
-                    total,
-                )
-            shares3d[:, :, step] = np.where(
-                targets,
-                mass2d[:, step][:, np.newaxis]
-                * (weights / total[:, np.newaxis]),
-                0.0,
-            )
-        serving = serving3d[:, :, step]
-        if serving.any():
-            utilization = shares3d[:, :, step][serving]
+                total = np.where(fallback, count_t[step], total)
+            # A non-target's weight is 0.0 and every total is > 0, so its
+            # share is already the exact 0.0 the scalar loop leaves.
+            shares_t[step] = mass_t[step] * (weights / total[:, np.newaxis])
+        if serving_steps[step]:
+            shares = shares_t[step]
             chosen = select_step_indices(
                 governor,
                 table,
-                utilization,
-                utilization * nominal_capacity,
-                previous[serving],
-                table.nominal_index,
+                shares,
+                shares * nominal_capacity,
+                previous,
+                nominal_index,
             )
-            idx3d[:, :, step][serving] = chosen
-            previous[serving] = chosen
-
-
-def _batched_rowsum(array3d: np.ndarray) -> np.ndarray:
-    """(B, N, T) -> (B, T) totals accumulated node by node, id order."""
-    total = np.zeros(
-        (array3d.shape[0], array3d.shape[2]), dtype=np.float64
-    )
-    for node in range(array3d.shape[1]):
-        total += array3d[:, node, :]
-    return total
-
-
-def _batched_worst_tails(
-    table: FrequencyTable,
-    workload: WorkloadCharacteristics,
-    serving3d: np.ndarray,
-    shares3d: np.ndarray,
-    idx3d: np.ndarray,
-) -> np.ndarray:
-    """Per (replay, step): the worst loaded node's tail, NaN if none."""
-    loaded = serving3d & (shares3d > 0.0)
-    tail3d = np.full(shares3d.shape, np.nan, dtype=np.float64)
-    tail3d[loaded] = fleet_kernel.tail_latencies(
-        table,
-        workload,
-        idx3d[loaded],
-        shares3d[loaded] * table.nominal_capacity_uips,
-    )
-    defined = ~np.isnan(tail3d)
-    candidates = np.where(defined, tail3d, -np.inf)
-    return np.where(
-        defined.any(axis=1), candidates.max(axis=1), np.nan
+            previous = np.where(serving_t[step], chosen, previous)
+        idx_t[step] = previous
+    return (
+        np.ascontiguousarray(shares_t.transpose(1, 2, 0)),
+        np.ascontiguousarray(idx_t.transpose(1, 2, 0)),
     )
 
 
@@ -687,154 +599,164 @@ class FleetReplayBatch:
         )
         nominal_capacity = table.nominal_capacity_uips
 
-        # The power-state timeline depends only on (traces, fleet size,
-        # autoscaler) -- never on governor or routing -- so a runner
-        # sweeping governors over one trace set shares it across its
-        # groups.  The arrays are read-only downstream (every consumer
-        # derives new arrays), so sharing is safe.
-        if timeline_cache is not None:
-            key = (tuple(self.traces), fleet_size, autoscaler)
-            cached = timeline_cache.get(key)
-            if cached is None:
-                obs.count("batch.timeline_cache_misses")
-                cached = _batched_state_timeline(
+        # One span per stage and batch (never per step), so a captured
+        # run splits the engine's wall without taxing the off path.
+        with obs.trace("batch.timeline"):
+            # The power-state timeline depends only on (traces, fleet
+            # size, autoscaler) -- never on governor or routing -- so a
+            # runner sweeping governors over one trace set shares it
+            # across its groups.  The arrays are read-only downstream
+            # (every consumer derives new arrays), so sharing is safe.
+            if timeline_cache is not None:
+                key = (tuple(self.traces), fleet_size, autoscaler)
+                cached = timeline_cache.get(key)
+                if cached is None:
+                    obs.count("batch.timeline_cache_misses")
+                    cached = _batched_state_timeline(
+                        mass2d, fleet_size, autoscaler
+                    )
+                    timeline_cache[key] = cached
+                else:
+                    obs.count("batch.timeline_cache_hits")
+                state3d, wake3d = cached
+            else:
+                state3d, wake3d = _batched_state_timeline(
                     mass2d, fleet_size, autoscaler
                 )
-                timeline_cache[key] = cached
-            else:
-                obs.count("batch.timeline_cache_hits")
-            state3d, wake3d = cached
-        else:
-            state3d, wake3d = _batched_state_timeline(
-                mass2d, fleet_size, autoscaler
-            )
         serving3d = state3d == _SERVING
         booting3d = state3d == _BOOTING
         active3d = serving3d | booting3d
 
-        idx3d = np.full(
-            (batch, fleet_size, steps), table.nominal_index, dtype=np.int64
-        )
         routing_type = type(routing)
-        if routing_type is LeastLoadedRouting:
-            shares3d = np.zeros((batch, fleet_size, steps), dtype=np.float64)
-            _batched_sequential_selection(
-                table, governor, True, mass2d, serving3d, active3d,
-                wake3d, shares3d, idx3d, valid2d,
-            )
-        else:
+        with obs.trace("batch.routing"):
             if routing_type is RoundRobinRouting:
-                shares3d = _batched_even_split(mass2d, active3d, valid2d)
-            elif routing_type is SpreadRouting:
-                serving_counts = serving3d.sum(axis=1)
-                target3d = np.where(
-                    (serving_counts > 0)[:, np.newaxis, :],
-                    serving3d,
-                    active3d,
+                target3d = active3d
+            else:
+                target3d = fleet_kernel._route_targets(serving3d, active3d)
+            if routing_type is PackRouting:
+                shares3d = fleet_kernel._pack_shares(
+                    routing.fill_fraction, mass2d, target3d, valid2d
                 )
-                shares3d = _batched_even_split(mass2d, target3d, valid2d)
-            else:  # PackRouting
-                shares3d = _batched_pack_shares(
-                    routing, mass2d, serving3d, active3d, valid2d
+            elif routing_type is LeastLoadedRouting:
+                # Frequency-coupled: routed step by step during selection.
+                fleet_kernel._target_counts(target3d, valid2d)
+                shares3d = None
+            else:
+                shares3d = fleet_kernel._even_split_shares(
+                    mass2d, target3d, valid2d
                 )
-            if is_memoryless_kernel(governor):
-                chosen = select_step_indices(
+
+        with obs.trace("batch.selection"):
+            if shares3d is not None and is_memoryless_kernel(governor):
+                idx3d = np.full(
+                    (batch, fleet_size, steps),
+                    table.nominal_index,
+                    dtype=np.int64,
+                )
+                served = shares3d[serving3d]
+                idx3d[serving3d] = select_step_indices(
                     governor,
                     table,
-                    shares3d[serving3d],
-                    shares3d[serving3d] * nominal_capacity,
+                    served,
+                    served * nominal_capacity,
                     idx3d[serving3d],
                     table.nominal_index,
                 )
-                idx3d[serving3d] = chosen
             else:
-                _batched_sequential_selection(
-                    table, governor, False, mass2d, serving3d, active3d,
-                    wake3d, shares3d, idx3d, valid2d,
+                shares3d, idx3d = _batched_sequential_selection(
+                    table, governor, mass2d, serving3d, wake3d, target3d,
+                    shares3d,
                 )
 
-        demand3d = shares3d * nominal_capacity
-        frequency3d = np.where(
-            serving3d, table.frequencies_hz[idx3d], np.nan
-        )
-        power3d = np.where(
-            serving3d,
-            table.power_w[idx3d],
-            np.where(booting3d, table.power_w[0], off_power_w),
-        )
-        wake_energy = (
-            autoscaler.wake_energy_j if autoscaler is not None else 0.0
-        )
-        wake_extra3d = np.where(wake3d, wake_energy, 0.0)
-        step_seconds = np.array(
-            [trace.step_seconds for trace in self.traces], dtype=np.float64
-        )
-        energy3d = (
-            power3d * step_seconds[:, np.newaxis, np.newaxis] + wake_extra3d
-        )
-        capacity3d = np.where(serving3d, table.capacity_uips[idx3d], 0.0)
-        served3d = np.where(
-            serving3d, np.minimum(demand3d, capacity3d), 0.0
-        )
-        qos_metric3d = np.where(serving3d, table.qos_metric[idx3d], np.nan)
-        qos_ok3d = np.where(serving3d, table.qos_ok[idx3d], True)
-        demand_met3d = np.where(
-            serving3d,
-            table.covers_capacity_uips[idx3d] >= demand3d,
-            demand3d <= 0.0,
-        )
-        violation3d = ~(qos_ok3d & demand_met3d)
+        with obs.trace("batch.tails"):
+            if use_queueing:
+                tails2d = fleet_kernel._worst_tails(
+                    table, workload, serving3d, shares3d, idx3d
+                )
+                qos_limit = workload.qos_limit_seconds
+                queue_ok2d = np.isnan(tails2d) | (
+                    tails2d <= qos_limit + 1e-12
+                )
+            else:
+                tails2d = np.full((batch, steps), np.nan)
+                queue_ok2d = np.ones((batch, steps), dtype=bool)
 
-        serving_counts2d = serving3d.sum(axis=1)
-        booting_counts2d = booting3d.sum(axis=1)
-        node_violations2d = violation3d.sum(axis=1)
-
-        if use_queueing:
-            tails2d = _batched_worst_tails(
-                table, workload, serving3d, shares3d, idx3d
+        with obs.trace("batch.reduce"):
+            demand3d = shares3d * nominal_capacity
+            frequency3d = np.where(
+                serving3d, table.frequencies_hz[idx3d], np.nan
             )
-            qos_limit = workload.qos_limit_seconds
-            queue_ok2d = np.isnan(tails2d) | (
-                tails2d <= qos_limit + 1e-12
+            power3d = np.where(
+                serving3d,
+                table.power_w[idx3d],
+                np.where(booting3d, table.power_w[0], off_power_w),
             )
-        else:
-            tails2d = np.full((batch, steps), np.nan)
-            queue_ok2d = np.ones((batch, steps), dtype=bool)
+            wake_energy = (
+                autoscaler.wake_energy_j if autoscaler is not None else 0.0
+            )
+            step_seconds = np.array(
+                [trace.step_seconds for trace in self.traces],
+                dtype=np.float64,
+            )
+            wake_extra3d = np.where(wake3d, wake_energy, 0.0)
+            energy3d = (
+                power3d * step_seconds[:, np.newaxis, np.newaxis]
+                + wake_extra3d
+            )
+            capacity3d = np.where(
+                serving3d, table.capacity_uips[idx3d], 0.0
+            )
+            served3d = np.where(
+                serving3d, np.minimum(demand3d, capacity3d), 0.0
+            )
+            qos_metric3d = np.where(
+                serving3d, table.qos_metric[idx3d], np.nan
+            )
+            qos_ok3d = np.where(serving3d, table.qos_ok[idx3d], True)
+            demand_met3d = np.where(
+                serving3d,
+                table.covers_capacity_uips[idx3d] >= demand3d,
+                demand3d <= 0.0,
+            )
+            violation3d = ~(qos_ok3d & demand_met3d)
+            serving_counts2d = serving3d.sum(axis=1)
+            booting_counts2d = booting3d.sum(axis=1)
+            node_violations2d = violation3d.sum(axis=1)
 
-        self.fleet_columns: Dict[str, np.ndarray] = {
-            "utilization": util2d,
-            "offered_uips": mass2d * nominal_capacity,
-            "served_uips": _batched_rowsum(served3d),
-            "total_power_w": _batched_rowsum(power3d),
-            "energy_j": _batched_rowsum(energy3d),
-            "tail_latency_s": tails2d,
-            "active_servers": (
-                serving_counts2d + booting_counts2d
-            ).astype(np.int64),
-            "serving_servers": serving_counts2d.astype(np.int64),
-            "booting_servers": booting_counts2d.astype(np.int64),
-            "used_servers": (serving3d & (shares3d > 0.0))
-            .sum(axis=1)
-            .astype(np.int64),
-            "wake_events": wake3d.sum(axis=1).astype(np.int64),
-            "node_violations": node_violations2d.astype(np.int64),
-            "queue_ok": queue_ok2d,
-            "demand_met": demand_met3d.all(axis=1),
-            "violation": node_violations2d > 0,
-        }
-        self.node_columns: Dict[str, np.ndarray] = {
-            "state": state3d,
-            "frequency_hz": frequency3d,
-            "power_w": power3d,
-            "energy_j": energy3d,
-            "demand_uips": demand3d,
-            "capacity_uips": capacity3d,
-            "served_uips": served3d,
-            "qos_metric": qos_metric3d,
-            "qos_ok": qos_ok3d,
-            "demand_met": demand_met3d,
-            "violation": violation3d,
-        }
+            self.fleet_columns: Dict[str, np.ndarray] = {
+                "utilization": util2d,
+                "offered_uips": mass2d * nominal_capacity,
+                "served_uips": fleet_kernel._rowsum(served3d),
+                "total_power_w": fleet_kernel._rowsum(power3d),
+                "energy_j": fleet_kernel._rowsum(energy3d),
+                "tail_latency_s": tails2d,
+                "active_servers": (
+                    serving_counts2d + booting_counts2d
+                ).astype(np.int64),
+                "serving_servers": serving_counts2d.astype(np.int64),
+                "booting_servers": booting_counts2d.astype(np.int64),
+                "used_servers": (serving3d & (shares3d > 0.0))
+                .sum(axis=1)
+                .astype(np.int64),
+                "wake_events": wake3d.sum(axis=1).astype(np.int64),
+                "node_violations": node_violations2d.astype(np.int64),
+                "queue_ok": queue_ok2d,
+                "demand_met": demand_met3d.all(axis=1),
+                "violation": node_violations2d > 0,
+            }
+            self.node_columns: Dict[str, np.ndarray] = {
+                "state": state3d,
+                "frequency_hz": frequency3d,
+                "power_w": power3d,
+                "energy_j": energy3d,
+                "demand_uips": demand3d,
+                "capacity_uips": capacity3d,
+                "served_uips": served3d,
+                "qos_metric": qos_metric3d,
+                "qos_ok": qos_ok3d,
+                "demand_met": demand_met3d,
+                "violation": violation3d,
+            }
 
     def __len__(self) -> int:
         return len(self.traces)

@@ -11,10 +11,11 @@ in bulk:
    offered-mass sequence, never on routing or governor choices, so it
    is resolved once per replay in a tight scalar pass.
 2. **Routing** -- ``round_robin`` and ``spread`` become whole-trace
-   mask-and-divide expressions; ``pack``'s sequential fill keeps a
-   scalar loop per step (its spill arithmetic is order-dependent);
-   ``least_loaded`` couples to the previous step's frequencies and runs
-   inside the sequential selection loop.
+   mask-and-divide expressions; ``pack``'s order-dependent spill is one
+   ``np.subtract.accumulate`` along the node axis (:func:`_pack_shares`,
+   shared with the batch engine); ``least_loaded`` couples to the
+   previous step's frequencies and runs inside the sequential selection
+   loop.
 3. **Governor selection** -- memoryless policies select every
    (serving node, step) pair in one batched kernel call; the stateful
    ``conservative`` (and any policy under ``least_loaded``) advances
@@ -30,7 +31,8 @@ Queueing tails are evaluated by :func:`tail_latencies`, a closed-form
 vectorized twin of the scalar
 :class:`~repro.latency.queueing.MM1Queue` / :class:`MG1Queue` math:
 the (grid index, demand) pairs of every loaded node-step are
-deduplicated with ``np.unique`` and each unique pair is solved once
+deduplicated by two real-valued ``np.unique`` passes (demand rank,
+then ``rank * grid_size + index``) and each unique pair is solved once
 with the exact float expressions the scalar queue models use (the one
 ``math.log`` per unique pair included, because ``np.log`` is not
 bit-identical to ``math.log`` on every platform).
@@ -292,47 +294,80 @@ def _resolve_states(
 # -- routing ----------------------------------------------------------------------------
 
 
+def _route_targets(serving: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Serving nodes, or every active node at a step where none serves.
+
+    The target rule of :meth:`RoutingPolicy._targets` over the node
+    axis of ``(N, T)`` or ``(B, N, T)`` state masks.
+    """
+    return np.where(serving.any(axis=-2, keepdims=True), serving, active)
+
+
+def _target_counts(
+    targets: np.ndarray, valid: np.ndarray | None = None
+) -> np.ndarray:
+    """Routing targets per step of an ``(N, T)`` or ``(B, N, T)`` mask.
+
+    Raises when a step has none; ``valid`` marks the unpadded steps of a
+    ragged batch (default: every step), the only steps that must.
+    """
+    counts = targets.sum(axis=-2)
+    empty = counts == 0
+    if np.any(empty if valid is None else empty & valid):
+        raise ValueError(_NO_ACTIVE_NODE)
+    return counts
+
+
 def _even_split_shares(
-    mass: np.ndarray, target2d: np.ndarray
+    mass: np.ndarray, targets: np.ndarray, valid: np.ndarray | None = None
 ) -> np.ndarray:
     """``mass / |targets|`` on the target mask, zero elsewhere."""
-    counts = target2d.sum(axis=0)
-    if np.any(counts == 0):
-        raise ValueError(_NO_ACTIVE_NODE)
-    return np.where(target2d, (mass / counts)[np.newaxis, :], 0.0)
+    counts = _target_counts(targets, valid)
+    return np.where(
+        targets, (mass / np.maximum(counts, 1))[..., np.newaxis, :], 0.0
+    )
 
 
 def _pack_shares(
-    routing: PackRouting,
-    mass_list: List[float],
-    timeline: _StateTimeline,
-    fleet_size: int,
+    fill_fraction: float,
+    mass: np.ndarray,
+    targets: np.ndarray,
+    valid: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Sequential fill in id order, spilling at ``fill_fraction``.
+    """Pack's fill in id order, spilling at ``fill_fraction``, closed form.
 
-    The reference subtracts each take from the running remainder, so
-    the spill boundary is order-dependent float arithmetic; this loop
-    repeats it verbatim on plain floats.
+    ``targets`` is an ``(N, T)`` or ``(B, N, T)`` routing mask and
+    ``mass`` the matching ``(T,)`` or ``(B, T)`` offered mass (``valid``
+    as for :func:`_target_counts`).  The reference walks the targets
+    subtracting each take from a running remainder;
+    ``np.subtract.accumulate`` along the node axis repeats that
+    subtraction in the same order: a non-target subtracts an exact 0.0,
+    and up to the draining take every take is ``fill_fraction`` itself.
+    After it the reference's remainder is exactly 0.0 and the
+    accumulated one is <= 0, so both take nothing from there on -- the
+    reference loop's ``break``.  A final remainder > 0 spreads evenly
+    over the targets.
     """
-    steps = len(mass_list)
-    shares2d = np.zeros((fleet_size, steps), dtype=np.float64)
-    fill = routing.fill_fraction
-    for index in range(steps):
-        targets = timeline.serving_ids[index] or timeline.active_ids[index]
-        if not targets:
-            raise ValueError(_NO_ACTIVE_NODE)
-        remaining = mass_list[index]
-        for node in targets:
-            if remaining <= 0.0:
-                break
-            take = min(fill, remaining)
-            shares2d[node, index] = take
-            remaining -= take
-        if remaining > 0.0:
-            overflow = remaining / len(targets)
-            for node in targets:
-                shares2d[node, index] += overflow
-    return shares2d
+    counts = _target_counts(targets, valid)
+    before = np.subtract.accumulate(
+        np.concatenate(
+            [mass[..., np.newaxis, :], np.where(targets, fill_fraction, 0.0)],
+            axis=-2,
+        ),
+        axis=-2,
+    )
+    remaining = before[..., :-1, :]
+    shares = np.where(
+        targets & (remaining > 0.0),
+        np.minimum(fill_fraction, remaining),
+        0.0,
+    )
+    left = before[..., -1, :]
+    overflowing = left > 0.0
+    if overflowing.any():
+        extra = np.where(overflowing, left / np.maximum(counts, 1), 0.0)
+        shares += np.where(targets, extra[..., np.newaxis, :], 0.0)
+    return shares
 
 
 # -- governor selection -----------------------------------------------------------------
@@ -432,28 +467,31 @@ def tail_latencies(
     guards in the same order (NaN base latency, non-positive capacity,
     saturation at ``1 - _STABILITY_EPSILON``), then the M/M/1 or
     Marchal-corrected M/G/1 percentile with the scalar models'
-    expressions term for term.  The pairs are deduplicated with
-    ``np.unique`` so each distinct operating point is solved once --
-    the vectorized replacement for the old per-simulator memo dict.
-    The one transcendental term, ``log(rho / tail_probability)``, is
-    evaluated with ``math.log`` per *unique* pair because ``np.log``
-    is not bit-identical to ``math.log`` everywhere.
+    expressions term for term.  The pairs are deduplicated so each
+    distinct operating point is solved once.  The one transcendental
+    term, ``log(rho / tail_probability)``, is evaluated with
+    ``math.log`` per *unique* pair because ``np.log`` is not
+    bit-identical to ``math.log`` everywhere.
     """
     indices = np.asarray(indices, dtype=np.int64)
     demand = np.asarray(demand_uips, dtype=np.float64)
     if indices.size == 0:
         return np.empty(0, dtype=np.float64)
-    # Injective (index, demand) -> complex encoding: a 1-D complex sort
-    # is far cheaper than np.unique(..., axis=0)'s void-dtype sort, and
-    # complex unique orders lexicographically (real, then imag), so the
-    # grouping is identical.  (+0.0/-0.0 demands would merge, but both
-    # produce bit-identical tails through every branch below.)
-    keys = indices.astype(np.float64) + 1j * demand
-    unique, inverse = np.unique(keys, return_inverse=True)
-    obs.count("fleet.tail_pairs", int(keys.size))
-    obs.count("fleet.tail_unique_pairs", int(unique.size))
-    grid = unique.real.astype(np.int64)
-    unique_demand = unique.imag
+    # Two real-valued dedups instead of one over (index, demand) rows:
+    # rank the distinct demands, then dedup the injective integer key
+    # rank * grid_size + index.  A float and an int sort are far cheaper
+    # than a complex or void-dtype one, and the distinct keys are
+    # exactly the distinct pairs.  (+0.0/-0.0 demands share a rank, but
+    # both produce bit-identical tails through every branch below.)
+    grid_size = len(table)
+    demand_values, demand_rank = np.unique(demand, return_inverse=True)
+    keys, inverse = np.unique(
+        demand_rank * grid_size + indices, return_inverse=True
+    )
+    obs.count("fleet.tail_pairs", int(indices.size))
+    obs.count("fleet.tail_unique_pairs", int(keys.size))
+    grid = keys % grid_size
+    unique_demand = demand_values[keys // grid_size]
 
     base = table.latency_seconds[grid]
     capacity = table.capacity_uips[grid]
@@ -464,7 +502,7 @@ def tail_latencies(
     nan_base = np.isnan(base)
     stable = positive & (utilization < 1.0 - _STABILITY_EPSILON) & ~nan_base
 
-    out = np.full(len(unique), np.inf, dtype=np.float64)
+    out = np.full(len(keys), np.inf, dtype=np.float64)
     if np.any(stable):
         s_capacity = capacity[stable]
         s_demand = unique_demand[stable]
@@ -492,7 +530,7 @@ def tail_latencies(
             if np.any(waits):
                 ratios = rho[waits] / _P99_TAIL_PROBABILITY
                 logs = np.fromiter(
-                    (math.log(ratio) for ratio in ratios.tolist()),
+                    map(math.log, ratios.tolist()),
                     dtype=np.float64,
                     count=len(ratios),
                 )
@@ -510,44 +548,45 @@ def tail_latencies(
 def _worst_tails(
     table: FrequencyTable,
     workload: WorkloadCharacteristics,
-    serving2d: np.ndarray,
-    shares2d: np.ndarray,
-    idx2d: np.ndarray,
+    serving: np.ndarray,
+    shares: np.ndarray,
+    idx: np.ndarray,
 ) -> np.ndarray:
     """Per step: the worst loaded node's tail, NaN when none is loaded.
 
+    Reduces the node axis of ``(N, T)`` or ``(B, N, T)`` inputs.
     Matches the reference loop's running-max semantics: NaN tails never
     displace a finite worst, and a step with no loaded serving node (or
     only NaN tails) stays NaN.
     """
-    loaded = serving2d & (shares2d > 0.0)
-    tail2d = np.full(shares2d.shape, np.nan, dtype=np.float64)
-    tail2d[loaded] = tail_latencies(
+    loaded = serving & (shares > 0.0)
+    tails = np.full(shares.shape, np.nan, dtype=np.float64)
+    tails[loaded] = tail_latencies(
         table,
         workload,
-        idx2d[loaded],
-        shares2d[loaded] * table.nominal_capacity_uips,
+        idx[loaded],
+        shares[loaded] * table.nominal_capacity_uips,
     )
-    defined = ~np.isnan(tail2d)
-    candidates = np.where(defined, tail2d, -np.inf)
+    defined = ~np.isnan(tails)
+    candidates = np.where(defined, tails, -np.inf)
     return np.where(
-        defined.any(axis=0), candidates.max(axis=0), np.nan
+        defined.any(axis=-2), candidates.max(axis=-2), np.nan
     )
 
 
 # -- exact reductions -------------------------------------------------------------------
 
 
-def _rowsum(array2d: np.ndarray) -> np.ndarray:
-    """Column totals accumulated row by row in ascending node order.
+def _rowsum(array: np.ndarray) -> np.ndarray:
+    """Node-axis totals of ``(N, T)`` or ``(B, N, T)``, node by node.
 
     NumPy's ``sum`` uses pairwise/unrolled accumulation whose float
     rounding differs from the reference loop's sequential ``+=`` per
-    node; this explicit row walk reproduces the reference order.
+    node; this explicit walk in ascending id order reproduces it.
     """
-    total = np.zeros(array2d.shape[1], dtype=np.float64)
-    for row in array2d:
-        total += row
+    total = np.zeros(array.shape[:-2] + array.shape[-1:], dtype=np.float64)
+    for node in range(array.shape[-2]):
+        total += array[..., node, :]
     return total
 
 
@@ -604,20 +643,15 @@ def fleet_replay_columns(
             fleet_size, top2d,
         )
     else:
+        route_active2d = route_serving2d | route_booting2d
         if routing_type is RoundRobinRouting:
-            shares2d = _even_split_shares(
-                mass, route_serving2d | route_booting2d
-            )
-        elif routing_type is SpreadRouting:
-            serving_counts = route_serving2d.sum(axis=0)
-            target2d = np.where(
-                serving_counts[np.newaxis, :] > 0,
-                route_serving2d,
-                route_serving2d | route_booting2d,
-            )
-            shares2d = _even_split_shares(mass, target2d)
-        else:  # PackRouting
-            shares2d = _pack_shares(routing, mass_list, timeline, fleet_size)
+            shares2d = _even_split_shares(mass, route_active2d)
+        else:
+            target2d = _route_targets(route_serving2d, route_active2d)
+            if routing_type is SpreadRouting:
+                shares2d = _even_split_shares(mass, target2d)
+            else:  # PackRouting
+                shares2d = _pack_shares(routing.fill_fraction, mass, target2d)
         if is_memoryless_kernel(governor):
             chosen = select_step_indices(
                 governor,

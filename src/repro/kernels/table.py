@@ -70,6 +70,9 @@ class FrequencyTable:
     latency_seconds: np.ndarray
     covers_capacity_uips: np.ndarray = field(init=False, repr=False)
     energy_per_instruction_j: np.ndarray = field(init=False, repr=False)
+    _covering_search: Tuple[
+        Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]
+    ] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.frequencies_hz, dtype=np.float64)
@@ -122,6 +125,24 @@ class FrequencyTable:
             self,
             "covers_capacity_uips",
             _frozen(self.capacity_uips * _DEMAND_TOLERANCE, np.float64),
+        )
+        # Covering-search lookups, indexed by ``require_qos``: the
+        # eligible grid positions, the running maximum of their coverage
+        # and a trailing -1 for a miss (see lowest_covering_indices).
+        eligible = (np.ones(grid.size, dtype=bool), self.qos_ok)
+        object.__setattr__(
+            self,
+            "_covering_search",
+            tuple(
+                (
+                    _frozen(
+                        np.maximum.accumulate(self.covers_capacity_uips[keep]),
+                        np.float64,
+                    ),
+                    _frozen(np.append(np.flatnonzero(keep), -1), np.int64),
+                )
+                for keep in eligible
+            ),
         )
         # Server energy per served instruction at full load; +inf for
         # degenerate zero-capacity points so comparisons stay total.
@@ -228,19 +249,25 @@ class FrequencyTable:
         """Per element: the lowest grid index covering the demand, or -1.
 
         The vectorized twin of
-        :meth:`~repro.dvfs.governors.PlatformView.lowest_covering`:
-        identical comparisons against the tolerance-scaled capacities,
-        just evaluated for a whole demand array at once.  Accepts any
+        :meth:`~repro.dvfs.governors.PlatformView.lowest_covering`: the
+        same ``covers_capacity_uips >= demand`` test, answered for a
+        whole demand array by one ``searchsorted`` over the running
+        maximum of the eligible points' coverage (every point, or only
+        those meeting QoS; built once per table).  The first eligible
+        point whose running maximum reaches the demand is the first
+        that covers it, and the search only compares floats, so the
+        answer is exact; a NaN or uncovered demand misses.  Accepts any
         demand shape (a batched ``(B, T)`` tensor included) and returns
         indices of the same shape.
         """
-        demand = np.asarray(demand_uips, dtype=np.float64)
-        flat = demand.reshape(-1)
-        covers = self.covers_capacity_uips[np.newaxis, :] >= flat[:, np.newaxis]
-        if require_qos:
-            covers = covers & self.qos_ok[np.newaxis, :]
-        found = covers.any(axis=1)
-        return np.where(found, covers.argmax(axis=1), -1).reshape(demand.shape)
+        running_max, lookup = self._covering_search[bool(require_qos)]
+        return lookup[
+            np.searchsorted(
+                running_max,
+                np.asarray(demand_uips, dtype=np.float64),
+                side="left",
+            )
+        ]
 
     def frequencies(self) -> Tuple[float, ...]:
         """The grid as a plain tuple (PlatformView-compatible)."""

@@ -27,9 +27,15 @@ from hypothesis import strategies as st
 from repro.dvfs import GOVERNORS, GovernorSimulator, LoadTrace
 from repro.dvfs.governors import PerformanceGovernor, governor_by_name
 from repro.fleet import ROUTERS, Autoscaler, FleetSimulator
-from repro.fleet.routing import RoundRobinRouting, router_by_name
+from repro.fleet.routing import (
+    LeastLoadedRouting,
+    RoundRobinRouting,
+    router_by_name,
+)
 from repro.kernels import (
     BatchReplayRunner,
+    FleetReplayBatch,
+    FrequencyTable,
     ReplaySpec,
     fleet_replay_columns,
     governor_replay_columns,
@@ -205,6 +211,64 @@ def test_batched_fleet_summaries_match_simulator(routing, default_context):
     )
     for index, trace in enumerate(traces):
         assert summaries[index] == simulator.run(trace, routing).summary()
+
+
+def _assert_batch_equals_looped_kernel(
+    table, governor, routing, traces, fleet_size, use_queueing
+):
+    batch = FleetReplayBatch(
+        table, WEB_SEARCH, fleet_size, governor, routing, None, 0.0,
+        traces, use_queueing,
+    )
+    for row, trace in enumerate(traces):
+        fleet_ref, node_ref = fleet_replay_columns(
+            table, WEB_SEARCH, fleet_size, governor, routing, None, 0.0,
+            trace, use_queueing,
+        )
+        fleet, nodes = batch.columns_for(row)
+        assert_columns_equal(fleet, fleet_ref, f"row{row}")
+        for node, reference in node_ref.items():
+            assert_columns_equal(nodes[node], reference, f"row{row}/node{node}")
+
+
+@pytest.mark.parametrize("governor", ["conservative", "ondemand"])
+@pytest.mark.parametrize("fleet_size", [8, 12])
+def test_wide_least_loaded_batch_sums_weights_in_node_order(
+    governor, fleet_size, default_context
+):
+    """From eight nodes up NumPy's pairwise ``sum`` rounds differently
+    from the scalar loop's running total; the batch must not."""
+    _assert_batch_equals_looped_kernel(
+        default_context.frequency_table(WEB_SEARCH),
+        governor_by_name(governor),
+        LeastLoadedRouting(),
+        [LoadTrace.bursty(steps=60, seed=seed) for seed in (1, 2)],
+        fleet_size,
+        True,
+    )
+
+
+def test_least_loaded_batch_zero_capacity_falls_back_to_even_split():
+    """A zero-capacity grid bottom zeroes every weight once powersave
+    parks the fleet there; each batch row then splits evenly, exactly
+    as the single-replay kernel does (ragged rows included)."""
+    table = FrequencyTable(
+        workload_name="probe",
+        frequencies_hz=[1.0e9, 2.0e9],
+        capacity_uips=[0.0, 1.0e9],
+        power_w=[10.0, 20.0],
+        qos_metric=[0.0, 0.0],
+        qos_ok=[True, True],
+        latency_seconds=[np.nan, np.nan],
+    )
+    _assert_batch_equals_looped_kernel(
+        table,
+        governor_by_name("powersave"),
+        LeastLoadedRouting(),
+        [LoadTrace.constant(0.5, steps=3), LoadTrace.constant(0.3, steps=5)],
+        2,
+        False,
+    )
 
 
 # -- mixed batches, fallbacks and edge specs --------------------------------------------

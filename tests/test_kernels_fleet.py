@@ -13,10 +13,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.dvfs import GOVERNORS, LoadTrace, governor_by_name
 from repro.dvfs.governors import LoadObservation, PlatformView
 from repro.fleet import ROUTERS, Autoscaler, FleetSimulator
+from repro.fleet.node import NodeState
 from repro.fleet.result import FLEET_COLUMNS, NODE_COLUMNS
 from repro.fleet.routing import SpreadRouting
 from repro.kernels import fleet_kernel_supports, select_step_indices
@@ -264,28 +268,155 @@ def test_least_loaded_zero_capacity_falls_back_to_even_split():
 
 
 def test_routing_kernels_reject_an_empty_active_set():
-    from repro.kernels.fleet import (
-        _StateTimeline,
-        _even_split_shares,
-        _pack_shares,
-    )
-    from repro.fleet.routing import PackRouting
+    from repro.kernels.fleet import _even_split_shares, _pack_shares
 
-    with pytest.raises(ValueError, match="no active node"):
-        _even_split_shares(np.array([1.0]), np.zeros((2, 1), dtype=bool))
-    state2d = np.zeros((2, 1), dtype=np.int8)
-    timeline = _StateTimeline(
-        state2d=state2d,
-        route_state2d=state2d,
-        wake_counts=np.zeros(1, dtype=np.int64),
-        woken=[[]],
-        restarted=[[]],
-        serving_ids=[[]],
-        active_ids=[[]],
-        select_ids=[[]],
+    def pack(*args):
+        return _pack_shares(0.75, *args)
+
+    # A ragged batch's padded steps may have no target at all; only the
+    # valid (unpadded) steps must.
+    targets = np.array([[[True, False], [False, False]]])
+    mass = np.array([[1.0, 0.0]])
+    valid = np.array([[True, False]])
+    for route in (_even_split_shares, pack):
+        with pytest.raises(ValueError, match="no active node"):
+            route(np.array([1.0]), np.zeros((2, 1), dtype=bool))
+        with pytest.raises(ValueError, match="no active node"):
+            route(mass, targets)
+        assert route(mass, targets, valid).tolist() == [
+            [[1.0, 0.0], [0.0, 0.0]]
+        ]
+
+
+# -- pack's closed-form spill vs PackRouting.assign -------------------------------------
+
+_OFF, _BOOTING, _SERVING = (
+    int(NodeState.OFF), int(NodeState.BOOTING), int(NodeState.SERVING)
+)
+
+
+def _state_column(fleet_size):
+    """One step's node states with at least one active node; a third of
+    the draws have no serving node, so booting nodes are the targets."""
+    any_state = st.lists(
+        st.sampled_from((_OFF, _BOOTING, _SERVING)),
+        min_size=fleet_size,
+        max_size=fleet_size,
     )
-    with pytest.raises(ValueError, match="no active node"):
-        _pack_shares(PackRouting(), [1.0], timeline, fleet_size=2)
+    booting_only = st.lists(
+        st.sampled_from((_OFF, _BOOTING)),
+        min_size=fleet_size,
+        max_size=fleet_size,
+    )
+    return st.one_of(any_state, any_state, booting_only).filter(
+        lambda column: any(state != _OFF for state in column)
+    )
+
+
+def _pack_mass(fleet_size, fill):
+    """Exact multiples of the fill (zero included), overflow, and any."""
+    return st.one_of(
+        st.integers(0, fleet_size + 1).map(lambda k: k * fill),
+        st.floats(
+            fleet_size * fill, 2.0 * fleet_size + 1.0, exclude_min=True
+        ),
+        st.floats(0.0, fleet_size + 1.0),
+    )
+
+
+_FILLS = st.one_of(st.sampled_from((1.0, 0.1)), st.floats(0.01, 1.0))
+
+
+@st.composite
+def _pack_cases(draw, max_rows):
+    """``(fill, states (B, N, T), mass (B, T), lengths)``, rows ragged;
+    padded steps are all off (no target) with zero mass."""
+    fill = draw(_FILLS)
+    fleet_size = draw(st.integers(1, 5))
+    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=max_rows))
+    states = np.full((len(lengths), fleet_size, max(lengths)), _OFF)
+    mass = np.zeros((len(lengths), max(lengths)))
+    for row, length in enumerate(lengths):
+        for step in range(length):
+            states[row, :, step] = draw(_state_column(fleet_size))
+            mass[row, step] = draw(_pack_mass(fleet_size, fill))
+    return fill, states, mass, lengths
+
+
+def _pack_case(fill, columns, mass):
+    """One unpadded row as a ``_pack_cases`` draw, each step's column of
+    node states spelled S(erving) / B(ooting) / O(ff)."""
+    code = {"S": _SERVING, "B": _BOOTING, "O": _OFF}
+    states = np.array([[code[state] for state in column] for column in columns])
+    return fill, states.T[np.newaxis], np.array([mass]), [len(mass)]
+
+
+def _pack_targets(states):
+    from repro.kernels.fleet import _route_targets
+
+    return _route_targets(states == _SERVING, states != _OFF)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_pack_cases(max_rows=1))
+# fill 0.1, where rounding builds up: exact multiples (3 and 2 fills),
+# zero mass, overflow past N * fill, and a booting-only step.
+@example(
+    case=_pack_case(
+        0.1,
+        ["SSS", "BOB", "SOS", "SBS"],
+        [3 * 0.1, 2 * 0.1, 0.0, 7 * 0.1],
+    )
+)
+# fill 1.0 on a single node: an exact fill, booting-only, an overflow.
+@example(case=_pack_case(1.0, ["S", "B", "S"], [1.0, 0.0, 2.5]))
+def test_pack_shares_equal_pack_routing_bit_for_bit(case):
+    from repro.fleet.routing import NodeView, PackRouting
+    from repro.kernels.fleet import _pack_shares
+
+    fill, states3d, mass2d, _ = case
+    states, mass = states3d[0], mass2d[0]
+    fleet_size, steps = states.shape
+    shares = _pack_shares(fill, mass, _pack_targets(states))
+    routing = PackRouting(fill_fraction=fill)
+    for step in range(steps):
+        nodes = [
+            NodeView(
+                node_id=node,
+                serving=bool(states[node, step] == _SERVING),
+                booting=bool(states[node, step] == _BOOTING),
+                nominal_capacity_uips=1.0,
+                previous_capacity_uips=1.0,
+            )
+            for node in range(fleet_size)
+        ]
+        assert _bits(shares[:, step]) == _bits(
+            routing.assign(float(mass[step]), nodes)
+        ), f"step {step}: states {states[:, step]}, mass {mass[step]!r}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_pack_cases(max_rows=4))
+def test_batched_pack_shares_equal_per_row_calls(case):
+    from repro.kernels.fleet import _pack_shares
+
+    fill, states3d, mass2d, lengths = case
+    steps = max(lengths)
+    valid2d = (
+        np.arange(steps)[np.newaxis, :] < np.array(lengths)[:, np.newaxis]
+    )
+    targets3d = _pack_targets(states3d)
+    shares3d = _pack_shares(fill, mass2d, targets3d, valid2d)
+    for row, length in enumerate(lengths):
+        alone = _pack_shares(
+            fill, mass2d[row, :length], targets3d[row, :, :length]
+        )
+        assert _bits(shares3d[row, :, :length]) == _bits(alone)
+        assert not shares3d[row, :, length:].any()
 
 
 def test_custom_autoscaler_subclass_takes_the_reference_path(default_context):
@@ -407,13 +538,28 @@ def test_tail_guards_nan_base_and_zero_capacity():
 
 
 def test_tail_deduplication_preserves_order_and_values(default_context):
-    """Repeated (index, demand) pairs scatter back to their positions."""
+    """Repeated (index, demand) pairs scatter back to their positions.
+
+    One demand recurs at several indices and one index at several
+    demands, so a dedup key that merged distinct pairs would solve too
+    few of them: the unique-pair counter must equal the number of
+    distinct (index, demand) pairs.
+    """
     table = default_context.frequency_table(WEB_SEARCH)
+    top = table.nominal_index
     capacity = float(table.capacity_uips[-1])
-    indices = np.array([3, 1, 3, 1, 3, 2])
-    demand = capacity * np.array([0.4, 0.4, 0.4, 0.6, 0.7, 0.4])
-    tails = tail_latencies(table, WEB_SEARCH, indices, demand)
+    indices = np.array([top, top - 1, top, top - 1, top, top - 2, top - 3])
+    demand = capacity * np.array([0.4, 0.4, 0.4, 0.3, 0.7, 0.4, 0.3])
+    with obs.capture() as capture:
+        tails = tail_latencies(table, WEB_SEARCH, indices, demand)
     assert tails[0] == tails[2]  # identical pairs, identical tails
     assert tails[0] != tails[4]  # same index, different demand
+    assert tails[0] != tails[1]  # same demand, different index
+    assert tails[1] != tails[3]  # same index, different demand
+    counters = capture.counter_deltas()
+    assert counters["fleet.tail_pairs"] == len(indices)
+    assert counters["fleet.tail_unique_pairs"] == len(
+        set(zip(indices.tolist(), demand.tolist()))
+    ) == 6
     _assert_tails_exactly_equal(table, WEB_SEARCH, indices, demand)
     assert tail_latencies(table, WEB_SEARCH, [], []).size == 0

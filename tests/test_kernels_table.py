@@ -8,6 +8,8 @@ per-point ``evaluate`` path -- plus the exactly-once
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import default_server
 from repro.dvfs import GovernorSimulator, LoadTrace
@@ -153,6 +155,93 @@ def test_table_is_memoized_per_workload_and_grid(default_context):
     sub = default_context.frequency_table(WEB_SEARCH, frequencies=grid)
     assert sub is not first
     assert default_context.frequency_table(WEB_SEARCH, frequencies=grid) is sub
+
+
+# -- the covering search ---------------------------------------------------------------
+
+
+def _cover_matrix_indices(table, demand, require_qos):
+    """The oracle: an M x G ``covers >= demand`` matrix and its argmax."""
+    demand = np.asarray(demand, dtype=np.float64)
+    flat = demand.reshape(-1)
+    covers = table.covers_capacity_uips[np.newaxis, :] >= flat[:, np.newaxis]
+    if require_qos:
+        covers = covers & table.qos_ok[np.newaxis, :]
+    found = covers.any(axis=1)
+    return np.where(found, covers.argmax(axis=1), -1).reshape(demand.shape)
+
+
+def _table(capacities, qos_ok):
+    return FrequencyTable(
+        workload_name="drawn",
+        frequencies_hz=[1.0e8 * (index + 1) for index in range(len(qos_ok))],
+        capacity_uips=capacities,
+        power_w=[1.0] * len(qos_ok),
+        qos_metric=[0.0] * len(qos_ok),
+        qos_ok=qos_ok,
+        latency_seconds=[0.0] * len(qos_ok),
+    )
+
+
+@st.composite
+def _tables(draw):
+    """Small grids whose capacities repeat, dip and rise, with a
+    non-monotone QoS flag."""
+    size = draw(st.integers(1, 7))
+    capacity = st.one_of(
+        st.sampled_from((0.0, 1.0e9, 2.0e9, 2.0e9, 3.5e9)),
+        st.floats(1.0, 4.0e9),
+    )
+    return _table(
+        draw(st.lists(capacity, min_size=size, max_size=size)),
+        draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    table=_tables(),
+    picks=st.lists(
+        st.one_of(st.integers(0, 999), st.floats(0.0, 5.0e9)),
+        min_size=6,
+        max_size=6,
+    ),
+)
+# Equal neighbouring capacities, a dip, and QoS flags that flip twice.
+@example(
+    table=_table(
+        [1.0e9, 2.0e9, 2.0e9, 1.5e9, 3.0e9], [False, True, False, True, True]
+    ),
+    picks=[0, 6, 12, 18, 22, 2.0e9],
+)
+def test_covering_search_matches_the_cover_matrix(table, picks):
+    """The searchsorted lookup equals the cover-matrix argmax exactly.
+
+    Demands sit exactly on, and one ulp either side of, every covering
+    capacity, plus 0.0, NaN and the infinities, in every shape the
+    kernels pass: a vector, an empty array and a ``(B, T)`` tensor
+    (integer picks index the special demands, floats are demands).
+    """
+    on_grid = table.covers_capacity_uips.tolist()
+    specials = (
+        on_grid
+        + np.nextafter(on_grid, np.inf).tolist()
+        + np.nextafter(on_grid, -np.inf).tolist()
+        + [0.0, np.nan, np.inf, -np.inf]
+    )
+    tensor = np.array(
+        [
+            specials[pick % len(specials)] if isinstance(pick, int) else pick
+            for pick in picks
+        ]
+    ).reshape(2, 3)
+    for demands in (np.array(specials), np.array([]), tensor):
+        for require_qos in (False, True):
+            got = table.lowest_covering_indices(demands, require_qos)
+            assert got.dtype == np.int64 and got.shape == demands.shape
+            assert np.array_equal(
+                got, _cover_matrix_indices(table, demands, require_qos)
+            ), f"require_qos={require_qos}, demands={demands.tolist()}"
 
 
 # -- the exactly-once accounting contract -----------------------------------------------

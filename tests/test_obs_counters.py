@@ -17,7 +17,12 @@ from repro import obs
 from repro.core.config import default_server
 from repro.dvfs import GovernorSimulator, LoadTrace
 from repro.dvfs.governors import PerformanceGovernor
-from repro.fleet import DisturbanceSchedule, FleetSimulator, thermal_cap
+from repro.fleet import (
+    Autoscaler,
+    DisturbanceSchedule,
+    FleetSimulator,
+    thermal_cap,
+)
 from repro.kernels import BatchReplayRunner, ReplaySpec
 from repro.opt import PolicyConfig, PolicyTuner
 from repro.sweep.context import ModelContext
@@ -119,6 +124,41 @@ def test_all_kernel_batch_counts_no_fallbacks(default_context):
     deltas = cap.counter_deltas()
     assert deltas["batch.batched_replays"] == 3
     assert "batch.fallback_replays" not in deltas
+
+
+def test_fleet_batch_stage_spans_nest_once_per_batch_under_batch_run(
+    default_context,
+):
+    """Every fleet batch opens each engine stage span once, never per
+    step or per replay, directly under ``batch.run``."""
+    traces = [LoadTrace.bursty(steps=12, seed=seed) for seed in (3, 4)]
+    specs = [
+        ReplaySpec(
+            workload=WEB_SEARCH,
+            trace=trace,
+            governor=governor,
+            fleet_size=3,
+            routing=routing,
+            autoscaler=Autoscaler(),
+        )
+        for routing in ("pack", "least_loaded")
+        for governor in ("conservative", "qos_tracker")
+        for trace in traces
+    ]
+    with obs.capture() as cap:
+        result = BatchReplayRunner(default_context).run(specs)
+    assert result.batched_count == len(specs)
+    (run,) = [s for s in cap.spans if s.name == "batch.run"]
+    for stage in (
+        "batch.timeline",
+        "batch.routing",
+        "batch.selection",
+        "batch.tails",
+        "batch.reduce",
+    ):
+        spans = [s for s in cap.spans if s.name == stage]
+        assert len(spans) == 4, stage  # one per (routing, governor) batch
+        assert all(s.parent_id == run.span_id for s in spans), stage
 
 
 # -- replay paths ----------------------------------------------------------------------
