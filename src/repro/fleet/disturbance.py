@@ -24,13 +24,14 @@ kinds, crash/restore pairing per node and same-step conflicts are all
 rejected with precise errors.  Bounds against a concrete fleet and
 trace, and total outages (a step with every node crashed), are checked
 by :meth:`DisturbanceSchedule.validate_for` before a replay's first
-step.
+step, and caps below the grid's bottom frequency by
+:meth:`DisturbanceSchedule.check_caps`.
 
-Every schedule replays through the columnar kernel in
-:mod:`repro.kernels.fleet` bit-for-bit with the object path: crashes
-and restores move power states on the kernel's state timeline, and a
-thermal cap becomes a per-(node, step) top grid index that bounds the
-node's governor choices.
+Every schedule replays through the columnar kernels bit-for-bit with
+the object path -- one replay in :mod:`repro.kernels.fleet`, whole
+batches in :mod:`repro.kernels.batch`: crashes and restores move power
+states on the state timeline, and a thermal cap becomes a per-(node,
+step) top grid index that bounds the node's governor choices.
 """
 
 from __future__ import annotations
@@ -298,6 +299,27 @@ class DisturbanceSchedule:
                     f"total outage at step {step}: every node of the "
                     f"{fleet_size}-node fleet is down after {crashes}, "
                     "leaving no node to route load to"
+                )
+
+    def check_caps(self, min_frequency_hz: float) -> None:
+        """Reject a thermal cap that leaves its node no reachable frequency.
+
+        ``min_frequency_hz`` is the grid bottom
+        (:attr:`~repro.kernels.table.FrequencyTable.min_frequency_hz`).
+        ``FleetSimulator.run`` and the batch runner both call this with
+        :meth:`validate_for` before step 0, so every path fails with the
+        same error, not when the replay reaches the cap's step.
+        """
+        for event in self.events:
+            if (
+                event.kind == THERMAL_CAP
+                and event.max_frequency_hz < min_frequency_hz
+            ):
+                raise ValueError(
+                    f"thermal_cap event at step {event.step} caps node "
+                    f"{event.node_id} at {event.max_frequency_hz} Hz, below "
+                    f"the grid bottom of {min_frequency_hz} Hz: the node "
+                    "would have no reachable frequency"
                 )
 
     def _down_windows(self) -> List[Tuple[DisturbanceEvent, Optional[int]]]:

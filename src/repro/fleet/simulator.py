@@ -140,25 +140,6 @@ class FleetSimulator:
             for index in range(self.fleet_size)
         ]
 
-    def _check_caps(self, disturbances: DisturbanceSchedule) -> None:
-        """Reject a thermal cap that leaves its node no reachable frequency.
-
-        Runs before dispatch, so the kernel and the object path both
-        fail before step 0 with the same error, not when the replay
-        reaches the cap's step.
-        """
-        for event in disturbances.events:
-            if event.kind != THERMAL_CAP:
-                continue
-            bottom = self._sim.platform.min_frequency_hz
-            if event.max_frequency_hz < bottom:
-                raise ValueError(
-                    f"thermal_cap event at step {event.step} caps node "
-                    f"{event.node_id} at {event.max_frequency_hz} Hz, below "
-                    f"the grid bottom of {bottom} Hz: the node would have "
-                    "no reachable frequency"
-                )
-
     # -- queueing tail -----------------------------------------------------------------
 
     def _node_tail_latency(self, step: NodeStep) -> float:
@@ -244,7 +225,7 @@ class FleetSimulator:
         steps = len(trace)
         if disturbances is not None:
             disturbances.validate_for(self.fleet_size, steps)
-            self._check_caps(disturbances)
+            disturbances.check_caps(self._sim.table.min_frequency_hz)
         use_queueing = (
             self.queueing
             and self.workload.is_scale_out

@@ -14,8 +14,11 @@ trace axis; this module adds the batch axis:
 * **Fleet stacks** -- B fleet replays sharing one (workload, fleet
   size, governor, routing, autoscaler) configuration become
   ``(B, N, T)`` tensors, evaluated in five stages (each one
-  ``batch.*`` span per batch): the autoscaler's power-state
-  ``timeline``; ``routing``, where ``pack``'s spill is one node-axis
+  ``batch.*`` span per batch): the power-state ``timeline``, one
+  plain-int state machine per distinct row (autoscaler decisions plus
+  the row's own crash/restore events) stacked into the tensor beside
+  the row's thermal-cap tops; ``routing`` on the states before each
+  step's crashes land, where ``pack``'s spill is one node-axis
   accumulate over the whole tensor, shared with the single-replay
   kernel; ``selection``, where ``least_loaded``'s frequency-coupled
   weights and ``conservative`` stay step-sequential *within* a replay
@@ -23,6 +26,7 @@ trace axis; this module adds the batch axis:
   queueing ``tails`` through the deduplicating closed-form
   :func:`~repro.kernels.fleet.tail_latencies` kernel once for the
   whole batch; and the column gathers and fleet sums (``reduce``).
+  Disturbed and undisturbed replays share one batch.
 * **Summaries** -- per-replay scalar summaries are axis-1 reductions
   over exact-length row blocks (rows grouped by trace length, because
   reducing a zero-padded row would change pairwise-summation order and
@@ -36,8 +40,8 @@ batch engine inherits the golden fixtures' guarantees transitively.
 :class:`BatchReplayRunner` is the user-facing entry point: a list of
 :class:`ReplaySpec` in, columnar per-replay summaries (and lazily
 materialized :class:`ReplayResult` / :class:`FleetResult` objects)
-out.  Specs whose exact (governor, routing, autoscaler) types have no
-kernel -- custom subclasses -- fall back to the per-replay simulator
+out.  Only specs whose exact (governor, routing, autoscaler) types have
+no kernel -- custom subclasses -- fall back to the per-replay simulator
 path, exactly like the single-replay dispatch.
 """
 
@@ -62,7 +66,11 @@ from repro.dvfs.governors import Governor, governor_by_name
 from repro.dvfs.replay import ReplayResult
 from repro.dvfs.trace import LoadTrace
 from repro.fleet.autoscaler import Autoscaler
-from repro.fleet.disturbance import DisturbanceSchedule
+from repro.fleet.disturbance import (
+    NODE_CRASH,
+    NODE_RESTORE,
+    DisturbanceSchedule,
+)
 from repro.fleet.node import NodeState
 from repro.fleet.result import FleetResult
 from repro.fleet.routing import (
@@ -368,120 +376,188 @@ class GovernorReplayBatch:
 # -- fleet batches ----------------------------------------------------------------------
 
 
-def _desired_active_batch(
-    mass: np.ndarray, fleet_size: int, autoscaler: Autoscaler
-) -> np.ndarray:
-    """Vector twin of :meth:`Autoscaler.desired_active` over B rows."""
-    needed = np.ceil(mass / autoscaler.target - 1e-12).astype(np.int64)
-    desired = np.maximum(
-        autoscaler.min_servers, np.minimum(fleet_size, needed)
-    )
-    return np.where(mass <= 0.0, autoscaler.min_servers, desired)
+@dataclass(frozen=True)
+class _RowTimeline:
+    """One fleet replay's power states over its own trace length.
 
-
-def _batched_state_timeline(
-    mass2d: np.ndarray, fleet_size: int, autoscaler: Optional[Autoscaler]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The autoscaler state machine over all B replays at once.
-
-    Returns ``(state3d, wake3d)`` of shape (B, N, T).  The loop runs
-    over T only; every step advances all B fleets with (B, N) array
-    ops that mirror ``_resolve_states``'s scalar pass: boots first,
-    then one scaling decision (lowest-id off nodes wake, booting
-    nodes park before the highest-id serving nodes).
+    ``route_state`` is what routing sees (after the step's scaling
+    decision, before its crashes land) and ``state`` what the nodes do
+    (post-crash); without crashes they are one array.  ``wake`` marks
+    the (node, step) pairs whose boot began and ``restart`` a static
+    fleet's restores -- both restart the node's DVFS history -- and
+    each is ``None`` when the replay has none.
     """
-    batch, steps = mass2d.shape
-    if autoscaler is None:
-        # No scaling: every node serves every step, nothing ever wakes.
-        return (
-            np.full((batch, fleet_size, steps), _SERVING, dtype=np.int8),
-            np.zeros((batch, fleet_size, steps), dtype=bool),
-        )
-    initially_serving = _desired_active_batch(
-        mass2d[:, 0], fleet_size, autoscaler
-    )
-    node_ids = np.arange(fleet_size, dtype=np.int64)
-    states = np.where(
-        node_ids[np.newaxis, :] < initially_serving[:, np.newaxis],
-        _SERVING,
-        _OFF,
-    ).astype(np.int8)
-    boot = np.zeros((batch, fleet_size), dtype=np.int64)
-    state3d = np.empty((batch, fleet_size, steps), dtype=np.int8)
-    wake3d = np.zeros((batch, fleet_size, steps), dtype=bool)
 
-    for step in range(steps):
-        mass = mass2d[:, step]
-        booting = states == _BOOTING
-        if booting.any():
-            boot = boot - booting.astype(np.int64)
-            done = booting & (boot <= 0)
-            states = np.where(done, np.int8(_SERVING), states)
-            boot = np.where(done, 0, boot)
+    route_state: np.ndarray  # (N, L) int8
+    state: np.ndarray  # (N, L) int8
+    wake: Optional[np.ndarray]  # (N, L) bool
+    restart: Optional[np.ndarray]  # (N, L) bool
+
+
+def _row_timeline(
+    mass: List[float],
+    fleet_size: int,
+    autoscaler: Optional[Autoscaler],
+    disturbances: Optional[DisturbanceSchedule],
+) -> _RowTimeline:
+    """One replay's power-state machine, over plain Python ints.
+
+    Follows ``kernels.fleet._resolve_states`` step for step: boots
+    advance, restores land, one scaling decision (lowest-id off nodes
+    wake, booting nodes park before the highest-id serving nodes) sets
+    what routing sees, and crashes land after routing.  It counts the
+    serving and booting nodes instead of rebuilding id lists, and
+    snapshots the states only at steps where they change.  A static
+    fleet without crashes never changes: one constant fill, no loop.
+    """
+    steps = len(mass)
+    crashes: Dict[int, List[int]] = {}
+    restores: Dict[int, List[int]] = {}
+    for event in disturbances.events if disturbances is not None else ():
+        if event.kind == NODE_CRASH:
+            crashes.setdefault(event.step, []).append(event.node_id)
+        elif event.kind == NODE_RESTORE:
+            restores.setdefault(event.step, []).append(event.node_id)
+    if autoscaler is None and not crashes:
+        # Restores need an earlier crash, so no node ever changes state.
+        state = np.full((fleet_size, steps), _SERVING, dtype=np.int8)
+        return _RowTimeline(state, state, None, None)
+
+    if autoscaler is None:
+        serving = fleet_size
+    else:
+        serving = autoscaler.desired_active(mass[0], fleet_size)
+        low, high = autoscaler.low, autoscaler.high
+    booting = 0
+    states = bytearray([_SERVING] * serving + [_OFF] * (fleet_size - serving))
+    boot = [0] * fleet_size
+    failed = [False] * fleet_size
+    starts: List[int] = []
+    snapshots: List[bytes] = []
+    wakes: Tuple[List[int], List[int]] = ([], [])
+    restarts: Tuple[List[int], List[int]] = ([], [])
+    changed = True
+    for step, load in enumerate(mass):
+        if booting:
+            for node in range(fleet_size):
+                if states[node] == _BOOTING:
+                    boot[node] -= 1
+                    if boot[node] <= 0:
+                        states[node] = _SERVING
+                        boot[node] = 0
+                        booting -= 1
+                        serving += 1
+                        changed = True
+        for node in restores.get(step, ()):
+            failed[node] = False
+            if autoscaler is None:
+                # The reference's restore on a static fleet: wake(0),
+                # serving at once with its DVFS history reset, but no
+                # wake event and no wake energy.
+                states[node] = _SERVING
+                serving += 1
+                restarts[0].append(node)
+                restarts[1].append(step)
+                changed = True
         if autoscaler is not None:
-            serving = states == _SERVING
-            booting = states == _BOOTING
-            off = states == _OFF
-            n_serving = serving.sum(axis=1)
-            n_booting = booting.sum(axis=1)
-            active = n_serving + n_booting
-            # Serving capacity, falling back to booting capacity during
-            # a cold start (mirrors Autoscaler.scale's utilisation fix).
-            capacity = np.where(n_serving > 0, n_serving, n_booting)
-            utilization = np.where(
-                capacity > 0, mass / np.maximum(capacity, 1), np.inf
-            )
-            rescale = (utilization > autoscaler.high) | (
-                utilization < autoscaler.low
-            )
-            desired = np.where(
-                rescale,
-                _desired_active_batch(mass, fleet_size, autoscaler),
-                active,
-            )
-            delta = desired - active
-            wake_quota = np.maximum(delta, 0)
-            if wake_quota.any():
-                # Rank each off node by how many off nodes have a
-                # lower id: the lowest-ranked `quota` of them wake.
-                off_rank = np.cumsum(off, axis=1) - off.astype(np.int64)
-                wake = off & (off_rank < wake_quota[:, np.newaxis])
-                if autoscaler.wake_steps <= 0:
-                    states = np.where(wake, np.int8(_SERVING), states)
-                else:
-                    states = np.where(wake, np.int8(_BOOTING), states)
-                    boot = np.where(wake, autoscaler.wake_steps, boot)
-                wake3d[:, :, step] = wake
-            # Boot grace (mirrors Autoscaler.scale): no parking unless
-            # the desired count undercuts even the serving set.
-            park_quota = np.where(
-                desired < n_serving, np.maximum(-delta, 0), 0
-            )
-            if park_quota.any():
-                # Candidates in park order: booting nodes by descending
-                # id, then serving nodes by descending id.  A node's
-                # rank is the number of candidates ahead of it.
-                higher_boot = (
-                    booting[:, ::-1].cumsum(axis=1)[:, ::-1]
-                    - booting.astype(np.int64)
-                )
-                higher_serving = (
-                    serving[:, ::-1].cumsum(axis=1)[:, ::-1]
-                    - serving.astype(np.int64)
-                )
-                park = (
-                    booting & (higher_boot < park_quota[:, np.newaxis])
-                ) | (
-                    serving
-                    & (
-                        (n_booting[:, np.newaxis] + higher_serving)
-                        < park_quota[:, np.newaxis]
-                    )
-                )
-                states = np.where(park, np.int8(_OFF), states)
-                boot = np.where(park, 0, boot)
-        state3d[:, :, step] = states
-    return state3d, wake3d
+            active = serving + booting
+            capacity = serving if serving else booting
+            utilization = load / capacity if capacity else math.inf
+            if utilization > high or utilization < low:
+                desired = autoscaler.desired_active(load, fleet_size)
+                if desired > active:
+                    off = [
+                        node
+                        for node in range(fleet_size)
+                        if states[node] == _OFF and not failed[node]
+                    ]
+                    for node in off[: desired - active]:
+                        if autoscaler.wake_steps <= 0:
+                            states[node] = _SERVING
+                            serving += 1
+                        else:
+                            states[node] = _BOOTING
+                            boot[node] = autoscaler.wake_steps
+                            booting += 1
+                        wakes[0].append(node)
+                        wakes[1].append(step)
+                        changed = True
+                elif desired < active and desired < serving:
+                    # Booting nodes park first, then serving ones, each
+                    # highest id first.
+                    candidates = [
+                        node
+                        for parked in (_BOOTING, _SERVING)
+                        for node in range(fleet_size - 1, -1, -1)
+                        if states[node] == parked
+                    ]
+                    for node in candidates[: active - desired]:
+                        if states[node] == _BOOTING:
+                            booting -= 1
+                        else:
+                            serving -= 1
+                        states[node] = _OFF
+                        boot[node] = 0
+                    changed = True
+        if changed:
+            starts.append(step)
+            snapshots.append(bytes(states))
+            changed = False
+        for node in crashes.get(step, ()):
+            if states[node] == _SERVING:
+                serving -= 1
+            elif states[node] == _BOOTING:
+                booting -= 1
+            states[node] = _OFF
+            boot[node] = 0
+            failed[node] = True
+            changed = True
+
+    # Each snapshot holds from its step until the next one.
+    held = np.frombuffer(b"".join(snapshots), dtype=np.int8)
+    route_state = np.repeat(
+        held.reshape(len(snapshots), fleet_size).T,
+        [end - start for start, end in zip(starts, starts[1:] + [steps])],
+        axis=1,
+    )
+    state = route_state
+    if crashes:
+        state = route_state.copy()
+        for step, nodes in crashes.items():
+            state[nodes, step] = _OFF
+    return _RowTimeline(
+        route_state,
+        state,
+        _mask(wakes, fleet_size, steps),
+        _mask(restarts, fleet_size, steps),
+    )
+
+
+def _mask(
+    pairs: Tuple[List[int], List[int]], fleet_size: int, steps: int
+) -> Optional[np.ndarray]:
+    """An (N, L) mask of (nodes, steps) pairs; ``None`` when empty."""
+    if not pairs[0]:
+        return None
+    mask = np.zeros((fleet_size, steps), dtype=bool)
+    mask[pairs] = True
+    return mask
+
+
+def _stack_rows(
+    out: np.ndarray,
+    blocks: Sequence[Optional[np.ndarray]],
+    lengths: Sequence[int],
+) -> np.ndarray:
+    """Write row ``b``'s ``(N, L)`` block over ``out[b, :, :L]``, in place.
+
+    Stacks per-row blocks into a ``(B, N, T)`` tensor; a ``None`` block
+    leaves its row as it was.  Returns ``out``.
+    """
+    for row, (block, length) in enumerate(zip(blocks, lengths)):
+        if block is not None:
+            out[row, :, :length] = block
+    return out
 
 
 def _batched_sequential_selection(
@@ -489,9 +565,10 @@ def _batched_sequential_selection(
     governor: Governor,
     mass2d: np.ndarray,
     serving3d: np.ndarray,
-    wake3d: np.ndarray,
+    reset3d: np.ndarray,
     target3d: np.ndarray,
     shares3d: Optional[np.ndarray],
+    top3d: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Step-at-a-time selection, vectorized across batch and fleet.
 
@@ -501,9 +578,12 @@ def _batched_sequential_selection(
     own previous choice, so the T axis stays a loop.  The inputs are
     transposed step-major once, and each step is a few whole-``(B, N)``
     array ops: the governor runs on every node and ``np.where`` keeps
-    the serving nodes' choices.  Returns ``(shares3d, idx3d)``; the
-    index of a non-serving node is its last choice, which no column
-    reads.
+    the serving nodes' choices.  ``reset3d`` marks woken and
+    static-restored nodes, which restart from their top; ``top3d``
+    (``None`` when no row is capped) clamps every node's previous index
+    from a cap's step on and bounds every choice.  Returns
+    ``(shares3d, idx3d)``; the index of a non-serving node is its last
+    choice, which no column reads.
     """
     batch, fleet_size, steps = serving3d.shape
     nominal_index = table.nominal_index
@@ -511,8 +591,13 @@ def _batched_sequential_selection(
     least_loaded = shares3d is None
     serving_t = np.ascontiguousarray(serving3d.transpose(2, 0, 1))
     serving_steps = serving_t.any(axis=(1, 2)).tolist()
-    wake_t = wake3d.transpose(2, 0, 1)
-    wake_steps = wake3d.any(axis=(0, 1)).tolist()
+    reset_t = reset3d.transpose(2, 0, 1)
+    reset_steps = reset3d.any(axis=(0, 1)).tolist()
+    top_t = (
+        None
+        if top3d is None
+        else np.ascontiguousarray(top3d.transpose(2, 0, 1))
+    )
     if least_loaded:
         target_t = np.ascontiguousarray(target3d.transpose(2, 0, 1))
         count_t = np.maximum(target_t.sum(axis=2), 1).astype(np.float64)
@@ -522,10 +607,16 @@ def _batched_sequential_selection(
     else:
         shares_t = np.ascontiguousarray(shares3d.transpose(2, 0, 1))
     idx_t = np.empty((steps, batch, fleet_size), dtype=np.int64)
+    tops = nominal_index
     previous = np.full((batch, fleet_size), nominal_index, dtype=np.int64)
     for step in range(steps):
-        if wake_steps[step]:
-            previous = np.where(wake_t[step], nominal_index, previous)
+        if top_t is not None:
+            tops = top_t[step]
+            # The previous index never exceeds the cap in force, so
+            # clamping every step only bites at a cap's own step.
+            previous = np.minimum(previous, tops)
+        if reset_steps[step]:
+            previous = np.where(reset_t[step], tops, previous)
         if least_loaded:
             targets = target_t[step]
             weights = np.where(targets, weight_of[previous], 0.0)
@@ -550,7 +641,7 @@ def _batched_sequential_selection(
                 shares,
                 shares * nominal_capacity,
                 previous,
-                nominal_index,
+                tops,
             )
             previous = np.where(serving_t[step], chosen, previous)
         idx_t[step] = previous
@@ -564,10 +655,12 @@ class FleetReplayBatch:
     """B fleet replays of one configuration stacked into (B, N, T).
 
     All replays share (table, workload, fleet size, governor, routing,
-    autoscaler, off-power, queueing flag); only the traces differ --
-    the natural shape of a seed/trace sweep.  Row ``b``, sliced to its
-    trace length, is bit-identical to ``fleet_replay_columns`` on
-    ``traces[b]``.
+    autoscaler, off-power, queueing flag); only the traces and the
+    disturbance schedules differ -- the natural shape of a seed/trace
+    sweep.  Row ``b``, sliced to its trace length, is bit-identical to
+    ``fleet_replay_columns`` on ``traces[b]`` and ``disturbances[b]``
+    (default: none), which the caller has validated against the fleet,
+    trace and grid.
     """
 
     def __init__(
@@ -582,6 +675,9 @@ class FleetReplayBatch:
         traces: Sequence[LoadTrace],
         use_queueing: bool,
         timeline_cache: Optional[dict] = None,
+        disturbances: Optional[
+            Sequence[Optional[DisturbanceSchedule]]
+        ] = None,
     ):
         self.table = table
         self.workload = workload
@@ -590,6 +686,16 @@ class FleetReplayBatch:
         self.routing = routing
         self.autoscaler = autoscaler
         self.traces = list(traces)
+        self.disturbances = (
+            [None] * len(self.traces)
+            if disturbances is None
+            else list(disturbances)
+        )
+        if len(self.disturbances) != len(self.traces):
+            raise ValueError(
+                f"{len(self.disturbances)} disturbance schedules for "
+                f"{len(self.traces)} traces"
+            )
         util2d, self.lengths = _padded_utilization(self.traces)
         batch, steps = util2d.shape
         mass2d = util2d * fleet_size
@@ -602,37 +708,76 @@ class FleetReplayBatch:
         # One span per stage and batch (never per step), so a captured
         # run splits the engine's wall without taxing the off path.
         with obs.trace("batch.timeline"):
-            # The power-state timeline depends only on (traces, fleet
-            # size, autoscaler) -- never on governor or routing -- so a
-            # runner sweeping governors over one trace set shares it
-            # across its groups.  The arrays are read-only downstream
-            # (every consumer derives new arrays), so sharing is safe.
-            if timeline_cache is not None:
-                key = (tuple(self.traces), fleet_size, autoscaler)
-                cached = timeline_cache.get(key)
-                if cached is None:
-                    obs.count("batch.timeline_cache_misses")
-                    cached = _batched_state_timeline(
-                        mass2d, fleet_size, autoscaler
-                    )
-                    timeline_cache[key] = cached
-                else:
-                    obs.count("batch.timeline_cache_hits")
-                state3d, wake3d = cached
-            else:
-                state3d, wake3d = _batched_state_timeline(
-                    mass2d, fleet_size, autoscaler
+            timelines = self._row_timelines(
+                mass2d, {} if timeline_cache is None else timeline_cache
+            )
+            lengths = self.lengths.tolist()
+            # A padded step keeps node 0 serving and the rest off, the
+            # cheapest state that still gives routing a target, so no
+            # padded step takes least_loaded's even-split fallback.  No
+            # column reads a padded step.
+            state3d = np.zeros((batch, fleet_size, steps), dtype=np.int8)
+            state3d[:, 0, :] = _SERVING
+            _stack_rows(
+                state3d, [timeline.state for timeline in timelines], lengths
+            )
+            # Routing sees the states before each step's crashes land.
+            route_state3d = state3d
+            if any(row.route_state is not row.state for row in timelines):
+                route_state3d = _stack_rows(
+                    state3d.copy(),
+                    [timeline.route_state for timeline in timelines],
+                    lengths,
+                )
+            wake3d = _stack_rows(
+                np.zeros((batch, fleet_size, steps), dtype=bool),
+                [timeline.wake for timeline in timelines],
+                lengths,
+            )
+            # Woken and static-restored nodes restart their DVFS history.
+            # Only a static row restores, and a static row never wakes a
+            # node, so its restarts can overwrite its (all-False) wakes.
+            reset3d = wake3d
+            if any(row.restart is not None for row in timelines):
+                reset3d = _stack_rows(
+                    wake3d.copy(),
+                    [timeline.restart for timeline in timelines],
+                    lengths,
+                )
+            tops = [
+                fleet_kernel._cap_tops(schedule, table, fleet_size, length)
+                if schedule is not None
+                else None
+                for schedule, length in zip(self.disturbances, lengths)
+            ]
+            top3d = None
+            if any(block is not None for block in tops):
+                top3d = _stack_rows(
+                    np.full(
+                        (batch, fleet_size, steps),
+                        table.nominal_index,
+                        dtype=np.int64,
+                    ),
+                    tops,
+                    lengths,
                 )
         serving3d = state3d == _SERVING
         booting3d = state3d == _BOOTING
-        active3d = serving3d | booting3d
+        route_serving3d = (
+            serving3d
+            if route_state3d is state3d
+            else route_state3d == _SERVING
+        )
+        route_active3d = route_state3d != _OFF
 
         routing_type = type(routing)
         with obs.trace("batch.routing"):
             if routing_type is RoundRobinRouting:
-                target3d = active3d
+                target3d = route_active3d
             else:
-                target3d = fleet_kernel._route_targets(serving3d, active3d)
+                target3d = fleet_kernel._route_targets(
+                    route_serving3d, route_active3d
+                )
             if routing_type is PackRouting:
                 shares3d = fleet_kernel._pack_shares(
                     routing.fill_fraction, mass2d, target3d, valid2d
@@ -660,12 +805,12 @@ class FleetReplayBatch:
                     served,
                     served * nominal_capacity,
                     idx3d[serving3d],
-                    table.nominal_index,
+                    table.nominal_index if top3d is None else top3d[serving3d],
                 )
             else:
                 shares3d, idx3d = _batched_sequential_selection(
-                    table, governor, mass2d, serving3d, wake3d, target3d,
-                    shares3d,
+                    table, governor, mass2d, serving3d, reset3d, target3d,
+                    shares3d, top3d,
                 )
 
         with obs.trace("batch.tails"):
@@ -758,6 +903,42 @@ class FleetReplayBatch:
                 "violation": violation3d,
             }
 
+    def _row_timelines(
+        self, mass2d: np.ndarray, cache: dict
+    ) -> List[_RowTimeline]:
+        """Every row's power-state timeline, memoized in ``cache``.
+
+        A timeline depends only on (trace, fleet size, autoscaler,
+        disturbances) -- never on governor or routing -- so a runner
+        sweeping governors and routings over one trace set computes each
+        distinct row once.  Traces key by identity, which is far cheaper
+        than hashing a long trace by value; each entry holds its trace,
+        so the id cannot be reused while the cache lives.  The
+        ``batch.timeline_cache_hits`` / ``_misses`` counters count rows.
+        """
+        rows = cache.setdefault((self.fleet_size, self.autoscaler), {})
+        timelines: List[_RowTimeline] = []
+        hits = 0
+        for row, (trace, schedule) in enumerate(
+            zip(self.traces, self.disturbances)
+        ):
+            cached = rows.get((id(trace), schedule))
+            if cached is None:
+                timeline = _row_timeline(
+                    mass2d[row, : len(trace)].tolist(),
+                    self.fleet_size,
+                    self.autoscaler,
+                    schedule,
+                )
+                rows[id(trace), schedule] = (trace, timeline)
+            else:
+                hits += 1
+                timeline = cached[1]
+            timelines.append(timeline)
+        obs.count("batch.timeline_cache_hits", hits)
+        obs.count("batch.timeline_cache_misses", len(timelines) - hits)
+        return timelines
+
     def __len__(self) -> int:
         return len(self.traces)
 
@@ -785,6 +966,7 @@ class FleetReplayBatch:
     def result(self, row: int) -> FleetResult:
         """Materialize one replay as a full :class:`FleetResult`."""
         trace = self.traces[row]
+        schedule = self.disturbances[row]
         fleet, nodes = self.columns_for(row)
         return FleetResult(
             routing_name=self.routing.name,
@@ -797,6 +979,9 @@ class FleetReplayBatch:
             autoscaled=self.autoscaler is not None,
             columns=fleet,
             node_columns=nodes,
+            disturbance_events=(
+                schedule.events if schedule is not None else ()
+            ),
         )
 
     def summaries(self) -> List[Dict[str, object]]:
@@ -1017,10 +1202,13 @@ class BatchReplayRunner:
     """Spec list in, columnar per-replay summaries out.
 
     Groups the specs by shared (workload, governor, routing,
-    autoscaler, fleet) configuration, runs each group as one tensor
-    batch, and falls back to the per-replay simulator path for specs
-    whose exact policy types have no kernel (custom subclasses) --
-    the same dispatch rule the single-replay simulators apply.
+    autoscaler, fleet) configuration -- disturbed or not -- runs each
+    group as one tensor batch, and falls back to the per-replay
+    simulator path only for specs whose exact policy types have no
+    kernel (custom subclasses), the same dispatch rule the
+    single-replay simulators apply.  A disturbance schedule is checked
+    per spec, with the simulator's own checks and messages, before any
+    group is built.
 
     ``on_error="raise"`` (the default) fails the whole run on the
     first bad spec, exactly as before.  ``on_error="quarantine"``
@@ -1098,6 +1286,7 @@ class BatchReplayRunner:
         placements: List[Optional[tuple]] = [None] * len(specs)
         single_groups: Dict[tuple, List[int]] = {}
         fleet_groups: Dict[tuple, List[int]] = {}
+        # Power-state timelines memoized per distinct row for the run.
         timeline_cache: dict = {}
         for position, spec in enumerate(specs):
             try:
@@ -1109,13 +1298,21 @@ class BatchReplayRunner:
                 governor = self._resolve_governor(spec.governor)
                 if spec.is_fleet:
                     routing = self._resolve_routing(spec.routing)
-                    # Disturbance schedules stay per-replay: the batched
-                    # (B, N, T) state machine has no event timeline, so
-                    # they replay through the simulator path, which
-                    # dispatches every schedule (crash/restore and
-                    # thermal caps alike) to the single-replay kernel,
-                    # bit-for-bit.
-                    if spec.disturbances is None and fleet_kernel.supports(
+                    schedule = spec.disturbances
+                    if schedule is not None:
+                        # The checks FleetSimulator.run makes, per spec,
+                        # so a bad schedule fails (or is quarantined)
+                        # alone instead of failing its group's build.
+                        schedule.validate_for(
+                            spec.fleet_size, len(spec.trace)
+                        )
+                        schedule.check_caps(
+                            self._table(spec.workload).min_frequency_hz
+                        )
+                    # A disturbed spec joins its configuration's group:
+                    # each row carries its own crash/restore timeline
+                    # and thermal-cap tops.
+                    if fleet_kernel.supports(
                         routing, governor, spec.autoscaler
                     ):
                         key = (
@@ -1202,6 +1399,9 @@ class BatchReplayRunner:
                     [specs[position].trace for position in positions],
                     use_queueing,
                     timeline_cache=timeline_cache,
+                    disturbances=[
+                        specs[position].disturbances for position in positions
+                    ],
                 )
             except Exception:
                 if not quarantine:

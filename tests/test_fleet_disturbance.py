@@ -3,9 +3,10 @@
 Covers the disturbance data model (event/schedule validation, total
 outages and below-grid caps rejected before step 0), the crash /
 restore / thermal-cap semantics, bit-for-bit kernel parity for every
-schedule kind, the batch runner's fallback for disturbed replays, and
-the two robustness bugfixes the disturbance sweeps exposed (boot-grace
-and cold-start utilisation).
+schedule kind, disturbed rows inside the batch engine (parity, order
+independence and per-spec quarantine of bad schedules), and the two
+robustness bugfixes the disturbance sweeps exposed (boot-grace and
+cold-start utilisation).
 """
 
 import math
@@ -30,6 +31,7 @@ from repro.fleet import (
 )
 from repro.fleet.result import FLEET_COLUMNS, NODE_COLUMNS
 from repro.kernels.batch import BatchReplayRunner, ReplaySpec
+from repro.resilience import FailedSummary
 from repro.workloads.cloudsuite import DATA_SERVING, WEB_SEARCH
 
 
@@ -475,7 +477,7 @@ def _assert_bit_identical(kernel, reference, label):
     assert kernel.resilience() == reference.resilience(), label
 
 
-def test_batch_runner_falls_back_for_disturbed_replays(default_context):
+def test_batch_runner_batches_disturbed_replays(default_context):
     trace = LoadTrace.diurnal(steps=24)
     schedule = DisturbanceSchedule(events=(node_crash(1, 6),))
     disturbed = ReplaySpec(
@@ -495,16 +497,146 @@ def test_batch_runner_falls_back_for_disturbed_replays(default_context):
     )
     runner = BatchReplayRunner(default_context)
     batch = runner.run([disturbed, clean])
-    # The disturbed spec bypasses the batched kernel; the clean one
-    # still rides it.
-    assert batch.fallback_count == 1
-    assert batch.batched_count == 1
+    # The disturbed spec rides the tensor engine beside the clean one.
+    assert batch.batched_count == 2
+    assert batch.fallback_count == 0
     simulator = FleetSimulator(
         default_context, WEB_SEARCH, fleet_size=4, autoscaler=Autoscaler()
     )
     direct = simulator.run(trace, "spread", disturbances=schedule)
     assert batch.result(0).summary() == direct.summary()
     assert batch.result(0).resilience() == direct.resilience()
+
+
+def _batch_schedules(steps, grid):
+    """Named schedules for one row of a 4-node batch of ``steps`` steps."""
+    return {
+        "crash_restore": (node_crash(1, 6), node_restore(1, 12)),
+        # On a static fleet the restore serves at once (wake(0)).
+        "static_restore": (node_crash(0, 2), node_restore(0, 5)),
+        "crash_on_last_step": (node_crash(2, steps - 1),),
+        "recap_higher": (
+            thermal_cap(1, 3, grid[1]), thermal_cap(1, 10, grid[-2])
+        ),
+        "cap_and_crash": (thermal_cap(3, 4, grid[2]), node_crash(3, 9)),
+    }
+
+
+@pytest.mark.parametrize("routing", ["round_robin", "spread", "pack", "least_loaded"])
+@pytest.mark.parametrize(
+    "autoscaler",
+    [None, Autoscaler(wake_steps=0), Autoscaler(wake_steps=2)],
+    ids=["static", "instant", "autoscaled"],
+)
+def test_batched_disturbed_rows_match_reference(
+    default_context, routing, autoscaler
+):
+    """Disturbed and clean rows share ragged (B, N, T) groups, each row
+    bit for bit the object path's replay, in any submission order."""
+    grid = default_context.frequency_table(WEB_SEARCH).frequencies_hz.tolist()
+    specs = []
+    for governor in GOVERNORS:
+        for trace in (_PARITY_TRACE, _PARITY_TRACE.head(15)):
+            schedules = _batch_schedules(len(trace), grid)
+            for name in (None, *schedules):
+                specs.append(
+                    ReplaySpec(
+                        workload=WEB_SEARCH,
+                        trace=trace,
+                        governor=governor,
+                        fleet_size=4,
+                        routing=routing,
+                        autoscaler=autoscaler,
+                        disturbances=(
+                            None
+                            if name is None
+                            else DisturbanceSchedule(events=schedules[name])
+                        ),
+                    )
+                )
+    batch = BatchReplayRunner(default_context).run(specs)
+    assert batch.batched_count == len(specs)
+    assert batch.fallback_count == 0
+    summaries = batch.summaries()
+    for index, spec in enumerate(specs):
+        simulator = FleetSimulator(
+            default_context,
+            WEB_SEARCH,
+            fleet_size=4,
+            governor=spec.governor,
+            autoscaler=autoscaler,
+        )
+        reference = simulator.run(
+            spec.trace, routing, reference=True, disturbances=spec.disturbances
+        )
+        label = f"row {index} ({spec.governor}, {len(spec.trace)} steps)"
+        _assert_bit_identical(batch.result(index), reference, label)
+        assert summaries[index] == reference.summary(), label
+
+    # Reversed submission regroups every row at a new position.
+    reversed_batch = BatchReplayRunner(default_context).run(specs[::-1])
+    for index in range(len(specs)):
+        _assert_bit_identical(
+            reversed_batch.result(len(specs) - 1 - index),
+            batch.result(index),
+            f"reversed row {index}",
+        )
+    assert reversed_batch.summaries()[::-1] == summaries
+
+
+@pytest.mark.parametrize(
+    "case", ["node_out_of_range", "total_outage", "below_grid_cap"]
+)
+def test_bad_schedule_is_quarantined_alone(default_context, case):
+    """A bad schedule fails its own spec with the simulator's message --
+    quarantined alone, never failing (or degrading) its group."""
+    bottom = default_context.frequency_table(WEB_SEARCH).min_frequency_hz
+    bad = DisturbanceSchedule(
+        events={
+            "node_out_of_range": (node_crash(5, 2),),
+            "total_outage": (node_crash(0, 2), node_crash(1, 3)),
+            "below_grid_cap": (thermal_cap(0, 3, bottom / 2),),
+        }[case]
+    )
+    good = DisturbanceSchedule(events=(node_crash(1, 2), node_restore(1, 5)))
+    trace = LoadTrace.bursty(steps=12, seed=4)
+
+    def spec(trace, disturbances):
+        return ReplaySpec(
+            workload=WEB_SEARCH,
+            trace=trace,
+            fleet_size=2,
+            routing="pack",
+            disturbances=disturbances,
+        )
+
+    specs = [
+        spec(trace, None),
+        spec(trace, good),
+        spec(trace, bad),
+        spec(trace.head(9), None),
+    ]
+    simulator = FleetSimulator(default_context, WEB_SEARCH, fleet_size=2)
+    with pytest.raises(ValueError) as raised:
+        simulator.run(trace, "pack", disturbances=bad)
+    message = str(raised.value)
+    with pytest.raises(ValueError) as raised:
+        BatchReplayRunner(default_context).run(specs)
+    assert str(raised.value) == message
+
+    result = BatchReplayRunner(default_context, on_error="quarantine").run(specs)
+    assert result.quarantined_count == 1
+    assert result.batched_count == 3
+    assert result.fallback_count == 0
+    summaries = result.summaries()
+    failed = summaries[2]
+    assert isinstance(failed, FailedSummary)
+    assert failed.error_type == "SpecError"
+    assert failed.message.endswith(message)
+    baseline = BatchReplayRunner(default_context).run(
+        specs[:2] + specs[3:]
+    ).summaries()
+    assert summaries[:2] + summaries[3:] == baseline
 
 
 # -- resilience metrics -----------------------------------------------------------------

@@ -13,6 +13,9 @@ calls (and, via the simulators, the object-based reference path):
   included);
 * hypothesis-sampled batch shapes: random row counts, random lengths,
   mixed governors in one batch;
+* the per-row power-state timeline against the scalar
+  ``_resolve_states`` over drawn traces, fleets, autoscaler bands and
+  crash/restore schedules;
 * specs whose policy types have no kernel fall back to the per-replay
   simulator path inside the same batch.
 """
@@ -21,12 +24,19 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dvfs import GOVERNORS, GovernorSimulator, LoadTrace
 from repro.dvfs.governors import PerformanceGovernor, governor_by_name
-from repro.fleet import ROUTERS, Autoscaler, FleetSimulator
+from repro.fleet import (
+    ROUTERS,
+    Autoscaler,
+    DisturbanceSchedule,
+    FleetSimulator,
+    node_crash,
+    node_restore,
+)
 from repro.fleet.routing import (
     LeastLoadedRouting,
     RoundRobinRouting,
@@ -40,6 +50,8 @@ from repro.kernels import (
     fleet_replay_columns,
     governor_replay_columns,
 )
+from repro.kernels.batch import _row_timeline
+from repro.kernels.fleet import _resolve_states
 from repro.workloads.banking_vm import VMS_LOW_MEM
 from repro.workloads.cloudsuite import WEB_SEARCH
 
@@ -269,6 +281,126 @@ def test_least_loaded_batch_zero_capacity_falls_back_to_even_split():
         2,
         False,
     )
+
+
+def test_fleet_batch_needs_one_schedule_per_trace(default_context):
+    traces = [LoadTrace.constant(0.5, steps=4)] * 2
+    with pytest.raises(ValueError, match="1 disturbance schedules for 2"):
+        FleetReplayBatch(
+            default_context.frequency_table(WEB_SEARCH), WEB_SEARCH, 2,
+            governor_by_name("performance"), RoundRobinRouting(), None, 0.0,
+            traces, True, disturbances=[None],
+        )
+
+
+# -- the per-row power-state timeline ---------------------------------------------------
+
+# Runs of one level: zero-load and saturated plateaus, and single steps.
+plateau_utilizations = st.lists(
+    st.tuples(
+        st.one_of(
+            st.just(0.0),
+            st.just(1.0),
+            st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+        ),
+        st.integers(min_value=1, max_value=8),
+    ),
+    min_size=1,
+    max_size=8,
+).map(lambda runs: [level for level, steps in runs for _ in range(steps)])
+
+
+@st.composite
+def node_event_schedules(draw, fleet_size, steps):
+    """Valid crash/restore schedules: per node, alternating events at
+    distinct steps, starting with a crash (total outages included)."""
+    events = []
+    for node in range(fleet_size):
+        marks = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=steps - 1),
+                unique=True,
+                max_size=4,
+            )
+        )
+        for order, step in enumerate(sorted(marks)):
+            make = node_crash if order % 2 == 0 else node_restore
+            events.append(make(node, step))
+    return DisturbanceSchedule(events=tuple(events))
+
+
+@st.composite
+def timeline_cases(draw):
+    utilization = draw(plateau_utilizations)
+    fleet_size = draw(st.integers(min_value=1, max_value=12))
+    low, high = draw(
+        st.sampled_from([(0.35, 0.75), (0.2, 0.6), (0.5, 1.0), (0.05, 0.1)])
+    )
+    autoscaler = draw(
+        st.one_of(
+            st.none(),
+            st.builds(
+                Autoscaler,
+                low=st.just(low),
+                high=st.just(high),
+                min_servers=st.integers(min_value=1, max_value=fleet_size),
+                wake_steps=st.integers(min_value=0, max_value=3),
+            ),
+        )
+    )
+    schedule = draw(
+        st.one_of(
+            st.none(),
+            node_event_schedules(fleet_size, len(utilization)),
+        )
+    )
+    return utilization, fleet_size, autoscaler, schedule
+
+
+def _pair_mask(pairs_per_step, fleet_size):
+    mask = np.zeros((fleet_size, len(pairs_per_step)), dtype=bool)
+    for step, nodes in enumerate(pairs_per_step):
+        mask[nodes, step] = True
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=timeline_cases())
+@example(
+    # A peak wakes nodes 2 and 3.  While they boot, a dip that still
+    # wants both serving nodes parks nothing (boot grace); a deeper
+    # one parks the booting nodes before the highest-id serving node.
+    case=([0.25, 1.0, 0.15, 0.0], 4, Autoscaler(wake_steps=3), None)
+)
+@example(
+    # Node 0 crashes while node 1 boots: with no node serving, the
+    # band is judged on booting capacity, and 0.7 holds the fleet.
+    case=(
+        [0.2 / 3, 1.0 / 3, 0.7 / 3, 0.7 / 3],
+        3,
+        Autoscaler(wake_steps=2),
+        DisturbanceSchedule(events=(node_crash(0, 1),)),
+    )
+)
+def test_row_timeline_equals_the_scalar_state_machine(case):
+    """The batch engine's per-row timeline is ``_resolve_states`` bit for
+    bit: routing-view and post-crash states, wakes and static restores."""
+    utilization, fleet_size, autoscaler, schedule = case
+    mass = (np.asarray(utilization, dtype=np.float64) * fleet_size).tolist()
+    reference = _resolve_states(mass, fleet_size, autoscaler, schedule)
+    timeline = _row_timeline(mass, fleet_size, autoscaler, schedule)
+    assert timeline.route_state.dtype == np.int8
+    assert np.array_equal(timeline.route_state, reference.route_state2d)
+    assert np.array_equal(timeline.state, reference.state2d)
+    for got, pairs in (
+        (timeline.wake, reference.woken),
+        (timeline.restart, reference.restarted),
+    ):
+        expected = _pair_mask(pairs, fleet_size)
+        if got is None:
+            assert not expected.any()
+        else:
+            assert np.array_equal(got, expected)
 
 
 # -- mixed batches, fallbacks and edge specs --------------------------------------------

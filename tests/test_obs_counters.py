@@ -196,7 +196,7 @@ def test_fleet_replay_span_and_tail_dedup_counters(default_context):
 
 
 def test_capped_fleet_replays_count_kernel_not_reference(default_context):
-    """Thermal caps run on the kernel, alone and as a batch fallback."""
+    """Thermal caps run on the kernel alone and on the batch engine."""
     schedule = DisturbanceSchedule(events=(thermal_cap(0, 3, 1.2e9),))
     trace = LoadTrace.bursty(steps=12, seed=4)
     simulator = FleetSimulator(default_context, WEB_SEARCH, fleet_size=2)
@@ -219,8 +219,9 @@ def test_capped_fleet_replays_count_kernel_not_reference(default_context):
     with obs.capture() as cap:
         BatchReplayRunner(default_context).run([spec])
     deltas = cap.counter_deltas()
-    assert deltas["batch.fallback_replays"] == 1
-    assert deltas["fleet.kernel_replays"] == 1
+    assert deltas["batch.batched_replays"] == 1
+    assert "batch.fallback_replays" not in deltas
+    assert "fleet.kernel_replays" not in deltas
     assert deltas.get("fleet.reference_replays", 0) == 0
 
     # reference=True still forces the object path for a capped schedule.
