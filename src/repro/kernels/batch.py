@@ -20,9 +20,12 @@ trace axis; this module adds the batch axis:
   the row's thermal-cap tops; ``routing`` on the states before each
   step's crashes land, where ``pack``'s spill is one node-axis
   accumulate over the whole tensor, shared with the single-replay
-  kernel; ``selection``, where ``least_loaded``'s frequency-coupled
-  weights and ``conservative`` stay step-sequential *within* a replay
-  but run on whole ``(B, N)`` step slices *across* the batch;
+  kernel; ``selection``, where synchronized ``least_loaded`` rows
+  (memoryless governor, no wake or static restore, no cap below
+  nominal) take the single-replay kernel's grid-index chain in one
+  pass, while the other ``least_loaded`` rows and ``conservative`` stay
+  step-sequential *within* a replay but run on whole ``(B, N)`` step
+  slices *across* the batch;
   queueing ``tails`` through the deduplicating closed-form
   :func:`~repro.kernels.fleet.tail_latencies` kernel once for the
   whole batch; and the column gathers and fleet sums (``reduce``).
@@ -572,10 +575,11 @@ def _batched_sequential_selection(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Step-at-a-time selection, vectorized across batch and fleet.
 
-    The batched twin of ``_sequential_selection``: ``least_loaded``
-    (``shares3d=None``, routed here) weights couple to the previous
-    step's frequencies and the ``conservative`` governor to each node's
-    own previous choice, so the T axis stays a loop.  The inputs are
+    The batched twin of ``_sequential_selection``: the weights of
+    unsynchronized ``least_loaded`` rows (``shares3d=None``, routed
+    here) couple to the previous step's frequencies and the
+    ``conservative`` governor to each node's own previous choice, so
+    the T axis stays a loop.  The inputs are
     transposed step-major once, and each step is a few whole-``(B, N)``
     array ops: the governor runs on every node and ``np.where`` keeps
     the serving nodes' choices.  ``reset3d`` marks woken and
@@ -586,6 +590,7 @@ def _batched_sequential_selection(
     choice, which no column reads.
     """
     batch, fleet_size, steps = serving3d.shape
+    obs.count("fleet.selection_step_rows", batch)
     nominal_index = table.nominal_index
     nominal_capacity = table.nominal_capacity_uips
     least_loaded = shares3d is None
@@ -649,6 +654,51 @@ def _batched_sequential_selection(
         np.ascontiguousarray(shares_t.transpose(1, 2, 0)),
         np.ascontiguousarray(idx_t.transpose(1, 2, 0)),
     )
+
+
+def _least_loaded_or_sequential(
+    table: FrequencyTable,
+    governor: Governor,
+    mass2d: np.ndarray,
+    valid2d: np.ndarray,
+    serving3d: np.ndarray,
+    reset3d: np.ndarray,
+    target3d: np.ndarray,
+    shares3d: Optional[np.ndarray],
+    top3d: Optional[np.ndarray],
+    chain: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The state-coupled selection, synchronized rows off the step loop.
+
+    ``chain`` marks the synchronized ``least_loaded`` rows
+    (``kernels.fleet._synchronized``): they take the closed-form
+    ``_least_loaded_chain``, only the other rows step through
+    :func:`_batched_sequential_selection`, and the two merge row by
+    row.  Returns ``(shares3d, idx3d)``.
+    """
+    if not chain.any():
+        return _batched_sequential_selection(
+            table, governor, mass2d, serving3d, reset3d, target3d, shares3d,
+            top3d,
+        )
+    shares3d = np.empty(serving3d.shape, dtype=np.float64)
+    idx3d = np.empty(serving3d.shape, dtype=np.int64)
+    shares3d[chain], idx3d[chain] = fleet_kernel._least_loaded_chain(
+        table, governor, mass2d[chain], target3d[chain], valid2d[chain]
+    )
+    stepped = ~chain
+    if stepped.any():
+        shares3d[stepped], idx3d[stepped] = _batched_sequential_selection(
+            table,
+            governor,
+            mass2d[stepped],
+            serving3d[stepped],
+            reset3d[stepped],
+            target3d[stepped],
+            None,
+            None if top3d is None else top3d[stepped],
+        )
+    return shares3d, idx3d
 
 
 class FleetReplayBatch:
@@ -808,9 +858,21 @@ class FleetReplayBatch:
                     table.nominal_index if top3d is None else top3d[serving3d],
                 )
             else:
-                shares3d, idx3d = _batched_sequential_selection(
-                    table, governor, mass2d, serving3d, reset3d, target3d,
-                    shares3d, top3d,
+                chain = np.array(
+                    [
+                        shares3d is None
+                        and fleet_kernel._synchronized(
+                            table,
+                            governor,
+                            row.wake is not None or row.restart is not None,
+                            top,
+                        )
+                        for row, top in zip(timelines, tops)
+                    ]
+                )
+                shares3d, idx3d = _least_loaded_or_sequential(
+                    table, governor, mass2d, valid2d, serving3d, reset3d,
+                    target3d, shares3d, top3d, chain,
                 )
 
         with obs.trace("batch.tails"):

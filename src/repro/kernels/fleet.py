@@ -14,14 +14,19 @@ in bulk:
    mask-and-divide expressions; ``pack``'s order-dependent spill is one
    ``np.subtract.accumulate`` along the node axis (:func:`_pack_shares`,
    shared with the batch engine); ``least_loaded`` couples to the
-   previous step's frequencies and runs inside the sequential selection
-   loop.
+   previous step's frequencies, so it is routed during selection.
 3. **Governor selection** -- memoryless policies select every
-   (serving node, step) pair in one batched kernel call; the stateful
-   ``conservative`` (and any policy under ``least_loaded``) advances
-   all nodes one step at a time, vectorized across the fleet.  Thermal
-   caps become a per-(node, step) top grid index that bounds every
-   choice.
+   (serving node, step) pair in one batched kernel call.  A
+   *synchronized* ``least_loaded`` replay (memoryless governor, no wake,
+   no static-fleet restore, no cap below nominal) keeps all its routing
+   targets on one previous grid index, so a step's shares and choice
+   depend only on (step, that index): :func:`_least_loaded_chain`,
+   shared with the batch engine, settles the whole replay with one
+   kernel call over each step's few distinct candidate shares.  The
+   stateful ``conservative`` and any other ``least_loaded`` replay
+   advance all nodes one step at a time, vectorized across the fleet.
+   Thermal caps become a per-(node, step) top grid index that bounds
+   every choice.
 4. **Columns** -- every per-node and fleet-level column is a gather or
    reduction over the ``(fleet_size, steps)`` arrays; fleet sums
    accumulate node-by-node in ascending id order, reproducing the
@@ -44,6 +49,7 @@ path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -370,6 +376,142 @@ def _pack_shares(
     return shares
 
 
+def _synchronized(
+    table: FrequencyTable,
+    governor: Governor,
+    resets: bool,
+    top: np.ndarray | None,
+) -> bool:
+    """True when a ``least_loaded`` replay can take the index chain.
+
+    Every node starts at the nominal index.  Without a wake or a
+    static-fleet restore (``resets``) the serving set only shrinks, so
+    under a memoryless governor and no cap below nominal (``top``, the
+    replay's cap tops or ``None``) all of a step's routing targets hold
+    one previous index: the last step's common choice.
+    """
+    return (
+        is_memoryless_kernel(governor)
+        and not resets
+        and (top is None or int(top.min()) >= table.nominal_index)
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def _least_loaded_ratios(
+    table: FrequencyTable, fleet_size: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each target's share of the mass when k targets sit at index p.
+
+    Returns ``(ratio, candidates, column)`` with row ``k - 1`` for k
+    targets: ``ratio[k - 1, p]`` is ``w_p / S_k`` for the weight
+    ``w_p = capacity[p] / nominal`` and ``S_k`` its k-fold running sum,
+    added in the scalar loop's order (``1.0 / k`` where ``S_k <= 0``,
+    the even-split fallback); ``candidates[k - 1]`` holds a row's
+    distinct ratios (padded with its first) and ``column[k - 1, p]``
+    the position of ``ratio[k - 1, p]`` among them.
+    """
+    nominal = table.nominal_capacity_uips
+    weights = np.array(
+        [capacity / nominal for capacity in table.capacity_uips.tolist()]
+    )
+    # Accumulate is sequential along the k axis: the loops' running sum.
+    totals = np.add.accumulate(
+        np.broadcast_to(weights, (fleet_size, len(weights))), axis=0
+    )
+    even = 1.0 / np.arange(1, fleet_size + 1, dtype=np.float64)
+    positive = totals > 0.0
+    ratio = np.where(
+        positive,
+        weights / np.where(positive, totals, 1.0),
+        even[:, np.newaxis],
+    )
+    distinct = [np.unique(row, return_inverse=True) for row in ratio]
+    width = max(len(values) for values, _ in distinct)
+    candidates = np.empty((fleet_size, width), dtype=np.float64)
+    column = np.empty(ratio.shape, dtype=np.int64)
+    for k, (values, inverse) in enumerate(distinct):
+        candidates[k] = values[0]
+        candidates[k, : len(values)] = values
+        column[k] = inverse
+    for array in (ratio, candidates, column):
+        array.setflags(write=False)
+    return ratio, candidates, column
+
+
+def _least_loaded_chain(
+    table: FrequencyTable,
+    governor: Governor,
+    mass: np.ndarray,
+    targets: np.ndarray,
+    valid: np.ndarray | None = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``least_loaded`` selection for synchronized replays, no step loop.
+
+    ``targets`` is an ``(N, T)`` or ``(B, N, T)`` routing mask and
+    ``mass`` the matching offered mass (``valid`` as for
+    :func:`_target_counts`); every row must satisfy
+    :func:`_synchronized`.  Then a step's k targets all hold the
+    previous index p and each gets ``mass * ratio[k - 1, p]``, so the
+    step's choice depends only on (step, p).  One governor call
+    evaluates every step on each distinct ratio for its k; where those
+    candidate choices agree, the step's choice is known whatever p was,
+    and only the steps where they differ walk the chain
+    ``p(t + 1) = choice(t, p(t))`` in plain Python.  A step with no
+    serving node is followed by one with no target, which raises, so
+    every routed step's p is the previous step's choice.
+
+    Returns ``(shares, idx)`` shaped like ``targets``: bit for bit the
+    step loops' shares, and the common choice at every node (only the
+    serving nodes' indices are read).
+    """
+    single = targets.ndim == 2
+    if single:
+        mass = mass[np.newaxis]
+        targets = targets[np.newaxis]
+    fleet_size = targets.shape[1]
+    obs.count("fleet.selection_chain_rows", targets.shape[0])
+    nominal_index = table.nominal_index
+    counts = np.maximum(_target_counts(targets, valid), 1)
+    ratio, candidates, column = _least_loaded_ratios(table, fleet_size)
+    candidate_shares = mass[..., np.newaxis] * candidates[counts - 1]
+    # Memoryless kernels never read the previous index.
+    choices = select_step_indices(
+        governor,
+        table,
+        candidate_shares,
+        candidate_shares * table.nominal_capacity_uips,
+        np.broadcast_to(np.int64(nominal_index), candidate_shares.shape),
+        nominal_index,
+    )
+    path = choices[..., 0].copy()
+    unsettled = (choices != path[..., np.newaxis]).any(axis=-1)
+    if unsettled.any():
+        rows, steps = np.nonzero(unsettled)
+        count_rows = counts.tolist()
+        column_rows = column.tolist()
+        path_rows = path.tolist()
+        # Row-major order: each row's steps ascend, so the previous
+        # step's choice is final by the time a step reads it.
+        for row, step in zip(rows.tolist(), steps.tolist()):
+            previous = path_rows[row][step - 1] if step else nominal_index
+            k = count_rows[row][step]
+            path_rows[row][step] = int(
+                choices[row, step, column_rows[k - 1][previous]]
+            )
+        path = np.array(path_rows, dtype=np.int64)
+    previous = np.empty_like(path)
+    previous[:, 0] = nominal_index
+    previous[:, 1:] = path[:, :-1]
+    shares = np.where(
+        targets, (mass * ratio[counts - 1, previous])[:, np.newaxis, :], 0.0
+    )
+    idx = np.repeat(path[:, np.newaxis, :], fleet_size, axis=1)
+    if single:
+        return shares[0], idx[0]
+    return shares, idx
+
+
 # -- governor selection -----------------------------------------------------------------
 
 
@@ -393,8 +535,10 @@ def _sequential_selection(
     step; woken nodes restart from the top of their grid exactly like
     :meth:`ServerNode.wake`, and a thermal cap clamps a node's previous
     index from its step on, whatever the node's power state, like
-    :meth:`ServerNode.apply_thermal_cap`.
+    :meth:`ServerNode.apply_thermal_cap`.  A synchronized
+    ``least_loaded`` replay takes :func:`_least_loaded_chain` instead.
     """
+    obs.count("fleet.selection_step_rows")
     least_loaded = type(routing) is LeastLoadedRouting
     nominal_capacity = table.nominal_capacity_uips
     capacities = table.capacity_uips.tolist()
@@ -635,15 +779,24 @@ def fleet_replay_columns(
         route_booting2d = timeline.route_state2d == _BOOTING
 
     idx2d = np.full((fleet_size, steps), table.nominal_index, dtype=np.int64)
+    route_active2d = route_serving2d | route_booting2d
     routing_type = type(routing)
     if routing_type is LeastLoadedRouting:
-        shares2d = np.zeros((fleet_size, steps), dtype=np.float64)
-        _sequential_selection(
-            table, governor, routing, mass_list, timeline, shares2d, idx2d,
-            fleet_size, top2d,
-        )
+        resets = bool(timeline.wake_counts.any()) or any(timeline.restarted)
+        if _synchronized(table, governor, resets, top2d):
+            shares2d, idx2d = _least_loaded_chain(
+                table,
+                governor,
+                mass,
+                _route_targets(route_serving2d, route_active2d),
+            )
+        else:
+            shares2d = np.zeros((fleet_size, steps), dtype=np.float64)
+            _sequential_selection(
+                table, governor, routing, mass_list, timeline, shares2d,
+                idx2d, fleet_size, top2d,
+            )
     else:
-        route_active2d = route_serving2d | route_booting2d
         if routing_type is RoundRobinRouting:
             shares2d = _even_split_shares(mass, route_active2d)
         else:

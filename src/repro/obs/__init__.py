@@ -18,7 +18,6 @@ from repro.obs.core import (
     counters_snapshot,
     disable,
     enable,
-    gauge,
     is_enabled,
     reset,
     suspended,
@@ -43,7 +42,6 @@ __all__ = [
     "counters_snapshot",
     "disable",
     "enable",
-    "gauge",
     "is_enabled",
     "reset",
     "suspended",

@@ -1,9 +1,9 @@
 """Process-wide span tracing and counter registry.
 
 The instrumentation switch is **off by default** and the off-path is a
-no-op: :func:`trace` returns a shared null span and :func:`count` /
-:func:`gauge` return before touching any state, so instrumented hot
-paths pay one boolean check per event (the overhead-guard benchmark
+no-op: :func:`trace` returns a shared null span and :func:`count`
+returns before touching any state, so instrumented hot paths pay one
+boolean check per event (the overhead-guard benchmark
 ``benchmarks/test_bench_obs_overhead.py`` pins the cost at under 2% of
 a kernel fleet replay).
 
@@ -13,9 +13,8 @@ Three primitives:
   wall time, nesting (parent id and depth, per thread), and tagged
   attributes (``with trace("batch.run", batch_size=B) as span: ...``;
   ``span.set(...)`` adds attributes discovered mid-span).
-* :func:`count` / :func:`gauge` -- a process-wide counter/gauge
-  registry keyed by dotted names (``context.memo_hits``,
-  ``batch.fallback_replays``, ...).
+* :func:`count` -- a process-wide counter registry keyed by dotted
+  names (``context.memo_hits``, ``batch.fallback_replays``, ...).
 * :func:`capture` -- the collection window: enables instrumentation on
   entry, and on exit yields exactly the spans started inside the window
   and the counter *deltas* accrued during it, so concurrent or repeated
@@ -215,14 +214,6 @@ def count(name: str, value: float = 1) -> None:
         return
     with _STATE.lock:
         _STATE.counters[name] = _STATE.counters.get(name, 0) + value
-
-
-def gauge(name: str, value: float) -> None:
-    """Set gauge ``name`` to ``value`` (no-op while disabled)."""
-    if not _STATE.enabled:
-        return
-    with _STATE.lock:
-        _STATE.counters[name] = value
 
 
 def counters_snapshot() -> Dict[str, float]:

@@ -16,6 +16,8 @@ calls (and, via the simulators, the object-based reference path):
 * the per-row power-state timeline against the scalar
   ``_resolve_states`` over drawn traces, fleets, autoscaler bands and
   crash/restore schedules;
+* the synchronized ``least_loaded`` index chain against both step
+  loops, and ragged batches that split rows between the two paths;
 * specs whose policy types have no kernel fall back to the per-replay
   simulator path inside the same batch.
 """
@@ -24,9 +26,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.dvfs import GOVERNORS, GovernorSimulator, LoadTrace
 from repro.dvfs.governors import PerformanceGovernor, governor_by_name
 from repro.fleet import (
@@ -36,7 +39,10 @@ from repro.fleet import (
     FleetSimulator,
     node_crash,
     node_restore,
+    thermal_cap,
 )
+from repro.fleet.node import NodeState
+from repro.fleet.result import FLEET_COLUMNS, NODE_COLUMNS
 from repro.fleet.routing import (
     LeastLoadedRouting,
     RoundRobinRouting,
@@ -50,10 +56,19 @@ from repro.kernels import (
     fleet_replay_columns,
     governor_replay_columns,
 )
-from repro.kernels.batch import _row_timeline
-from repro.kernels.fleet import _resolve_states
+from repro.kernels.batch import _batched_sequential_selection, _row_timeline
+from repro.kernels.fleet import (
+    _least_loaded_chain,
+    _least_loaded_ratios,
+    _resolve_states,
+    _route_targets,
+    _sequential_selection,
+)
+from repro.kernels.governors import select_step_indices
 from repro.workloads.banking_vm import VMS_LOW_MEM
-from repro.workloads.cloudsuite import WEB_SEARCH
+from repro.workloads.cloudsuite import DATA_SERVING, WEB_SEARCH
+
+_OFF, _SERVING = int(NodeState.OFF), int(NodeState.SERVING)
 
 utilizations = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -226,16 +241,18 @@ def test_batched_fleet_summaries_match_simulator(routing, default_context):
 
 
 def _assert_batch_equals_looped_kernel(
-    table, governor, routing, traces, fleet_size, use_queueing
+    table, governor, routing, traces, fleet_size, use_queueing,
+    disturbances=None,
 ):
+    disturbances = disturbances or [None] * len(traces)
     batch = FleetReplayBatch(
         table, WEB_SEARCH, fleet_size, governor, routing, None, 0.0,
-        traces, use_queueing,
+        traces, use_queueing, disturbances=disturbances,
     )
     for row, trace in enumerate(traces):
         fleet_ref, node_ref = fleet_replay_columns(
             table, WEB_SEARCH, fleet_size, governor, routing, None, 0.0,
-            trace, use_queueing,
+            trace, use_queueing, disturbances[row],
         )
         fleet, nodes = batch.columns_for(row)
         assert_columns_equal(fleet, fleet_ref, f"row{row}")
@@ -260,11 +277,8 @@ def test_wide_least_loaded_batch_sums_weights_in_node_order(
     )
 
 
-def test_least_loaded_batch_zero_capacity_falls_back_to_even_split():
-    """A zero-capacity grid bottom zeroes every weight once powersave
-    parks the fleet there; each batch row then splits evenly, exactly
-    as the single-replay kernel does (ragged rows included)."""
-    table = FrequencyTable(
+def _zero_capacity_bottom_table():
+    return FrequencyTable(
         workload_name="probe",
         frequencies_hz=[1.0e9, 2.0e9],
         capacity_uips=[0.0, 1.0e9],
@@ -273,6 +287,13 @@ def test_least_loaded_batch_zero_capacity_falls_back_to_even_split():
         qos_ok=[True, True],
         latency_seconds=[np.nan, np.nan],
     )
+
+
+def test_least_loaded_batch_zero_capacity_falls_back_to_even_split():
+    """A zero-capacity grid bottom zeroes every weight once powersave
+    parks the fleet there; each batch row then splits evenly, exactly
+    as the single-replay kernel does (ragged rows included)."""
+    table = _zero_capacity_bottom_table()
     _assert_batch_equals_looped_kernel(
         table,
         governor_by_name("powersave"),
@@ -281,6 +302,37 @@ def test_least_loaded_batch_zero_capacity_falls_back_to_even_split():
         2,
         False,
     )
+
+
+def test_least_loaded_batch_zero_capacity_fallback_on_the_step_loop():
+    """A cap below nominal keeps a row on the batched step loop, whose
+    zero-weight total takes the even-split fallback; it shares the
+    group with a synchronized row on the chain."""
+    table = _zero_capacity_bottom_table()
+    traces = [LoadTrace.constant(0.5, steps=3), LoadTrace.constant(0.3, steps=5)]
+    capped = DisturbanceSchedule(events=(thermal_cap(0, 0, 1.5e9),))
+    with obs.capture() as window:
+        _assert_batch_equals_looped_kernel(
+            table, governor_by_name("powersave"), LeastLoadedRouting(),
+            traces, 2, False, disturbances=[capped, None],
+        )
+    # The batch and the per-row kernel calls each split the rows alike.
+    assert window.counter_deltas()["fleet.selection_step_rows"] == 2
+    assert window.counter_deltas()["fleet.selection_chain_rows"] == 2
+    fleet, _ = fleet_replay_columns(
+        table, WEB_SEARCH, 2, governor_by_name("powersave"),
+        LeastLoadedRouting(), None, 0.0, traces[0], False, capped,
+    )
+    # Step 0 weighs the capped node at zero; from step 1 both weights
+    # are zero and the mass splits evenly.
+    batch = FleetReplayBatch(
+        table, WEB_SEARCH, 2, governor_by_name("powersave"),
+        LeastLoadedRouting(), None, 0.0, traces[:1], False,
+        disturbances=[capped],
+    )
+    demand = batch.node_columns["demand_uips"][0]
+    assert demand[:, 0].tolist() == [0.0, 1.0e9]
+    assert demand[:, 1:].tolist() == [[0.5e9, 0.5e9], [0.5e9, 0.5e9]]
 
 
 def test_fleet_batch_needs_one_schedule_per_trace(default_context):
@@ -401,6 +453,297 @@ def test_row_timeline_equals_the_scalar_state_machine(case):
             assert not expected.any()
         else:
             assert np.array_equal(got, expected)
+
+
+# -- the synchronized least_loaded chain ------------------------------------------------
+
+MEMORYLESS_GOVERNORS = ("ondemand", "performance", "powersave", "qos_tracker")
+
+
+def _same_bits(got, expected):
+    return got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def crash_schedules(draw, fleet_size, steps):
+    """Crash-only schedules that leave at least one node up."""
+    nodes = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=fleet_size - 1),
+            unique=True,
+            max_size=fleet_size - 1,
+        )
+    )
+    events = tuple(
+        node_crash(node, draw(st.integers(min_value=0, max_value=steps - 1)))
+        for node in nodes
+    )
+    return DisturbanceSchedule(events=events) if events else None
+
+
+@st.composite
+def synchronized_rows(draw, fleet_size):
+    """One least_loaded row that never resets a node's DVFS history: a
+    static fleet, or an autoscaled one on a falling load that never
+    wakes; either may lose nodes to crashes."""
+    utilization = draw(plateau_utilizations)
+    autoscaler = draw(
+        st.one_of(
+            st.none(),
+            st.builds(
+                Autoscaler,
+                min_servers=st.integers(min_value=1, max_value=fleet_size),
+                wake_steps=st.integers(min_value=0, max_value=2),
+            ),
+        )
+    )
+    if autoscaler is not None:
+        utilization = sorted(utilization, reverse=True)
+    schedule = draw(crash_schedules(fleet_size, len(utilization)))
+    mass = (np.asarray(utilization) * fleet_size).tolist()
+    timeline = _row_timeline(mass, fleet_size, autoscaler, schedule)
+    assume(timeline.wake is None and timeline.restart is None)
+    return utilization, autoscaler, schedule
+
+
+@st.composite
+def synchronized_cases(draw):
+    fleet_size = draw(st.integers(min_value=1, max_value=16))
+    return (
+        draw(st.sampled_from([WEB_SEARCH, DATA_SERVING])),
+        draw(st.sampled_from(MEMORYLESS_GOVERNORS)),
+        fleet_size,
+        draw(st.lists(synchronized_rows(fleet_size), min_size=1, max_size=4)),
+    )
+
+
+def _assert_chain_equals_step_loops(table, governor, fleet_size, rows):
+    """``_least_loaded_chain`` == both step loops, bit for bit, on every
+    row alone (``(N, T)``) and on the rows stacked (``(B, N, T)``)."""
+    masses, timelines = [], []
+    for utilization, autoscaler, schedule in rows:
+        mass = np.asarray(utilization, dtype=np.float64) * fleet_size
+        masses.append(mass)
+        timeline = _resolve_states(
+            mass.tolist(), fleet_size, autoscaler, schedule
+        )
+        timelines.append(timeline)
+        shares_ref = np.zeros((fleet_size, len(mass)))
+        idx_ref = np.full(
+            (fleet_size, len(mass)), table.nominal_index, dtype=np.int64
+        )
+        _sequential_selection(
+            table, governor, LeastLoadedRouting(), mass.tolist(), timeline,
+            shares_ref, idx_ref, fleet_size, None,
+        )
+        route = timeline.route_state2d
+        shares, idx = _least_loaded_chain(
+            table,
+            governor,
+            mass,
+            _route_targets(route == _SERVING, route != _OFF),
+        )
+        serving = timeline.state2d == _SERVING
+        assert _same_bits(shares, shares_ref)
+        assert _same_bits(idx[serving], idx_ref[serving])
+
+    lengths = [len(mass) for mass in masses]
+    batch, steps = len(rows), max(lengths)
+    mass2d = np.zeros((batch, steps))
+    # Padded steps as FleetReplayBatch pads them: node 0 serving.
+    state3d = np.full((batch, fleet_size, steps), _OFF, dtype=np.int8)
+    state3d[:, 0, :] = _SERVING
+    route3d = state3d.copy()
+    for row, (mass, timeline) in enumerate(zip(masses, timelines)):
+        mass2d[row, : len(mass)] = mass
+        state3d[row, :, : len(mass)] = timeline.state2d
+        route3d[row, :, : len(mass)] = timeline.route_state2d
+    valid2d = np.arange(steps) < np.array(lengths)[:, np.newaxis]
+    serving3d = state3d == _SERVING
+    target3d = _route_targets(route3d == _SERVING, route3d != _OFF)
+    shares_ref, idx_ref = _batched_sequential_selection(
+        table, governor, mass2d, serving3d, np.zeros_like(serving3d),
+        target3d, None, None,
+    )
+    shares, idx = _least_loaded_chain(
+        table, governor, mass2d, target3d, valid2d
+    )
+    valid3d = np.broadcast_to(valid2d[:, np.newaxis, :], serving3d.shape)
+    assert _same_bits(shares[valid3d], shares_ref[valid3d])
+    read = serving3d & valid3d
+    assert _same_bits(idx[read], idx_ref[read])
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=synchronized_cases())
+@example(case=(WEB_SEARCH, "qos_tracker", 1, [([0.7], None, None)]))
+@example(
+    case=(
+        DATA_SERVING,
+        "ondemand",
+        5,
+        [
+            ([1.0] * 4 + [0.0] * 3, None, None),
+            (
+                [1.0, 0.6, 0.6, 0.0],
+                Autoscaler(min_servers=2),
+                DisturbanceSchedule(events=(node_crash(0, 1),)),
+            ),
+        ],
+    )
+)
+def test_least_loaded_chain_equals_the_step_loops(case, default_context):
+    """On synchronized rows the closed-form chain reproduces both step
+    loops' shares and serving-node indices bit for bit: one- to
+    sixteen-node fleets, every memoryless governor, zero-load and
+    saturated plateaus, single-step traces, crashes, and autoscaled
+    rows that park but never wake."""
+    workload, governor, fleet_size, rows = case
+    _assert_chain_equals_step_loops(
+        default_context.frequency_table(workload),
+        governor_by_name(governor),
+        fleet_size,
+        rows,
+    )
+
+
+def test_least_loaded_chain_walks_where_candidates_disagree(default_context):
+    """Eight Web Search targets at nominal each get exactly 0.125 of the
+    mass, but at grid index 14 or 15 one ulp more.  A load on the
+    covering boundary between those two shares makes a step's choice
+    depend on the previous index, so the chain has to walk it."""
+    table = default_context.frequency_table(WEB_SEARCH)
+    governor = governor_by_name("qos_tracker")
+    nominal = table.nominal_index
+    ratio = _least_loaded_ratios(table, 8)[0][7]
+    assert ratio[nominal] == 0.125 < min(ratio[14], ratio[15])
+
+    def choice(share):
+        share = np.array([share])
+        return int(
+            select_step_indices(
+                governor, table, share, share * table.nominal_capacity_uips,
+                np.full(1, nominal), nominal,
+            )[0]
+        )
+
+    def straddling(index):
+        """A utilization covered at ``index`` from nominal but needing
+        ``index + 1`` from ``index``."""
+        start = table.covers_capacity_uips[index] / table.nominal_capacity_uips
+        for offset in range(-8, 9):
+            utilization = start + offset * np.spacing(start)
+            mass = utilization * 8
+            if (
+                choice(mass * ratio[nominal]) == index
+                and choice(mass * ratio[index]) == index + 1
+            ):
+                return float(utilization)
+        raise AssertionError(f"no load straddles grid index {index}")
+
+    on_14, on_15 = straddling(14), straddling(15)
+    utilization = [on_14, on_14, on_15]
+    _assert_chain_equals_step_loops(
+        table, governor, 8, [(utilization, None, None)]
+    )
+    mass = np.array(utilization) * 8
+    _, idx = _least_loaded_chain(
+        table, governor, mass, np.ones((8, 3), dtype=bool)
+    )
+    # The first candidate column alone would give 14, 14, 15.
+    assert idx[0].tolist() == [14, 15, 16]
+    simulator = FleetSimulator(
+        default_context, WEB_SEARCH, fleet_size=8, governor="qos_tracker"
+    )
+    trace = make_trace(utilization)
+    kernel = simulator.run(trace, "least_loaded")
+    reference = simulator.run(trace, "least_loaded", reference=True)
+    assert kernel.node_column(0, "frequency_hz").tolist() == [
+        table.frequencies_hz[index] for index in (14, 15, 16)
+    ]
+    _assert_fleet_results_equal(kernel, reference, "walk")
+
+
+def _assert_fleet_results_equal(got, reference, label):
+    for name in FLEET_COLUMNS:
+        assert np.array_equal(
+            got.column(name), reference.column(name), equal_nan=True
+        ), f"{label}: fleet column {name}"
+    for node in reference.node_ids:
+        for name in NODE_COLUMNS:
+            assert np.array_equal(
+                got.node_column(node, name),
+                reference.node_column(node, name),
+                equal_nan=True,
+            ), f"{label}: node {node} column {name}"
+    assert got.summary() == reference.summary(), label
+
+
+def test_ragged_least_loaded_batch_splits_chain_and_step_rows(
+    default_context,
+):
+    """Synchronized rows share ragged groups with rows that wake,
+    restore on a static fleet or carry a cap below nominal; the chain
+    and the step loop each take their own rows, and every row is the
+    object path's replay bit for bit, in either submission order."""
+    grid = default_context.frequency_table(WEB_SEARCH).frequencies_hz
+    bursty = LoadTrace.bursty(steps=40, seed=8)
+    # (trace, autoscaler, events, synchronized)
+    rows = [
+        (bursty, None, (), True),
+        (bursty.head(23), None, (), True),
+        (bursty, None, (node_crash(2, 9),), True),
+        (bursty, None, (thermal_cap(1, 4, grid[-1]),), True),
+        (bursty, None, (node_crash(0, 5), node_restore(0, 11)), False),
+        (bursty.head(31), None, (thermal_cap(3, 6, grid[4]),), False),
+        (LoadTrace.constant(0.3, steps=17), Autoscaler(), (), True),
+        (bursty, Autoscaler(), (), False),
+        (bursty.head(15), Autoscaler(wake_steps=0), (), False),
+    ]
+    specs = [
+        ReplaySpec(
+            workload=WEB_SEARCH,
+            trace=trace,
+            governor=governor,
+            fleet_size=4,
+            routing="least_loaded",
+            autoscaler=autoscaler,
+            disturbances=DisturbanceSchedule(events) if events else None,
+        )
+        for governor in ("qos_tracker", "ondemand")
+        for trace, autoscaler, events, _ in rows
+    ]
+    chain_rows = 2 * sum(synchronized for *_, synchronized in rows)
+    references = [
+        FleetSimulator(
+            default_context,
+            WEB_SEARCH,
+            fleet_size=4,
+            governor=spec.governor,
+            autoscaler=spec.autoscaler,
+        ).run(
+            spec.trace, "least_loaded", reference=True,
+            disturbances=spec.disturbances,
+        )
+        for spec in specs
+    ]
+    for order in (specs, specs[::-1]):
+        with obs.capture() as window:
+            result = BatchReplayRunner(default_context).run(order)
+        counters = window.counter_deltas()
+        assert counters["fleet.selection_chain_rows"] == chain_rows
+        assert (
+            counters["fleet.selection_step_rows"]
+            == len(specs) - chain_rows
+        )
+        summaries = result.summaries()
+        for position, spec in enumerate(order):
+            index = specs.index(spec)
+            label = f"row {index} at {position}"
+            _assert_fleet_results_equal(
+                result.result(position), references[index], label
+            )
+            assert summaries[position] == references[index].summary(), label
 
 
 # -- mixed batches, fallbacks and edge specs --------------------------------------------

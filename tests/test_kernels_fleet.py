@@ -267,18 +267,68 @@ def test_least_loaded_zero_capacity_falls_back_to_even_split():
     assert np.all(fleet_columns["violation"])
 
 
-def test_routing_kernels_reject_an_empty_active_set():
-    from repro.kernels.fleet import _even_split_shares, _pack_shares
+def test_least_loaded_zero_capacity_fallback_on_the_step_loop():
+    from repro.fleet import DisturbanceSchedule, thermal_cap
+    from repro.fleet.routing import LeastLoadedRouting
+    from repro.kernels.fleet import fleet_replay_columns
+
+    # The previous test's grid, with node 0 capped to the zero-capacity
+    # bottom from step 0: a cap below nominal keeps the replay on the
+    # step loop, where step 0 weighs node 0 at zero and from step 1 the
+    # zero total takes the even-split fallback.
+    table = FrequencyTable(
+        workload_name="probe",
+        frequencies_hz=[1.0e9, 2.0e9],
+        capacity_uips=[0.0, 1.0e9],
+        power_w=[10.0, 20.0],
+        qos_metric=[0.0, 0.0],
+        qos_ok=[True, True],
+        latency_seconds=[math.nan, math.nan],
+    )
+    with obs.capture() as window:
+        fleet_columns, node_columns = fleet_replay_columns(
+            table=table,
+            workload=WEB_SEARCH,
+            fleet_size=2,
+            governor=governor_by_name("powersave"),
+            routing=LeastLoadedRouting(),
+            autoscaler=None,
+            off_power_w=0.0,
+            trace=LoadTrace.constant(0.5, steps=3),
+            use_queueing=False,
+            disturbances=DisturbanceSchedule(
+                events=(thermal_cap(0, 0, 1.5e9),)
+            ),
+        )
+    counters = window.counter_deltas()
+    assert counters["fleet.selection_step_rows"] == 1
+    assert "fleet.selection_chain_rows" not in counters
+    assert node_columns[0]["demand_uips"].tolist() == [0.0, 0.5e9, 0.5e9]
+    assert node_columns[1]["demand_uips"].tolist() == [1.0e9, 0.5e9, 0.5e9]
+    assert np.all(fleet_columns["served_uips"] == 0.0)
+
+
+def test_routing_kernels_reject_an_empty_active_set(default_context):
+    from repro.kernels.fleet import (
+        _even_split_shares,
+        _least_loaded_chain,
+        _pack_shares,
+    )
 
     def pack(*args):
         return _pack_shares(0.75, *args)
+
+    def least_loaded_chain(*args):
+        table = default_context.frequency_table(WEB_SEARCH)
+        governor = governor_by_name("qos_tracker")
+        return _least_loaded_chain(table, governor, *args)[0]
 
     # A ragged batch's padded steps may have no target at all; only the
     # valid (unpadded) steps must.
     targets = np.array([[[True, False], [False, False]]])
     mass = np.array([[1.0, 0.0]])
     valid = np.array([[True, False]])
-    for route in (_even_split_shares, pack):
+    for route in (_even_split_shares, pack, least_loaded_chain):
         with pytest.raises(ValueError, match="no active node"):
             route(np.array([1.0]), np.zeros((2, 1), dtype=bool))
         with pytest.raises(ValueError, match="no active node"):

@@ -35,7 +35,6 @@ def test_disabled_by_default_everything_is_a_noop():
     with span as live:
         live.set(more=1)  # still a no-op
     obs.count("events", 5)
-    obs.gauge("level", 2.5)
     assert obs.counters_snapshot() == {}
 
 
@@ -172,13 +171,6 @@ def test_counter_deltas_freeze_at_capture_exit():
     with obs.capture():
         obs.count("events", 10)
         assert cap.counter_deltas() == {"events": 1}
-
-
-def test_gauge_overwrites_instead_of_accumulating():
-    with obs.capture() as cap:
-        obs.gauge("level", 3)
-        obs.gauge("level", 7)
-    assert cap.counter_deltas() == {"level": 7}
 
 
 # -- run reports -----------------------------------------------------------------------
