@@ -6,7 +6,7 @@
   power numbers.
 * :mod:`repro.analysis.validation` -- checks the reproduced trends
   against the claims the paper makes in its results section, producing
-  the records used by EXPERIMENTS.md and the test suite.
+  the records the test suite checks.
 """
 
 from repro.analysis.figures import (

@@ -6,7 +6,7 @@ are not expected to match (the substrate is an analytical/synthetic
 model, not the authors' Flexus testbed); the checks target the *shape*
 results: orderings, optimum locations, crossover frequencies.
 
-The checks feed both the test suite and EXPERIMENTS.md.
+The checks feed the test suite (``tests/test_analysis.py``).
 """
 
 from __future__ import annotations

@@ -83,13 +83,6 @@ class DesignSpaceExplorer:
         """QoS analyzer for this configuration."""
         return QosAnalyzer(self.configuration)
 
-    def _runner(self, parallel: bool) -> "SweepRunner":
-        if not parallel:
-            return self.runner
-        from repro.sweep.runner import SweepRunner
-
-        return SweepRunner(context=self.context, parallel=True)
-
     # -- record construction ------------------------------------------------------------
 
     def evaluate(
@@ -102,7 +95,6 @@ class DesignSpaceExplorer:
         self,
         workloads: Iterable[WorkloadCharacteristics],
         frequencies: Sequence[float] | None = None,
-        parallel: bool = False,
     ) -> SweepResult:
         """Evaluate every (workload, reachable frequency) pair.
 
@@ -110,8 +102,7 @@ class DesignSpaceExplorer:
         sequence of :class:`OperatingPointRecord`, so record-list
         consumers keep working unchanged.
         """
-        runner = self._runner(parallel)
-        return runner.run(workloads, frequencies)
+        return self.runner.run(workloads, frequencies)
 
     # -- summaries -----------------------------------------------------------------------
 
@@ -127,15 +118,13 @@ class DesignSpaceExplorer:
         self,
         workloads: Iterable[WorkloadCharacteristics],
         frequencies: Sequence[float] | None = None,
-        parallel: bool = False,
     ) -> List[DseSummary]:
         """Summaries for a set of workloads.
 
         The whole set is swept in one batched pass -- each (workload,
         frequency) point is evaluated exactly once.
         """
-        runner = self._runner(parallel)
-        return runner.summarize(workloads, frequencies)
+        return self.runner.summarize(workloads, frequencies)
 
     # -- technology comparison -------------------------------------------------------------
 

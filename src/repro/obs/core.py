@@ -22,8 +22,8 @@ Three primitives:
 
 Everything is thread-safe: span entry/exit and counter updates take a
 single module lock, and the span stack (which defines parent/child
-nesting) is thread-local, so a thread-parallel sweep records a correct
-forest.  The module has zero dependencies beyond the standard library.
+nesting) is thread-local, so code tracing from several threads records
+a correct forest.  The module has zero dependencies beyond the standard library.
 """
 
 from __future__ import annotations

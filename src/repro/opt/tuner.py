@@ -40,7 +40,6 @@ from repro.resilience import (
     decode_floats,
     encode_floats,
     fault_point,
-    run_guarded,
 )
 from repro.resilience.checkpoint import payload_digest
 from repro.sweep.context import ModelContext
@@ -93,7 +92,6 @@ class PolicyTuner:
     cost_model: CostModel = field(default_factory=CostModel)
     frequencies: Optional[Tuple[float, ...]] = None
     on_error: str = "raise"
-    retries: int = 0
 
     def __post_init__(self) -> None:
         if self.workload.instructions_per_request <= 0:
@@ -106,11 +104,6 @@ class PolicyTuner:
         if len(self.trace) < 1:
             raise ValueError("policy tuner: trace must have at least one step")
         check_on_error(self.on_error)
-        if not isinstance(self.retries, int) or self.retries < 0:
-            raise ValueError(
-                f"policy tuner: retries must be an integer >= 0, "
-                f"got {self.retries!r}"
-            )
         self._contexts: Dict[Optional[float], ModelContext] = {
             None: self.context
         }
@@ -186,8 +179,8 @@ class PolicyTuner:
         try:
             trials = self._evaluate_rung(configs, trace, full_length, rung)
         except BaseException:
-            # A failed (possibly retried) rung must not leave partial
-            # counter increments behind.
+            # A failed rung must not leave partial counter increments
+            # behind.
             (
                 self.evaluations,
                 self.full_length_evaluations,
@@ -442,20 +435,9 @@ class PolicyTuner:
                 Path(checkpoint_dir),
                 fingerprint=self._fingerprint(space, strategy),
             )
-        evaluate = self.evaluate
-        if self.retries:
-            def evaluate(configs, steps=None, rung=0):  # noqa: E306
-                return run_guarded(
-                    self.evaluate,
-                    configs,
-                    steps,
-                    rung,
-                    retries=self.retries,
-                    identity=f"rung {rung}",
-                )
         try:
             configs = space.configs()
-            trials = strategy.run(evaluate, configs, len(self.trace))
+            trials = strategy.run(self.evaluate, configs, len(self.trace))
         finally:
             self._store = None
         return OptResult(

@@ -9,8 +9,6 @@ Four pieces, used together by :class:`~repro.kernels.batch.BatchReplayRunner`,
 * :mod:`~repro.resilience.quarantine` -- :class:`FailedSummary`
   placeholders so ``on_error="quarantine"`` mode isolates failures and
   finishes the rest of the batch;
-* :mod:`~repro.resilience.guard` -- deterministic retry
-  (:func:`run_guarded`) and cooperative step-budget deadlines;
 * :mod:`~repro.resilience.checkpoint` -- atomic, digest-validated
   strict-JSON checkpoints for bit-identical resume;
 * :mod:`~repro.resilience.chaos` -- a seeded fault injector
@@ -33,19 +31,11 @@ from repro.resilience.checkpoint import (
 from repro.resilience.errors import (
     AnalysisFault,
     CheckpointError,
-    DeadlineExceeded,
     ExecutionFault,
     InjectedFault,
     ReplayFault,
     SpecError,
-    TransientError,
     classify,
-)
-from repro.resilience.guard import (
-    Deadline,
-    backoff_steps,
-    current_deadline,
-    run_guarded,
 )
 from repro.resilience.quarantine import FailedSummary
 
@@ -68,8 +58,6 @@ __all__ = [
     "AnalysisFault",
     "CheckpointError",
     "CheckpointStore",
-    "Deadline",
-    "DeadlineExceeded",
     "ExecutionFault",
     "FailedSummary",
     "FaultPlan",
@@ -77,18 +65,14 @@ __all__ = [
     "ON_ERROR_MODES",
     "ReplayFault",
     "SpecError",
-    "TransientError",
     "atomic_write_text",
-    "backoff_steps",
     "check_on_error",
     "classify",
     "corrupt",
-    "current_deadline",
     "decode_floats",
     "encode_floats",
     "fault_point",
     "inject",
     "read_checkpoint",
-    "run_guarded",
     "write_checkpoint",
 ]

@@ -7,10 +7,7 @@ call* of that site at which to fire, and an *action*:
 * ``"raise"`` -- raise an :class:`~repro.resilience.errors.InjectedFault`
   at the site;
 * ``"nan"`` -- corrupt the value flowing through the site to NaN
-  (sites passing a value through :func:`corrupt`);
-* ``"delay"`` -- consume steps from the current cooperative
-  :class:`~repro.resilience.guard.Deadline`, so a tight deadline
-  expires exactly there.
+  (sites passing a value through :func:`corrupt`).
 
 Plans are plain data: :meth:`FaultPlan.parse` reads the CLI's
 ``SITE:N:ACTION`` syntax and :meth:`FaultPlan.seeded` derives the site
@@ -35,9 +32,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.resilience.errors import InjectedFault
-from repro.resilience.guard import current_deadline
 
-ACTIONS = ("raise", "nan", "delay")
+ACTIONS = ("raise", "nan")
 
 SITES = (
     "batch.replay",
@@ -57,7 +53,6 @@ class FaultPlan:
     site: str
     at_call: int
     action: str = "raise"
-    delay_steps: int = 8
 
     def __post_init__(self) -> None:
         if not self.site:
@@ -71,11 +66,6 @@ class FaultPlan:
             raise ValueError(
                 f"fault plan: unknown action {self.action!r} "
                 f"(expected one of {', '.join(ACTIONS)})"
-            )
-        if self.delay_steps < 1:
-            raise ValueError(
-                f"fault plan: delay_steps must be >= 1, "
-                f"got {self.delay_steps}"
             )
 
     @classmethod
@@ -206,20 +196,9 @@ def fault_point(site: str, *, identity: str = "") -> None:
     """Mark one call of ``site``; fire the active plan's fault if due.
 
     ``"raise"`` and ``"nan"`` both raise here (there is no value to
-    corrupt at a bare fault point); ``"delay"`` spends the plan's
-    ``delay_steps`` from the innermost cooperative deadline, which
-    raises :class:`~repro.resilience.errors.DeadlineExceeded` when the
-    budget runs out -- and is a no-op without a deadline, mirroring a
-    slow-but-tolerated call.
+    corrupt at a bare fault point).
     """
-    action = _INJECTOR.fire(site)
-    if action is None:
-        return
-    if action == "delay":
-        deadline = current_deadline()
-        if deadline is not None:
-            plan = _INJECTOR.plan
-            deadline.consume(plan.delay_steps if plan else 1)
+    if _INJECTOR.fire(site) is None:
         return
     raise InjectedFault(
         f"injected fault at site {site!r} "
@@ -231,20 +210,14 @@ def fault_point(site: str, *, identity: str = "") -> None:
 def corrupt(site: str, value: float, *, identity: str = "") -> float:
     """Pass ``value`` through ``site``, corrupting it if the plan fires.
 
-    ``"nan"`` returns NaN in place of ``value``; ``"raise"`` and
-    ``"delay"`` behave as at a bare :func:`fault_point`.
+    ``"nan"`` returns NaN in place of ``value``; ``"raise"`` raises as
+    at a bare :func:`fault_point`.
     """
     action = _INJECTOR.fire(site)
     if action is None:
         return value
     if action == "nan":
         return float("nan")
-    if action == "delay":
-        deadline = current_deadline()
-        if deadline is not None:
-            plan = _INJECTOR.plan
-            deadline.consume(plan.delay_steps if plan else 1)
-        return value
     raise InjectedFault(
         f"injected fault at site {site!r} "
         f"(call {_INJECTOR.counts().get(site, 0)})",

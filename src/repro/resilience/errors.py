@@ -2,22 +2,20 @@
 
 Long batch runs fail in qualitatively different ways -- a malformed
 spec, a replay blowing up mid-tensor-pass, an analysis dying on one
-scenario, a cooperative deadline expiring -- and the quarantine,
-retry and checkpoint machinery needs to tell them apart *and* know
-which item failed.  Every fault therefore carries two structured
-fields on top of its message:
+scenario, a corrupt checkpoint -- and the quarantine and checkpoint
+machinery needs to tell them apart *and* know which item failed.
+Every fault therefore carries two structured fields on top of its
+message:
 
 * ``identity`` -- which spec / replay / scenario / analysis failed,
   as a short human-readable string (``"replay 3 (web_search/diurnal/"
   "qos_tracker)"``, ``"scenario 'opt_autoscaler_bursty'"``).
 * ``stage`` -- where in the stack it failed (``"spec"``, ``"replay"``,
-  ``"analysis"``, ``"scenario"``, ``"checkpoint"``, ``"guard"``).
+  ``"analysis"``, ``"scenario"``, ``"checkpoint"``, ``"injected"``).
 
 :class:`SpecError` and :class:`CheckpointError` subclass
 :class:`ValueError` so existing ``except ValueError`` contracts (the
-CLI's error rendering, validation tests) keep working unchanged;
-:class:`TransientError` marks the retryable subtree that
-:func:`~repro.resilience.guard.run_guarded` is allowed to re-attempt.
+CLI's error rendering, validation tests) keep working unchanged.
 """
 
 from __future__ import annotations
@@ -88,31 +86,15 @@ class AnalysisFault(ExecutionFault):
         self.analysis = analysis
 
 
-class TransientError(ExecutionFault):
-    """A fault that is expected to pass on retry (the retryable mark).
-
-    :func:`~repro.resilience.guard.run_guarded` retries this subtree by
-    default; everything else propagates on the first occurrence.
-    """
-
-    stage = "transient"
-
-
-class InjectedFault(TransientError):
+class InjectedFault(ExecutionFault):
     """A fault raised on purpose by the chaos harness.
 
-    Transient by design: a :class:`~repro.resilience.chaos.FaultPlan`
-    fires at exactly one call, so a retry of the same site succeeds --
-    which is precisely the behaviour the retry property tests pin.
+    A :class:`~repro.resilience.chaos.FaultPlan` fires at exactly one
+    call of one site, so the quarantine property tests can tell which
+    item the fault hit.
     """
 
     stage = "injected"
-
-
-class DeadlineExceeded(TransientError):
-    """A cooperative step budget ran out (see :class:`~repro.resilience.guard.Deadline`)."""
-
-    stage = "deadline"
 
 
 class CheckpointError(ExecutionFault, ValueError):

@@ -69,11 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="include the full sweep table in JSON output",
     )
     run_parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="fan the sweep out across workloads with a thread pool",
-    )
-    run_parser.add_argument(
         "--timing",
         action="store_true",
         help=(
@@ -124,17 +119,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="retry transient analysis faults up to N times (default: 0)",
-    )
-    run_parser.add_argument(
         "--inject-fault",
         metavar="SITE:N:ACTION",
         help=(
-            "chaos harness: fire ACTION (raise|nan|delay) at the Nth "
+            "chaos harness: fire ACTION (raise|nan) at the Nth "
             "call of SITE (e.g. scenario.analysis:1:raise); for "
             "resilience testing"
         ),
@@ -488,9 +476,7 @@ def _checkpoint_store(args: argparse.Namespace) -> Optional[CheckpointStore]:
 def _run_scenarios(
     args: argparse.Namespace, registry: ScenarioRegistry, names: List[str]
 ) -> int:
-    runner = ScenarioRunner(
-        registry=registry, parallel=args.parallel, retries=args.retries
-    )
+    runner = ScenarioRunner(registry=registry)
     extension = {"table": "txt", "csv": "csv", "json": "json"}[args.format]
     want_report = args.profile or args.report_out is not None
     timing_rows: List[Tuple[str, Dict[str, object]]] = []

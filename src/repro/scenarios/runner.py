@@ -3,10 +3,9 @@
 :class:`ScenarioRunner` is the single execution path for every
 registered experiment: it materialises the spec's configuration and
 workloads, builds one :class:`~repro.sweep.context.ModelContext`, runs
-one batched :class:`~repro.sweep.runner.SweepRunner` pass (optionally
-thread-parallel), derives the per-workload
-:class:`~repro.sweep.result.DseSummary` rows from that single table,
-and evaluates the spec's declared analyses.  The uniform
+one batched :class:`~repro.sweep.runner.SweepRunner` pass, derives the
+per-workload :class:`~repro.sweep.result.DseSummary` rows from that
+single table, and evaluates the spec's declared analyses.  The uniform
 :class:`ScenarioResult` is what figures, benchmarks, the CLI and the
 golden-regression tests all consume.
 """
@@ -23,7 +22,6 @@ from repro.resilience import (
     check_on_error,
     classify,
     fault_point,
-    run_guarded,
 )
 from repro.scenarios.analyses import ANALYSES
 from repro.scenarios.registry import REGISTRY, ScenarioRegistry
@@ -183,20 +181,9 @@ class ScenarioRunner:
     registry:
         Where string names are resolved (default: the built-in
         :data:`~repro.scenarios.registry.REGISTRY`).
-    parallel / max_workers:
-        Passed through to :class:`~repro.sweep.runner.SweepRunner`;
-        serial and parallel runs produce identical tables.
-    retries:
-        Re-attempts for *transient* analysis faults (injected chaos
-        faults, expired deadlines) via
-        :func:`~repro.resilience.run_guarded` -- deterministic, seeded,
-        and a no-op for runs that never fault.
     """
 
     registry: ScenarioRegistry = field(default_factory=lambda: REGISTRY)
-    parallel: bool = False
-    max_workers: int | None = None
-    retries: int = 0
 
     def resolve(self, scenario: str | ScenarioSpec) -> ScenarioSpec:
         """A spec from either a registered name or an explicit spec."""
@@ -225,11 +212,7 @@ class ScenarioRunner:
                         f"is reachable by technology "
                         f"{configuration.technology.name!r}"
                     )
-            sweep_runner = SweepRunner(
-                context=context,
-                parallel=self.parallel,
-                max_workers=self.max_workers,
-            )
+            sweep_runner = SweepRunner(context=context)
             workloads = spec.workloads()
             with obs.trace(
                 "scenario.sweep", workloads=len(workloads)
@@ -256,16 +239,12 @@ class ScenarioRunner:
         )
 
     def _run_analysis(self, spec, context, sweep, analysis: str):
-        """One analysis, retried for transient faults when configured."""
-        identity = f"scenario {spec.name!r} analysis {analysis!r}"
-
-        def evaluate():
-            fault_point("scenario.analysis", identity=identity)
-            return ANALYSES[analysis](spec, context, sweep)
-
-        if not self.retries:
-            return evaluate()
-        return run_guarded(evaluate, retries=self.retries, identity=identity)
+        """One analysis behind its ``scenario.analysis`` fault point."""
+        fault_point(
+            "scenario.analysis",
+            identity=f"scenario {spec.name!r} analysis {analysis!r}",
+        )
+        return ANALYSES[analysis](spec, context, sweep)
 
     def run_all(
         self, on_error: str = "raise"

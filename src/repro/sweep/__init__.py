@@ -10,7 +10,7 @@ exploration:
   columnar table of operating points, with :class:`OperatingPointRecord`
   as its row view and :class:`DseSummary` as the per-workload reduction.
 * :mod:`repro.sweep.runner` -- :class:`SweepRunner`, the single-pass
-  (optionally thread-parallel) sweep executor.
+  sweep executor.
 
 :class:`~repro.core.dse.DesignSpaceExplorer` is the high-level facade
 over this package; import from here to drive sweeps directly.

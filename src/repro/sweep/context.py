@@ -40,9 +40,8 @@ from repro.workloads.base import WorkloadCharacteristics
 class ModelContext:
     """Caches every model of one server configuration for a sweep.
 
-    The context is cheap to construct (all models are built lazily) and
-    safe to share across the threads of a parallel sweep: cache entries
-    are immutable once computed, so a race at worst recomputes a value.
+    The context is cheap to construct (all models are built lazily),
+    and cache entries are immutable once computed.
     """
 
     configuration: ServerConfiguration = field(default_factory=ServerConfiguration)
@@ -72,9 +71,7 @@ class ModelContext:
         """Number of distinct design points resolved so far.
 
         Derived from the record cache's size, so it stays correct under
-        the parallel sweep mode (a racing duplicate evaluation of the
-        same key overwrites rather than double-counts) and under the
-        kernels' bulk table builds: :meth:`frequency_table` resolves
+        the kernels' bulk table builds: :meth:`frequency_table` resolves
         every grid point through :meth:`evaluate` and memoizes the
         finished table, so each point is counted exactly once no matter
         how many tables, replays or fleets consume it.

@@ -5,16 +5,10 @@ pair of a sweep in one pass over a shared :class:`ModelContext`, returns
 the points as a columnar :class:`SweepResult`, and derives the
 per-workload :class:`DseSummary` rows from that single table -- each
 design point is evaluated exactly once per sweep.
-
-Workloads are independent, so the runner optionally fans the sweep out
-across a :class:`concurrent.futures.ThreadPoolExecutor` (one task per
-workload).  Results are collected in submission order, so serial and
-parallel runs produce identical tables.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence
 
@@ -35,31 +29,19 @@ class SweepRunner:
     context:
         The shared :class:`ModelContext`; build one per configuration
         and reuse it across sweeps to amortise the model caches.
-    parallel:
-        When true, fan out across workloads with a thread pool.  The
-        result ordering is deterministic either way.
-    max_workers:
-        Thread-pool size for the parallel mode (default: one worker per
-        workload, capped by the executor's own default).
     """
 
     context: ModelContext = field(default_factory=ModelContext)
-    parallel: bool = False
-    max_workers: int | None = None
 
     @classmethod
     def for_configuration(
         cls,
         configuration: ServerConfiguration,
         degradation_bound: float = DEGRADATION_LIMIT_RELAXED,
-        parallel: bool = False,
-        max_workers: int | None = None,
     ) -> "SweepRunner":
         """Runner with a fresh context for ``configuration``."""
         return cls(
-            context=ModelContext(configuration, degradation_bound=degradation_bound),
-            parallel=parallel,
-            max_workers=max_workers,
+            context=ModelContext(configuration, degradation_bound=degradation_bound)
         )
 
     @property
@@ -80,23 +62,14 @@ class SweepRunner:
         ``workloads``, then by grid order -- the same ordering as the
         legacy per-point exploration loop.
         """
-        workload_list = list(workloads)
         # Resolve the reachable grid once up front; the per-frequency
         # operating points it caches are shared by every workload.
         grid = self.context.reachable_frequencies(frequencies)
-        if self.parallel and len(workload_list) > 1:
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                futures = [
-                    pool.submit(self.context.evaluate_workload, workload, grid)
-                    for workload in workload_list
-                ]
-                per_workload = [future.result() for future in futures]
-        else:
-            per_workload = [
-                self.context.evaluate_workload(workload, grid)
-                for workload in workload_list
-            ]
-        records = [record for rows in per_workload for record in rows]
+        records = [
+            record
+            for workload in workloads
+            for record in self.context.evaluate_workload(workload, grid)
+        ]
         return SweepResult.from_records(records)
 
     # -- summaries -----------------------------------------------------------------------

@@ -5,9 +5,7 @@ The contract these property tests pin, sweeping seeded
 quarantine-mode run equals the fault-free run minus exactly the
 quarantined item -- every surviving replay, trial, or scenario is bit
 for bit what the undisturbed run produced, and exactly one slot is a
-:class:`FailedSummary` naming the fault.  Retried transient faults
-leave no trace at all: the retried run's result is identical to the
-fault-free result, deterministically across repeats of the same seed.
+:class:`FailedSummary` naming the fault.
 """
 
 import pytest
@@ -208,23 +206,6 @@ def test_single_corrupt_objective_drops_exactly_one_trial(
         assert result.best_trial == tuner_baseline.best_trial
     else:
         assert result.best_config.label() != dropped_label
-
-
-def test_retried_transient_rung_fault_leaves_no_trace(
-    default_context, tuner_trace, tuner_baseline
-):
-    """Retry determinism: same seed, same fault, identical results."""
-    plan = FaultPlan(site="tuner.rung", at_call=1, action="raise")
-    results = []
-    for _ in range(2):
-        tuner = PolicyTuner(
-            default_context, WEB_SEARCH, tuner_trace, retries=1
-        )
-        with inject(plan), obs.capture() as cap:
-            results.append(tuner.tune(SPACE, GridSearch()))
-        assert cap.counter_deltas()["resilience.retries"] == 1
-    assert results[0].as_dict() == results[1].as_dict()
-    assert results[0].as_dict() == tuner_baseline.as_dict()
 
 
 # -- scenario quarantine ---------------------------------------------------------------

@@ -4,8 +4,8 @@ Exit-code contract: 0 = every requested scenario produced output,
 3 = ``--keep-going`` quarantined some but at least one succeeded,
 2 = a hard error or nothing succeeded.  Checkpointed runs resume
 completed scenarios byte for byte; ``--inject-fault`` drives the chaos
-harness end to end through the real CLI; ``--retries`` absorbs
-transient analysis faults.
+harness end to end through the real CLI, at both the scenario and the
+analysis fault sites.
 """
 
 import json
@@ -64,19 +64,23 @@ def test_bad_inject_fault_syntax_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_retries_absorb_transient_analysis_faults(capsys):
+def test_keep_going_quarantines_an_analysis_fault(tmp_path, capsys):
     code = cli_main(
         [
             "run",
             "fig2_qos",
-            "--retries",
-            "1",
+            "table1_ddr4",
+            "--keep-going",
             "--inject-fault",
             "scenario.analysis:1:raise",
+            "--outdir",
+            str(tmp_path),
         ]
     )
-    assert code == 0
-    assert "scenario: fig2_qos" in capsys.readouterr().out
+    assert code == 3
+    assert "quarantined 1 of 2 scenarios: fig2_qos" in capsys.readouterr().err
+    assert (tmp_path / "table1_ddr4.txt").exists()
+    assert not (tmp_path / "fig2_qos.txt").exists()
 
 
 def test_checkpointed_rerun_resumes_byte_for_byte(tmp_path, capsys):

@@ -1,36 +1,28 @@
-"""The resilience primitives: taxonomy, quarantine records, guard, chaos.
+"""The resilience primitives: taxonomy, quarantine records, chaos.
 
 Unit-level pins for the building blocks the stack wiring relies on:
-fault classification is idempotent and identity-preserving, deadlines
-are cooperative step budgets with no wall clock, backoff is a pure
-seeded function, and fault plans are plain deterministic data.
+fault classification is idempotent and identity-preserving, and fault
+plans are plain deterministic data.
 """
 
 import math
-import threading
 
 import pytest
 
 from repro.resilience import (
     AnalysisFault,
     CheckpointError,
-    Deadline,
-    DeadlineExceeded,
     ExecutionFault,
     FailedSummary,
     FaultPlan,
     InjectedFault,
     ReplayFault,
     SpecError,
-    TransientError,
-    backoff_steps,
     check_on_error,
     classify,
     corrupt,
-    current_deadline,
     fault_point,
     inject,
-    run_guarded,
 )
 from repro.resilience import chaos
 
@@ -44,6 +36,8 @@ def test_faults_carry_identity_and_stage():
     assert fault.stage == "replay"
     assert fault.describe() == "replay 7: kernel blew up"
     assert ReplayFault("x").describe() == "x"
+    assert issubclass(InjectedFault, ExecutionFault)
+    assert InjectedFault("x").stage == "injected"
 
 
 def test_spec_and_checkpoint_errors_are_value_errors():
@@ -53,12 +47,6 @@ def test_spec_and_checkpoint_errors_are_value_errors():
     assert issubclass(CheckpointError, ValueError)
     with pytest.raises(ValueError):
         raise SpecError("bad spec")
-
-
-def test_transient_subtree():
-    assert issubclass(InjectedFault, TransientError)
-    assert issubclass(DeadlineExceeded, TransientError)
-    assert not issubclass(ReplayFault, TransientError)
 
 
 def test_analysis_fault_builds_identity_from_names():
@@ -144,99 +132,6 @@ def test_load_trace_rejects_non_finite_utilization(value):
         LoadTrace(name="bad", step_seconds=60.0, utilization=(0.5, value))
 
 
-# -- guard -----------------------------------------------------------------------------
-
-
-def test_deadline_is_a_cooperative_step_budget():
-    deadline = Deadline(3, identity="rung 0")
-    deadline.consume(2)
-    assert deadline.remaining == 1
-    with pytest.raises(DeadlineExceeded) as excinfo:
-        deadline.consume(2)
-    assert excinfo.value.identity == "rung 0"
-    with pytest.raises(ValueError, match=">= 1"):
-        Deadline(0)
-    with pytest.raises(ValueError, match="negative"):
-        Deadline(5).consume(-1)
-
-
-def test_current_deadline_is_thread_local_and_nested():
-    assert current_deadline() is None
-    seen = {}
-
-    def inner():
-        seen["inner"] = current_deadline()
-        return "ok"
-
-    def outer():
-        seen["outer"] = current_deadline()
-        return run_guarded(inner, deadline_steps=5)
-
-    assert run_guarded(outer, deadline_steps=9) == "ok"
-    assert seen["outer"].limit == 9
-    assert seen["inner"].limit == 5
-    assert current_deadline() is None
-
-    # Another thread never sees this thread's deadline.
-    other = {}
-
-    def probe():
-        other["deadline"] = current_deadline()
-
-    def with_deadline():
-        thread = threading.Thread(target=probe)
-        thread.start()
-        thread.join()
-
-    run_guarded(with_deadline, deadline_steps=4)
-    assert other["deadline"] is None
-
-
-def test_backoff_is_deterministic_and_exponential():
-    first = [backoff_steps(a, seed=11, base=4) for a in range(4)]
-    again = [backoff_steps(a, seed=11, base=4) for a in range(4)]
-    assert first == again
-    # base * 2**attempt <= value < base * 2**attempt + base
-    for attempt, value in enumerate(first):
-        assert 4 * 2**attempt <= value < 4 * 2**attempt + 4
-    assert [backoff_steps(a, seed=12, base=4) for a in range(4)] != first
-    with pytest.raises(ValueError):
-        backoff_steps(-1)
-    with pytest.raises(ValueError):
-        backoff_steps(0, base=0)
-
-
-def test_run_guarded_retries_only_transient_faults():
-    calls = []
-
-    def flaky():
-        calls.append(1)
-        if len(calls) < 3:
-            raise InjectedFault("transient")
-        return "done"
-
-    assert run_guarded(flaky, retries=2) == "done"
-    assert len(calls) == 3
-
-    def hard_fail():
-        raise ReplayFault("permanent")
-
-    with pytest.raises(ReplayFault):
-        run_guarded(hard_fail, retries=5)
-
-    def always():
-        raise InjectedFault("never passes")
-
-    with pytest.raises(InjectedFault):
-        run_guarded(always, retries=2)
-    with pytest.raises(ValueError, match="retries"):
-        run_guarded(lambda: None, retries=-1)
-
-
-def test_run_guarded_passes_arguments_through():
-    assert run_guarded(lambda a, b=0: a + b, 2, b=3) == 5
-
-
 # -- chaos -----------------------------------------------------------------------------
 
 
@@ -250,12 +145,12 @@ def test_fault_plan_validation_and_parse():
         FaultPlan.parse("site:x:raise")
     with pytest.raises(ValueError, match="action"):
         FaultPlan.parse("site:1:explode")
+    with pytest.raises(ValueError, match="action"):
+        FaultPlan.parse("site:1:delay")
     with pytest.raises(ValueError, match="at_call"):
         FaultPlan(site="s", at_call=0)
     with pytest.raises(ValueError, match="site"):
         FaultPlan(site="", at_call=1)
-    with pytest.raises(ValueError, match="delay_steps"):
-        FaultPlan(site="s", at_call=1, action="delay", delay_steps=0)
     with pytest.raises(ValueError, match="sites"):
         FaultPlan.seeded(0, sites=())
     with pytest.raises(ValueError, match="max_call"):
@@ -299,37 +194,8 @@ def test_corrupt_replaces_the_value_with_nan():
         assert corrupt("tuner.objective", 7.0) == 7.0
 
 
-def test_corrupt_with_raise_and_delay_actions():
+def test_corrupt_with_raise_action():
     raising = FaultPlan(site="tuner.objective", at_call=1, action="raise")
     with inject(raising):
         with pytest.raises(InjectedFault):
             corrupt("tuner.objective", 7.0, identity="config x")
-
-    delaying = FaultPlan(
-        site="tuner.objective", at_call=1, action="delay", delay_steps=10
-    )
-
-    def body():
-        return corrupt("tuner.objective", 7.0)
-
-    with inject(delaying):
-        with pytest.raises(DeadlineExceeded):
-            run_guarded(body, deadline_steps=4)
-    # Without a deadline the delayed value passes through unchanged.
-    with inject(delaying):
-        assert body() == 7.0
-
-
-def test_delay_fault_consumes_the_active_deadline():
-    plan = FaultPlan(site="site.slow", at_call=1, action="delay", delay_steps=10)
-
-    def body():
-        fault_point("site.slow")
-        return "finished"
-
-    with inject(plan):
-        with pytest.raises(DeadlineExceeded):
-            run_guarded(body, deadline_steps=4)
-    # Without a deadline the delay is tolerated.
-    with inject(plan):
-        assert body() == "finished"

@@ -301,18 +301,6 @@ def test_cli_run_unknown_name_among_valid_ones_still_fails(capsys, tmp_path):
     assert "unknown scenario 'no_such'" in capsys.readouterr().err
 
 
-def test_cli_run_parallel_matches_serial(tmp_path):
-    for flag, path in ((None, "serial.json"), ("--parallel", "parallel.json")):
-        argv = ["run", "fig2_qos", "--format", "json", "--sweep"]
-        if flag:
-            argv.append(flag)
-        argv += ["--output", str(tmp_path / path)]
-        assert cli_main(argv) == 0
-    serial = json.loads((tmp_path / "serial.json").read_text())
-    parallel = json.loads((tmp_path / "parallel.json").read_text())
-    assert serial == parallel
-
-
 def test_cli_run_timing_table(capsys):
     assert cli_main(["run", "table1_ddr4", "--timing"]) == 0
     out = capsys.readouterr().out

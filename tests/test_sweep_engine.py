@@ -1,8 +1,8 @@
 """Tests for the batched sweep engine (context, columnar result, runner).
 
-The central guarantee: the batched :class:`SweepRunner` -- serial or
-thread-parallel -- produces records numerically identical to evaluating
-every point through a fresh per-point :class:`DesignSpaceExplorer`, and
+The central guarantee: the batched :class:`SweepRunner` produces
+records numerically identical to evaluating every point through a
+fresh per-point :class:`DesignSpaceExplorer`, and
 ``summarize_all`` resolves each (workload, frequency) point exactly
 once.
 """
@@ -86,16 +86,13 @@ grids = st.lists(
 @settings(max_examples=15, deadline=None)
 @given(params_list=st.lists(workload_params, min_size=1, max_size=3), grid=grids)
 def test_sweep_runner_matches_per_point_explorer(params_list, grid):
-    """Batched serial and parallel sweeps == fresh per-point evaluation."""
+    """A batched sweep == fresh per-point evaluation."""
     configuration = default_server()
     workloads = [
         _build_workload(index, params) for index, params in enumerate(params_list)
     ]
 
-    serial = SweepRunner.for_configuration(configuration).run(workloads, grid)
-    parallel = SweepRunner.for_configuration(configuration, parallel=True).run(
-        workloads, grid
-    )
+    batched = SweepRunner.for_configuration(configuration).run(workloads, grid)
 
     expected = []
     for workload in workloads:
@@ -106,21 +103,8 @@ def test_sweep_runner_matches_per_point_explorer(params_list, grid):
                 continue
             expected.append(explorer.evaluate(workload, frequency))
 
-    assert len(serial) == len(expected)
-    assert serial.to_records() == expected
-    assert parallel.to_records() == expected
-
-
-def test_parallel_sweep_orders_rows_deterministically():
-    configuration = default_server()
-    workloads = list(scale_out_workloads().values()) + list(
-        virtualized_workloads().values()
-    )
-    serial = SweepRunner.for_configuration(configuration).run(workloads)
-    parallel = SweepRunner.for_configuration(
-        configuration, parallel=True, max_workers=3
-    ).run(workloads)
-    assert serial.to_records() == parallel.to_records()
+    assert len(batched) == len(expected)
+    assert batched.to_records() == expected
 
 
 def test_summarize_all_evaluates_each_point_exactly_once():
