@@ -4,10 +4,11 @@ Times a thousand-replay fleet sweep -- every registered governor x
 autoscaling on/off x 100 bursty trace seeds, four servers each --
 through :class:`~repro.kernels.batch.BatchReplayRunner` (ten
 ``(100, 4, 60)`` tensor batches) and through the straightforward loop
-of per-replay :meth:`FleetSimulator.run` calls, which already dispatch
-to the single-replay kernels.  The sweep runs once per routing: the
+of per-replay :meth:`FleetSimulator.run` calls, each of which runs the
+same engine as a one-row batch, so the ratio measures what stacking
+the batch axis buys.  The sweep runs once per routing: the
 closed-form ``round_robin``, ``pack``'s accumulated spill and the
-frequency-coupled, step-sequential ``least_loaded``.  Both paths run on
+frequency-coupled ``least_loaded``.  Both paths run on
 the same warmed :class:`~repro.sweep.context.ModelContext`, so the
 measured work is purely replay evaluation, and both are cross-checked
 summary for summary first -- the batch axis must not buy a single bit

@@ -5,10 +5,12 @@ models on every property access and recomputed the CPI stack several
 times per point.  This benchmark times the batched runner on a
 figure-3-sized sweep (all scale-out workloads over the full frequency
 grid) and asserts it beats a faithful reimplementation of the legacy
-per-point path by at least 3x.
+per-point path by at least 3x, as the median of per-pair ratios (the
+``paired_walls`` fixture: each pair times both paths back to back, so
+host-speed drift between pairs cancels out of the ratio).
 """
 
-import time
+import statistics
 
 from repro.core.efficiency import EfficiencyAnalyzer, EfficiencyScope
 from repro.core.performance import ServerPerformanceModel
@@ -62,35 +64,30 @@ def _batched_sweep(configuration, workloads, frequencies):
     return SweepRunner.for_configuration(configuration).run(workloads, frequencies)
 
 
-def _best_of(callable_, rounds=3):
-    best = float("inf")
-    result = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = callable_()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+_REPEATS = 5
 
 
-def test_bench_sweep_engine(benchmark, server_configuration):
+def test_bench_sweep_engine(benchmark, server_configuration, paired_walls):
     workloads = list(scale_out_workloads().values())
     frequencies = server_configuration.frequency_grid
 
     sweep = benchmark(_batched_sweep, server_configuration, workloads, frequencies)
 
-    legacy_seconds, legacy_records = _best_of(
-        lambda: _legacy_sweep(server_configuration, workloads, frequencies)
+    legacy_records = _legacy_sweep(server_configuration, workloads, frequencies)
+    pairs = paired_walls(
+        lambda: _legacy_sweep(server_configuration, workloads, frequencies),
+        lambda: _batched_sweep(server_configuration, workloads, frequencies),
+        _REPEATS,
     )
-    batched_seconds, _ = _best_of(
-        lambda: _batched_sweep(server_configuration, workloads, frequencies)
-    )
-    speedup = legacy_seconds / batched_seconds
+    legacy_seconds = statistics.median(legacy for legacy, _ in pairs)
+    batched_seconds = statistics.median(batched for _, batched in pairs)
+    speedup = statistics.median(legacy / batched for legacy, batched in pairs)
 
     print()
     print("Sweep engine: figure-3-sized sweep (4 workloads x full grid)")
     print(
         format_table(
-            ("path", "points", "best time (ms)", "speedup"),
+            ("path", "points", "median time (ms)", "median pair speedup"),
             [
                 ("legacy per-point", len(legacy_records), f"{legacy_seconds * 1e3:.1f}", "1.0x"),
                 ("batched runner", len(sweep), f"{batched_seconds * 1e3:.1f}", f"{speedup:.1f}x"),

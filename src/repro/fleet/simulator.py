@@ -96,6 +96,12 @@ class FleetSimulator:
             raise ValueError(
                 f"fleet_size must be >= 1, got {self.fleet_size}"
             )
+        # NaN slips through the < 0 check, and a NaN or inf draw would
+        # poison every replay's energy columns.
+        if not math.isfinite(self.off_power_w):
+            raise ValueError(
+                f"off_power_w must be finite, got {self.off_power_w}"
+            )
         check_non_negative("off_power_w", self.off_power_w)
         if (
             self.autoscaler is not None
@@ -188,12 +194,14 @@ class FleetSimulator:
     ) -> FleetResult:
         """Run one routing policy over one trace, one fleet row per step.
 
-        Dispatches to the columnar :mod:`repro.kernels.fleet` stepper
-        whenever the (routing, governor, autoscaler) trio's exact types
-        have kernels; ``reference=True`` forces the original per-node
-        object loop (the two paths are bit-for-bit identical -- the
-        kernel equivalence tests pin it).  Custom policy subclasses
-        always take the reference path.
+        Whenever the (routing, governor, autoscaler) trio's exact types
+        have kernels, the replay is a one-row batch of
+        :class:`repro.kernels.batch.FleetReplayBatch`, reached through
+        :func:`repro.kernels.fleet.fleet_replay_columns`;
+        ``reference=True`` forces the original per-node object loop
+        (the two paths are bit-for-bit identical -- the kernel
+        equivalence tests pin it).  Custom policy subclasses always
+        take the reference path.
 
         ``disturbances`` injects timed failures mid-replay; crashes,
         restores and thermal caps replay on both paths bit-for-bit.  The

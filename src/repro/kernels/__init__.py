@@ -14,12 +14,14 @@ step (and one node) at a time.  This package makes that path columnar:
   selections, ``conservative`` as a tight scalar chain).
 * :mod:`repro.kernels.replay` -- the single-server whole-trace replay
   as index selection plus column gathers.
-* :mod:`repro.kernels.fleet` -- the columnar fleet stepper: power-state
-  timeline, vectorized routing shares, closed-form queueing tails and
-  bulk per-node columns.
+* :mod:`repro.kernels.fleet` -- the fleet stages over the node axis:
+  vectorized routing shares, the synchronized ``least_loaded`` index
+  chain, closed-form queueing tails and exact node-axis sums, plus
+  :func:`fleet_replay_columns`, one fleet replay as a one-row batch.
 * :mod:`repro.kernels.batch` -- the batch axis on top: B replays
   stacked into ``(B, T)`` / ``(B, N, T)`` tensors and evaluated in
-  single NumPy passes, driven by :class:`BatchReplayRunner`.
+  single NumPy passes, driven by :class:`BatchReplayRunner`; the one
+  fleet engine, single replays included.
 
 The simulators dispatch here by default and keep the object-based path
 as a ``reference=`` fallback; kernel and reference columns are

@@ -2,8 +2,8 @@
 
 The design-space questions the paper asks (which governor, what fleet
 size, which autoscaler band) are answered by sweeping *populations* of
-replays.  A single-replay kernel call is already vectorized along the
-trace axis; this module adds the batch axis:
+replays.  The single-server replay kernel is already vectorized along
+the trace axis; this module adds the batch axis:
 
 * **Single-server stacks** -- B (governor, trace) replays become one
   ``(B, T)`` utilisation tensor (rows padded to the longest trace).
@@ -19,26 +19,30 @@ trace axis; this module adds the batch axis:
   the row's own crash/restore events) stacked into the tensor beside
   the row's thermal-cap tops; ``routing`` on the states before each
   step's crashes land, where ``pack``'s spill is one node-axis
-  accumulate over the whole tensor, shared with the single-replay
-  kernel; ``selection``, where synchronized ``least_loaded`` rows
-  (memoryless governor, no wake or static restore, no cap below
-  nominal) take the single-replay kernel's grid-index chain in one
-  pass, while the other ``least_loaded`` rows and ``conservative`` stay
-  step-sequential *within* a replay but run on whole ``(B, N)`` step
-  slices *across* the batch;
-  queueing ``tails`` through the deduplicating closed-form
+  accumulate over the whole tensor; ``selection``, where synchronized
+  ``least_loaded`` rows (memoryless governor, no wake or static
+  restore, no cap below nominal) take the grid-index chain of
+  :mod:`repro.kernels.fleet` in one pass, while the other
+  ``least_loaded`` rows and ``conservative`` stay step-sequential
+  *within* a replay but run on whole ``(B, N)`` step slices *across*
+  the batch; queueing ``tails`` through the deduplicating closed-form
   :func:`~repro.kernels.fleet.tail_latencies` kernel once for the
   whole batch; and the column gathers and fleet sums (``reduce``).
-  Disturbed and undisturbed replays share one batch.
+  Disturbed and undisturbed replays share one batch, and a single
+  fleet replay -- ``FleetSimulator.run`` through
+  :func:`~repro.kernels.fleet.fleet_replay_columns` -- is a batch of
+  one row.
 * **Summaries** -- per-replay scalar summaries are axis-1 reductions
   over exact-length row blocks (rows grouped by trace length, because
   reducing a zero-padded row would change pairwise-summation order and
   break bit parity).
 
-Everything is bit-for-bit identical to B independent single-replay
-kernel calls -- same floats, same ints, same NaN/inf placement -- which
-are themselves pinned against the object-based reference path, so the
-batch engine inherits the golden fixtures' guarantees transitively.
+Every fleet row is bit-for-bit identical to the object-based
+reference path, ``FleetSimulator.run(..., reference=True)`` -- same
+floats, same ints, same NaN/inf placement -- and every single-server
+row to a ``governor_replay_columns`` call, itself pinned against
+``GovernorSimulator.replay``'s reference path, so the batch engine
+inherits the golden fixtures' guarantees.
 
 :class:`BatchReplayRunner` is the user-facing entry point: a list of
 :class:`ReplaySpec` in, columnar per-replay summaries (and lazily
@@ -405,10 +409,10 @@ def _row_timeline(
 ) -> _RowTimeline:
     """One replay's power-state machine, over plain Python ints.
 
-    Follows ``kernels.fleet._resolve_states`` step for step: boots
-    advance, restores land, one scaling decision (lowest-id off nodes
-    wake, booting nodes park before the highest-id serving nodes) sets
-    what routing sees, and crashes land after routing.  It counts the
+    Follows the reference loop of ``FleetSimulator.run`` step for step:
+    boots advance, restores land, one scaling decision (lowest-id off
+    nodes wake, booting nodes park before the highest-id serving nodes)
+    sets what routing sees, and crashes land after routing.  It counts the
     serving and booting nodes instead of rebuilding id lists, and
     snapshots the states only at steps where they change.  A static
     fleet without crashes never changes: one constant fill, no loop.
@@ -575,15 +579,15 @@ def _batched_sequential_selection(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Step-at-a-time selection, vectorized across batch and fleet.
 
-    The batched twin of ``_sequential_selection``: the weights of
-    unsynchronized ``least_loaded`` rows (``shares3d=None``, routed
-    here) couple to the previous step's frequencies and the
-    ``conservative`` governor to each node's own previous choice, so
-    the T axis stays a loop.  The inputs are
+    The weights of unsynchronized ``least_loaded`` rows
+    (``shares3d=None``, routed here) couple to the previous step's
+    frequencies and the ``conservative`` governor to each node's own
+    previous choice, so the T axis stays a loop.  The inputs are
     transposed step-major once, and each step is a few whole-``(B, N)``
     array ops: the governor runs on every node and ``np.where`` keeps
     the serving nodes' choices.  ``reset3d`` marks woken and
-    static-restored nodes, which restart from their top; ``top3d``
+    static-restored nodes, which restart from their top like
+    :meth:`~repro.fleet.node.ServerNode.wake`; ``top3d``
     (``None`` when no row is capped) clamps every node's previous index
     from a cap's step on and bounds every choice.  Returns
     ``(shares3d, idx3d)``; the index of a non-serving node is its last
@@ -708,9 +712,11 @@ class FleetReplayBatch:
     autoscaler, off-power, queueing flag); only the traces and the
     disturbance schedules differ -- the natural shape of a seed/trace
     sweep.  Row ``b``, sliced to its trace length, is bit-identical to
-    ``fleet_replay_columns`` on ``traces[b]`` and ``disturbances[b]``
-    (default: none), which the caller has validated against the fleet,
-    trace and grid.
+    the columns of ``FleetSimulator.run(traces[b], routing,
+    reference=True, disturbances=disturbances[b])`` (default: no
+    schedule), which the caller has validated against the fleet, trace
+    and grid.  A one-row batch is the single-replay kernel,
+    :func:`~repro.kernels.fleet.fleet_replay_columns`.
     """
 
     def __init__(

@@ -1,58 +1,50 @@
-"""Columnar fleet stepper: per-node state arrays instead of objects.
+"""Fleet replay stages shared over the node axis, and the one-replay entry.
 
-The object-based :class:`~repro.fleet.simulator.FleetSimulator` loop
-creates one :class:`~repro.fleet.node.NodeStep` per (node, step) and
-writes eleven column scalars each -- the hot path the ISSUE's profile
-blames.  This kernel replaces it with per-node state *arrays* updated
-in bulk:
+:func:`fleet_replay_columns` -- what ``FleetSimulator.run`` dispatches
+to -- is a single-row :class:`~repro.kernels.batch.FleetReplayBatch`,
+so one replay and a sweep of thousands run on the same ``(B, N, T)``
+engine.  This module holds the stages that engine reads over the node
+axis:
 
-1. **State timeline** -- the autoscaler's power-state machine (off /
-   booting / serving, boot countdowns, wake events) depends only on the
-   offered-mass sequence, never on routing or governor choices, so it
-   is resolved once per replay in a tight scalar pass.
-2. **Routing** -- ``round_robin`` and ``spread`` become whole-trace
-   mask-and-divide expressions; ``pack``'s order-dependent spill is one
-   ``np.subtract.accumulate`` along the node axis (:func:`_pack_shares`,
-   shared with the batch engine); ``least_loaded`` couples to the
-   previous step's frequencies, so it is routed during selection.
-3. **Governor selection** -- memoryless policies select every
-   (serving node, step) pair in one batched kernel call.  A
-   *synchronized* ``least_loaded`` replay (memoryless governor, no wake,
-   no static-fleet restore, no cap below nominal) keeps all its routing
-   targets on one previous grid index, so a step's shares and choice
-   depend only on (step, that index): :func:`_least_loaded_chain`,
-   shared with the batch engine, settles the whole replay with one
-   kernel call over each step's few distinct candidate shares.  The
-   stateful ``conservative`` and any other ``least_loaded`` replay
-   advance all nodes one step at a time, vectorized across the fleet.
-   Thermal caps become a per-(node, step) top grid index that bounds
-   every choice.
-4. **Columns** -- every per-node and fleet-level column is a gather or
-   reduction over the ``(fleet_size, steps)`` arrays; fleet sums
-   accumulate node-by-node in ascending id order, reproducing the
-   reference loop's float-addition order bit for bit.
+1. **Dispatch and caps** -- :func:`supports` names the (routing,
+   governor, autoscaler) trios with a kernel, by exact type: any
+   subclass with overridden behaviour falls back to the object-based
+   reference path.  :func:`_cap_tops` turns a schedule's thermal caps
+   into a per-(node, step) top grid index that bounds every choice.
+2. **Routing** -- ``round_robin`` and ``spread`` are mask-and-divide
+   expressions; ``pack``'s order-dependent spill is one
+   ``np.subtract.accumulate`` along the node axis
+   (:func:`_pack_shares`); ``least_loaded`` couples to the previous
+   step's frequencies, so it is routed during selection.
+3. **Synchronized least_loaded** -- a replay with a memoryless
+   governor, no wake, no static-fleet restore and no cap below nominal
+   keeps all its routing targets on one previous grid index, so a
+   step's shares and choice depend only on (step, that index):
+   :func:`_least_loaded_chain` settles every such row with one kernel
+   call over each step's few distinct candidate shares.
+4. **Tails and sums** -- :func:`_worst_tails` reduces each step to its
+   worst loaded node's queueing tail; :func:`_rowsum` adds the node
+   axis in ascending id order, reproducing the reference loop's
+   float-addition order bit for bit.
 
 Queueing tails are evaluated by :func:`tail_latencies`, a closed-form
 vectorized twin of the scalar
 :class:`~repro.latency.queueing.MM1Queue` / :class:`MG1Queue` math:
-the (grid index, demand) pairs of every loaded node-step are
-deduplicated by two real-valued ``np.unique`` passes (demand rank,
-then ``rank * grid_size + index``) and each unique pair is solved once
-with the exact float expressions the scalar queue models use (the one
+the (grid index, demand) pairs it is handed are deduplicated by two
+real-valued ``np.unique`` passes (demand rank, then
+``rank * grid_size + index``) and each unique pair is solved once with
+the exact float expressions the scalar queue models use (the one
 ``math.log`` per unique pair included, because ``np.log`` is not
-bit-identical to ``math.log`` on every platform).
-
-Dispatch is by exact type (routing, governor, autoscaler): any subclass
-with overridden behaviour falls back to the object-based reference
-path.
+bit-identical to ``math.log`` on every platform).  :func:`_worst_tails`
+hands it only the first node of each run of neighbours loaded with one
+step's same (grid index, share), since the rest share its tail.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -60,13 +52,7 @@ from repro import obs
 from repro.dvfs.governors import Governor
 from repro.dvfs.trace import LoadTrace
 from repro.fleet.autoscaler import Autoscaler
-from repro.fleet.disturbance import (
-    NODE_CRASH,
-    NODE_RESTORE,
-    THERMAL_CAP,
-    DisturbanceSchedule,
-)
-from repro.fleet.node import NodeState
+from repro.fleet.disturbance import THERMAL_CAP, DisturbanceSchedule
 from repro.fleet.routing import (
     LeastLoadedRouting,
     PackRouting,
@@ -81,10 +67,6 @@ from repro.kernels.governors import (
 )
 from repro.kernels.table import FrequencyTable
 from repro.workloads.base import WorkloadCharacteristics
-
-_OFF = int(NodeState.OFF)
-_BOOTING = int(NodeState.BOOTING)
-_SERVING = int(NodeState.SERVING)
 
 _STABILITY_EPSILON = 1e-9
 """Utilisations within this of 1.0 count as a saturated queue
@@ -145,156 +127,6 @@ def _cap_tops(
             - 1
         )
     return top2d
-
-
-@dataclass(eq=False)
-class _StateTimeline:
-    """The fleet's power states resolved over the whole trace.
-
-    ``route_state2d`` is what the routing sees (post-scaling, *before*
-    the step's crashes land) and ``state2d`` what the nodes actually do
-    (post-crash); without node disturbances the two are the same array.
-    ``serving_ids``/``active_ids`` are routing targets,
-    ``select_ids`` the governor-selection domain (final serving set).
-    """
-
-    state2d: np.ndarray  # (fleet_size, steps) int8, post-crash
-    route_state2d: np.ndarray  # (fleet_size, steps) int8, post-scaling
-    wake_counts: np.ndarray  # (steps,) int64
-    woken: List[List[int]]  # node ids whose boot began at each step
-    restarted: List[List[int]]  # static-fleet restores (reset previous)
-    serving_ids: List[List[int]]  # ascending, per step, routing view
-    active_ids: List[List[int]]  # ascending, per step, routing view
-    select_ids: List[List[int]]  # ascending, per step, post-crash serving
-
-
-def _resolve_states(
-    mass_list: List[float],
-    fleet_size: int,
-    autoscaler: Autoscaler | None,
-    disturbances: DisturbanceSchedule | None = None,
-) -> _StateTimeline:
-    """Replay the autoscaler's state machine over the mass sequence.
-
-    Mirrors ``FleetSimulator.run``'s per-step ordering exactly: boots
-    advance first, restores land, then one scaling decision mutates the
-    states the routing sees, and crashes land last (after routing has
-    committed the step's shares).  Node ids are list indices, so the
-    reference's lowest-id-wakes / highest-id-parks ordering is the
-    natural slice.
-    """
-    steps = len(mass_list)
-    crashes_at: Dict[int, List[int]] = {}
-    restores_at: Dict[int, List[int]] = {}
-    if disturbances is not None:
-        for event in disturbances.events:
-            if event.kind == NODE_CRASH:
-                crashes_at.setdefault(event.step, []).append(event.node_id)
-            elif event.kind == NODE_RESTORE:
-                restores_at.setdefault(event.step, []).append(event.node_id)
-    has_node_events = bool(crashes_at or restores_at)
-
-    if autoscaler is None:
-        initially_serving = fleet_size
-    else:
-        initially_serving = autoscaler.desired_active(mass_list[0], fleet_size)
-    states = [
-        _SERVING if node < initially_serving else _OFF
-        for node in range(fleet_size)
-    ]
-    boot = [0] * fleet_size
-    failed = [False] * fleet_size
-
-    state2d = np.empty((fleet_size, steps), dtype=np.int8)
-    route_state2d = (
-        np.empty((fleet_size, steps), dtype=np.int8)
-        if has_node_events
-        else state2d
-    )
-    wake_counts = np.zeros(steps, dtype=np.int64)
-    woken_steps: List[List[int]] = []
-    restarted_steps: List[List[int]] = []
-    serving_steps: List[List[int]] = []
-    active_steps: List[List[int]] = []
-    select_steps: List[List[int]] = []
-
-    for index in range(steps):
-        mass = mass_list[index]
-        for node in range(fleet_size):
-            if states[node] == _BOOTING:
-                boot[node] -= 1
-                if boot[node] <= 0:
-                    states[node] = _SERVING
-                    boot[node] = 0
-        restarted: List[int] = []
-        for node in restores_at.get(index, ()):
-            failed[node] = False
-            if autoscaler is None:
-                # Matches the reference's restore-on-a-static-fleet:
-                # wake(0) -- immediately serving, DVFS history reset,
-                # no wake event and no wake energy.
-                states[node] = _SERVING
-                restarted.append(node)
-        woken: List[int] = []
-        if autoscaler is not None:
-            serving = [n for n in range(fleet_size) if states[n] == _SERVING]
-            booting = [n for n in range(fleet_size) if states[n] == _BOOTING]
-            off = [
-                n
-                for n in range(fleet_size)
-                if states[n] == _OFF and not failed[n]
-            ]
-            active = len(serving) + len(booting)
-            capacity = len(serving) if serving else len(booting)
-            utilization = mass / capacity if capacity else math.inf
-            if utilization > autoscaler.high or utilization < autoscaler.low:
-                desired = autoscaler.desired_active(mass, fleet_size)
-            else:
-                desired = active
-            if desired > active:
-                for node in off[: desired - active]:
-                    if autoscaler.wake_steps <= 0:
-                        states[node] = _SERVING
-                    else:
-                        states[node] = _BOOTING
-                        boot[node] = autoscaler.wake_steps
-                    woken.append(node)
-            elif desired < active and desired < len(serving):
-                candidates = booting[::-1] + serving[::-1]
-                for node in candidates[: active - desired]:
-                    states[node] = _OFF
-                    boot[node] = 0
-        route_state2d[:, index] = states
-        serving_steps.append(
-            [n for n in range(fleet_size) if states[n] == _SERVING]
-        )
-        active_steps.append(
-            [n for n in range(fleet_size) if states[n] != _OFF]
-        )
-        for node in crashes_at.get(index, ()):
-            states[node] = _OFF
-            boot[node] = 0
-            failed[node] = True
-        if has_node_events:
-            state2d[:, index] = states
-            select_steps.append(
-                [n for n in range(fleet_size) if states[n] == _SERVING]
-            )
-        else:
-            select_steps.append(serving_steps[-1])
-        wake_counts[index] = len(woken)
-        woken_steps.append(woken)
-        restarted_steps.append(restarted)
-    return _StateTimeline(
-        state2d=state2d,
-        route_state2d=route_state2d,
-        wake_counts=wake_counts,
-        woken=woken_steps,
-        restarted=restarted_steps,
-        serving_ids=serving_steps,
-        active_ids=active_steps,
-        select_ids=select_steps,
-    )
 
 
 # -- routing ----------------------------------------------------------------------------
@@ -448,8 +280,8 @@ def _least_loaded_chain(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``least_loaded`` selection for synchronized replays, no step loop.
 
-    ``targets`` is an ``(N, T)`` or ``(B, N, T)`` routing mask and
-    ``mass`` the matching offered mass (``valid`` as for
+    ``targets`` is a ``(B, N, T)`` routing mask and ``mass`` the
+    matching ``(B, T)`` offered mass (``valid`` as for
     :func:`_target_counts`); every row must satisfy
     :func:`_synchronized`.  Then a step's k targets all hold the
     previous index p and each gets ``mass * ratio[k - 1, p]``, so the
@@ -465,10 +297,6 @@ def _least_loaded_chain(
     step loops' shares, and the common choice at every node (only the
     serving nodes' indices are read).
     """
-    single = targets.ndim == 2
-    if single:
-        mass = mass[np.newaxis]
-        targets = targets[np.newaxis]
     fleet_size = targets.shape[1]
     obs.count("fleet.selection_chain_rows", targets.shape[0])
     nominal_index = table.nominal_index
@@ -507,87 +335,7 @@ def _least_loaded_chain(
         targets, (mass * ratio[counts - 1, previous])[:, np.newaxis, :], 0.0
     )
     idx = np.repeat(path[:, np.newaxis, :], fleet_size, axis=1)
-    if single:
-        return shares[0], idx[0]
     return shares, idx
-
-
-# -- governor selection -----------------------------------------------------------------
-
-
-def _sequential_selection(
-    table: FrequencyTable,
-    governor: Governor,
-    routing: RoutingPolicy,
-    mass_list: List[float],
-    timeline: _StateTimeline,
-    shares2d: np.ndarray,
-    idx2d: np.ndarray,
-    fleet_size: int,
-    top2d: np.ndarray | None,
-) -> None:
-    """Step-at-a-time selection for state-coupled policies.
-
-    Handles the two cross-step couplings the vectorized path cannot:
-    ``least_loaded`` routing (shares depend on the previous step's
-    frequencies) and the ``conservative`` governor (one notch off the
-    node's own previous choice).  Vectorized across the fleet at each
-    step; woken nodes restart from the top of their grid exactly like
-    :meth:`ServerNode.wake`, and a thermal cap clamps a node's previous
-    index from its step on, whatever the node's power state, like
-    :meth:`ServerNode.apply_thermal_cap`.  A synchronized
-    ``least_loaded`` replay takes :func:`_least_loaded_chain` instead.
-    """
-    obs.count("fleet.selection_step_rows")
-    least_loaded = type(routing) is LeastLoadedRouting
-    nominal_capacity = table.nominal_capacity_uips
-    capacities = table.capacity_uips.tolist()
-    tops = np.full(fleet_size, table.nominal_index, dtype=np.int64)
-    previous = tops.copy()
-    for index, mass in enumerate(mass_list):
-        if top2d is not None:
-            tops = top2d[:, index]
-            # The previous index never exceeds the cap in force, so
-            # clamping every step only bites at a cap's own step.
-            np.minimum(previous, tops, out=previous)
-        for node in timeline.woken[index]:
-            previous[node] = tops[node]
-        for node in timeline.restarted[index]:
-            # Static-fleet restores wake(0): DVFS history resets.
-            previous[node] = tops[node]
-        if least_loaded:
-            targets = (
-                timeline.serving_ids[index] or timeline.active_ids[index]
-            )
-            if not targets:
-                raise ValueError(_NO_ACTIVE_NODE)
-            weights = [
-                capacities[previous[node]] / nominal_capacity
-                for node in targets
-            ]
-            total = 0.0
-            for weight in weights:
-                total += weight
-            if total <= 0.0:
-                weights = [1.0] * len(targets)
-                total = float(len(targets))
-            for node, weight in zip(targets, weights):
-                shares2d[node, index] = mass * (weight / total)
-        serving = timeline.select_ids[index]
-        if serving:
-            selector = np.asarray(serving, dtype=np.int64)
-            utilization = shares2d[selector, index]
-            demand = utilization * nominal_capacity
-            chosen = select_step_indices(
-                governor,
-                table,
-                utilization,
-                demand,
-                previous[selector],
-                table.nominal_index if top2d is None else tops[selector],
-            )
-            idx2d[selector, index] = chosen
-            previous[selector] = chosen
 
 
 # -- queueing tails ---------------------------------------------------------------------
@@ -701,15 +449,24 @@ def _worst_tails(
     Reduces the node axis of ``(N, T)`` or ``(B, N, T)`` inputs.
     Matches the reference loop's running-max semantics: NaN tails never
     displace a finite worst, and a step with no loaded serving node (or
-    only NaN tails) stays NaN.
+    only NaN tails) stays NaN.  A node loaded with the previous node's
+    (grid index, share) at the same step would repeat that node's tail
+    bit for bit, so it is left out: the step's max, NaN and inf
+    included, is unchanged.
     """
     loaded = serving & (shares > 0.0)
+    evaluate = loaded.copy()
+    evaluate[..., 1:, :] &= ~(
+        loaded[..., :-1, :]
+        & (idx[..., 1:, :] == idx[..., :-1, :])
+        & (shares[..., 1:, :] == shares[..., :-1, :])
+    )
     tails = np.full(shares.shape, np.nan, dtype=np.float64)
-    tails[loaded] = tail_latencies(
+    tails[evaluate] = tail_latencies(
         table,
         workload,
-        idx[loaded],
-        shares[loaded] * table.nominal_capacity_uips,
+        idx[evaluate],
+        shares[evaluate] * table.nominal_capacity_uips,
     )
     defined = ~np.isnan(tails)
     candidates = np.where(defined, tails, -np.inf)
@@ -734,7 +491,7 @@ def _rowsum(array: np.ndarray) -> np.ndarray:
     return total
 
 
-# -- the kernel -------------------------------------------------------------------------
+# -- one replay -------------------------------------------------------------------------
 
 
 def fleet_replay_columns(
@@ -751,7 +508,8 @@ def fleet_replay_columns(
 ) -> Tuple[Dict[str, np.ndarray], Dict[int, Dict[str, np.ndarray]]]:
     """One routing policy's fleet replay as (fleet, per-node) columns.
 
-    Caller guarantees :func:`supports` holds for the trio and has
+    A single-row :class:`~repro.kernels.batch.FleetReplayBatch`.  The
+    caller guarantees :func:`supports` holds for the trio and has
     validated ``disturbances`` against the fleet, trace and grid; the
     result is bit-for-bit identical to ``FleetSimulator.run``'s object
     path.  Routing targets come from the pre-crash states (a node
@@ -761,138 +519,19 @@ def fleet_replay_columns(
     per-step top index; demand stays relative to the full platform's
     nominal capacity, so a capped node keeps its true share.
     """
-    steps = len(trace)
-    utilization = np.asarray(trace.utilization, dtype=np.float64)
-    mass = utilization * fleet_size
-    mass_list = mass.tolist()
-    nominal_capacity = table.nominal_capacity_uips
+    # The batch module imports this one at load time.
+    from repro.kernels.batch import FleetReplayBatch
 
-    timeline = _resolve_states(mass_list, fleet_size, autoscaler, disturbances)
-    top2d = _cap_tops(disturbances, table, fleet_size, steps)
-    serving2d = timeline.state2d == _SERVING
-    booting2d = timeline.state2d == _BOOTING
-    if timeline.route_state2d is timeline.state2d:
-        route_serving2d = serving2d
-        route_booting2d = booting2d
-    else:
-        route_serving2d = timeline.route_state2d == _SERVING
-        route_booting2d = timeline.route_state2d == _BOOTING
+    return FleetReplayBatch(
+        table,
+        workload,
+        fleet_size,
+        governor,
+        routing,
+        autoscaler,
+        off_power_w,
+        [trace],
+        use_queueing,
+        disturbances=[disturbances],
+    ).columns_for(0)
 
-    idx2d = np.full((fleet_size, steps), table.nominal_index, dtype=np.int64)
-    route_active2d = route_serving2d | route_booting2d
-    routing_type = type(routing)
-    if routing_type is LeastLoadedRouting:
-        resets = bool(timeline.wake_counts.any()) or any(timeline.restarted)
-        if _synchronized(table, governor, resets, top2d):
-            shares2d, idx2d = _least_loaded_chain(
-                table,
-                governor,
-                mass,
-                _route_targets(route_serving2d, route_active2d),
-            )
-        else:
-            shares2d = np.zeros((fleet_size, steps), dtype=np.float64)
-            _sequential_selection(
-                table, governor, routing, mass_list, timeline, shares2d,
-                idx2d, fleet_size, top2d,
-            )
-    else:
-        if routing_type is RoundRobinRouting:
-            shares2d = _even_split_shares(mass, route_active2d)
-        else:
-            target2d = _route_targets(route_serving2d, route_active2d)
-            if routing_type is SpreadRouting:
-                shares2d = _even_split_shares(mass, target2d)
-            else:  # PackRouting
-                shares2d = _pack_shares(routing.fill_fraction, mass, target2d)
-        if is_memoryless_kernel(governor):
-            chosen = select_step_indices(
-                governor,
-                table,
-                shares2d[serving2d],
-                shares2d[serving2d] * nominal_capacity,
-                idx2d[serving2d],
-                table.nominal_index if top2d is None else top2d[serving2d],
-            )
-            idx2d[serving2d] = chosen
-        else:
-            _sequential_selection(
-                table, governor, routing, mass_list, timeline, shares2d,
-                idx2d, fleet_size, top2d,
-            )
-
-    demand2d = shares2d * nominal_capacity
-
-    # Per-node columns: gathers over the selected indices, with the
-    # booting/off branches exactly as ServerNode.step writes them.
-    frequency2d = np.where(serving2d, table.frequencies_hz[idx2d], math.nan)
-    power2d = np.where(
-        serving2d,
-        table.power_w[idx2d],
-        np.where(booting2d, table.power_w[0], off_power_w),
-    )
-    wake_extra2d = np.zeros((fleet_size, steps), dtype=np.float64)
-    wake_energy = autoscaler.wake_energy_j if autoscaler is not None else 0.0
-    for index, woken in enumerate(timeline.woken):
-        for node in woken:
-            wake_extra2d[node, index] = wake_energy
-    energy2d = power2d * trace.step_seconds + wake_extra2d
-    capacity2d = np.where(serving2d, table.capacity_uips[idx2d], 0.0)
-    served2d = np.where(serving2d, np.minimum(demand2d, capacity2d), 0.0)
-    qos_metric2d = np.where(serving2d, table.qos_metric[idx2d], math.nan)
-    qos_ok2d = np.where(serving2d, table.qos_ok[idx2d], True)
-    demand_met2d = np.where(
-        serving2d,
-        table.covers_capacity_uips[idx2d] >= demand2d,
-        demand2d <= 0.0,
-    )
-    violation2d = ~(qos_ok2d & demand_met2d)
-
-    serving_counts = serving2d.sum(axis=0)
-    booting_counts = booting2d.sum(axis=0)
-    node_violations = violation2d.sum(axis=0)
-
-    if use_queueing:
-        tails = _worst_tails(table, workload, serving2d, shares2d, idx2d)
-        qos_limit = workload.qos_limit_seconds
-        queue_ok = np.isnan(tails) | (tails <= qos_limit + 1e-12)
-    else:
-        tails = np.full(steps, math.nan)
-        queue_ok = np.ones(steps, dtype=bool)
-
-    fleet_columns: Dict[str, np.ndarray] = {
-        "step": np.arange(steps, dtype=np.int64),
-        "time_s": trace.times(),
-        "utilization": utilization,
-        "offered_uips": mass * nominal_capacity,
-        "served_uips": _rowsum(served2d),
-        "total_power_w": _rowsum(power2d),
-        "energy_j": _rowsum(energy2d),
-        "tail_latency_s": tails,
-        "active_servers": (serving_counts + booting_counts).astype(np.int64),
-        "serving_servers": serving_counts.astype(np.int64),
-        "booting_servers": booting_counts.astype(np.int64),
-        "used_servers": (serving2d & (shares2d > 0.0)).sum(axis=0).astype(np.int64),
-        "wake_events": timeline.wake_counts,
-        "node_violations": node_violations.astype(np.int64),
-        "queue_ok": queue_ok,
-        "demand_met": demand_met2d.all(axis=0),
-        "violation": node_violations > 0,
-    }
-    node_columns: Dict[int, Dict[str, np.ndarray]] = {
-        node: {
-            "state": timeline.state2d[node],
-            "frequency_hz": frequency2d[node],
-            "power_w": power2d[node],
-            "energy_j": energy2d[node],
-            "demand_uips": demand2d[node],
-            "capacity_uips": capacity2d[node],
-            "served_uips": served2d[node],
-            "qos_metric": qos_metric2d[node],
-            "qos_ok": qos_ok2d[node],
-            "demand_met": demand_met2d[node],
-            "violation": violation2d[node],
-        }
-        for node in range(fleet_size)
-    }
-    return fleet_columns, node_columns

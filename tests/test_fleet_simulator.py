@@ -235,10 +235,14 @@ def test_fleet_rejects_bad_construction(default_context):
             fleet_size=2,
             autoscaler=Autoscaler(min_servers=3),
         )
-    with pytest.raises(ValueError, match="off_power_w"):
-        FleetSimulator(
-            default_context, WEB_SEARCH, fleet_size=2, off_power_w=-1.0
-        )
+    for off_power_w in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="off_power_w"):
+            FleetSimulator(
+                default_context,
+                WEB_SEARCH,
+                fleet_size=2,
+                off_power_w=off_power_w,
+            )
 
 
 def test_fleet_energy_column_is_sum_of_node_energies(websearch_fleet, diurnal_trace):

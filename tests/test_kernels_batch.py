@@ -2,8 +2,11 @@
 
 The tentpole claim, pinned with ``np.array_equal`` and exact ``==`` --
 no tolerances anywhere: a :class:`BatchReplayRunner` run over B specs
-is **bit for bit** the same as B independent single-replay kernel
-calls (and, via the simulators, the object-based reference path):
+is **bit for bit** the same as B independent replays.  Single-server
+rows are checked against the scalar governor kernel and
+``GovernorSimulator.replay``; fleet rows against the object-based
+reference path, ``FleetSimulator.run(reference=True)`` (a single
+kernel fleet replay is itself a one-row batch, so it is no oracle):
 
 * every column of every replay, across all governors, routings,
   autoscale on/off and ragged trace lengths (so the (B, T) padding and
@@ -13,11 +16,16 @@ calls (and, via the simulators, the object-based reference path):
   included);
 * hypothesis-sampled batch shapes: random row counts, random lengths,
   mixed governors in one batch;
-* the per-row power-state timeline against the scalar
-  ``_resolve_states`` over drawn traces, fleets, autoscaler bands and
-  crash/restore schedules;
-* the synchronized ``least_loaded`` index chain against both step
-  loops, and ragged batches that split rows between the two paths;
+* ``least_loaded`` on 8- and 12-node fleets, where the routing weights
+  must be summed in node order as the object path sums them;
+* zero-capacity grid bottoms, where ``least_loaded`` splits the mass
+  evenly (explicit values);
+* single replays (one-row batches) against the object path over drawn
+  traces, fleets, autoscaler bands and crash/restore schedules, under
+  every routing, which pins the per-row power-state timeline;
+* the synchronized ``least_loaded`` index chain against the batched
+  step loop, on one row and on ragged stacks, and ragged batches that
+  split rows between the two paths;
 * specs whose policy types have no kernel fall back to the per-replay
   simulator path inside the same batch.
 """
@@ -46,23 +54,19 @@ from repro.fleet.result import FLEET_COLUMNS, NODE_COLUMNS
 from repro.fleet.routing import (
     LeastLoadedRouting,
     RoundRobinRouting,
-    router_by_name,
 )
 from repro.kernels import (
     BatchReplayRunner,
     FleetReplayBatch,
     FrequencyTable,
     ReplaySpec,
-    fleet_replay_columns,
     governor_replay_columns,
 )
 from repro.kernels.batch import _batched_sequential_selection, _row_timeline
 from repro.kernels.fleet import (
     _least_loaded_chain,
     _least_loaded_ratios,
-    _resolve_states,
     _route_targets,
-    _sequential_selection,
 )
 from repro.kernels.governors import select_step_indices
 from repro.workloads.banking_vm import VMS_LOW_MEM
@@ -93,6 +97,22 @@ def assert_columns_equal(got, ref, label):
         assert np.array_equal(
             column, reference, equal_nan=column.dtype.kind == "f"
         ), f"{label}/{name}"
+
+
+def assert_fleet_columns_equal(got, reference, label):
+    """Every fleet and node column of two fleet results, dtypes included."""
+    assert_columns_equal(
+        {name: got.column(name) for name in FLEET_COLUMNS},
+        {name: reference.column(name) for name in FLEET_COLUMNS},
+        label,
+    )
+    assert got.node_ids == reference.node_ids, label
+    for node in reference.node_ids:
+        assert_columns_equal(
+            {name: got.node_column(node, name) for name in NODE_COLUMNS},
+            {name: reference.node_column(node, name) for name in NODE_COLUMNS},
+            f"{label}/node{node}",
+        )
 
 
 # -- single-server batches vs looped kernel calls ---------------------------------------
@@ -146,7 +166,7 @@ def test_mixed_governor_batch_matches_simulator_summaries(
         assert summaries[index] == reference.summary()
 
 
-# -- fleet batches vs looped kernel calls -----------------------------------------------
+# -- fleet batches vs the object path ---------------------------------------------------
 
 
 @pytest.mark.parametrize("routing", sorted(ROUTERS))
@@ -167,7 +187,8 @@ def test_mixed_governor_batch_matches_simulator_summaries(
 def test_batched_fleet_equals_looped_kernel_calls(
     routing, governor, batch, autoscale, default_context
 ):
-    """(B, N, T) stacking is exact for every routing x governor trio."""
+    """(B, N, T) stacking is exact for every routing x governor trio:
+    each row equals the object path's replay of its trace."""
     autoscaler = Autoscaler() if autoscale else None
     traces = [make_trace(values, name=f"row{i}") for i, values in enumerate(batch)]
     specs = [
@@ -184,29 +205,20 @@ def test_batched_fleet_equals_looped_kernel_calls(
     ]
     result = BatchReplayRunner(default_context).run(specs)
     assert result.fallback_count == 0
-    table = default_context.frequency_table(WEB_SEARCH)
+    simulator = FleetSimulator(
+        default_context,
+        WEB_SEARCH,
+        fleet_size=3,
+        governor=governor,
+        autoscaler=autoscaler,
+        off_power_w=7.0,
+    )
     for row, trace in enumerate(traces):
-        fleet_ref, node_ref = fleet_replay_columns(
-            table,
-            WEB_SEARCH,
-            3,
-            governor_by_name(governor),
-            router_by_name(routing),
-            autoscaler,
-            7.0,
-            trace,
-            True,
+        assert_fleet_columns_equal(
+            result.result(row),
+            simulator.run(trace, routing, reference=True),
+            f"{routing}/{governor}/row{row}",
         )
-        replay = result.result(row)
-        got = {name: replay.column(name) for name in fleet_ref}
-        assert_columns_equal(got, fleet_ref, f"{routing}/{governor}/row{row}")
-        for node, reference in node_ref.items():
-            got = {
-                name: replay.node_column(node, name) for name in reference
-            }
-            assert_columns_equal(
-                got, reference, f"{routing}/{governor}/row{row}/node{node}"
-            )
 
 
 @pytest.mark.parametrize("routing", sorted(ROUTERS))
@@ -240,41 +252,28 @@ def test_batched_fleet_summaries_match_simulator(routing, default_context):
         assert summaries[index] == simulator.run(trace, routing).summary()
 
 
-def _assert_batch_equals_looped_kernel(
-    table, governor, routing, traces, fleet_size, use_queueing,
-    disturbances=None,
-):
-    disturbances = disturbances or [None] * len(traces)
-    batch = FleetReplayBatch(
-        table, WEB_SEARCH, fleet_size, governor, routing, None, 0.0,
-        traces, use_queueing, disturbances=disturbances,
-    )
-    for row, trace in enumerate(traces):
-        fleet_ref, node_ref = fleet_replay_columns(
-            table, WEB_SEARCH, fleet_size, governor, routing, None, 0.0,
-            trace, use_queueing, disturbances[row],
-        )
-        fleet, nodes = batch.columns_for(row)
-        assert_columns_equal(fleet, fleet_ref, f"row{row}")
-        for node, reference in node_ref.items():
-            assert_columns_equal(nodes[node], reference, f"row{row}/node{node}")
-
-
 @pytest.mark.parametrize("governor", ["conservative", "ondemand"])
 @pytest.mark.parametrize("fleet_size", [8, 12])
 def test_wide_least_loaded_batch_sums_weights_in_node_order(
     governor, fleet_size, default_context
 ):
     """From eight nodes up NumPy's pairwise ``sum`` rounds differently
-    from the scalar loop's running total; the batch must not."""
-    _assert_batch_equals_looped_kernel(
-        default_context.frequency_table(WEB_SEARCH),
-        governor_by_name(governor),
-        LeastLoadedRouting(),
-        [LoadTrace.bursty(steps=60, seed=seed) for seed in (1, 2)],
-        fleet_size,
-        True,
+    from the object path's running total; the batch must not."""
+    traces = [LoadTrace.bursty(steps=60, seed=seed) for seed in (1, 2)]
+    batch = FleetReplayBatch(
+        default_context.frequency_table(WEB_SEARCH), WEB_SEARCH, fleet_size,
+        governor_by_name(governor), LeastLoadedRouting(), None, 0.0,
+        traces, True, disturbances=[None] * len(traces),
     )
+    simulator = FleetSimulator(
+        default_context, WEB_SEARCH, fleet_size=fleet_size, governor=governor
+    )
+    for row, trace in enumerate(traces):
+        assert_fleet_columns_equal(
+            batch.result(row),
+            simulator.run(trace, "least_loaded", reference=True),
+            f"row{row}",
+        )
 
 
 def _zero_capacity_bottom_table():
@@ -289,50 +288,43 @@ def _zero_capacity_bottom_table():
     )
 
 
-def test_least_loaded_batch_zero_capacity_falls_back_to_even_split():
-    """A zero-capacity grid bottom zeroes every weight once powersave
-    parks the fleet there; each batch row then splits evenly, exactly
-    as the single-replay kernel does (ragged rows included)."""
-    table = _zero_capacity_bottom_table()
-    _assert_batch_equals_looped_kernel(
-        table,
-        governor_by_name("powersave"),
-        LeastLoadedRouting(),
-        [LoadTrace.constant(0.5, steps=3), LoadTrace.constant(0.3, steps=5)],
-        2,
-        False,
+def _zero_capacity_batch(traces, disturbances):
+    """Two powersave nodes on :func:`_zero_capacity_bottom_table`
+    (nominal capacity 1e9 uips), routed ``least_loaded``."""
+    return FleetReplayBatch(
+        _zero_capacity_bottom_table(), WEB_SEARCH, 2,
+        governor_by_name("powersave"), LeastLoadedRouting(), None, 0.0,
+        traces, False, disturbances=disturbances,
     )
+
+
+def test_least_loaded_batch_zero_capacity_falls_back_to_even_split():
+    """Powersave parks the fleet on a zero-capacity grid bottom from
+    step 0, which zeroes every weight; each batch row then splits its
+    mass evenly at every step (ragged rows included)."""
+    traces = [LoadTrace.constant(0.5, steps=3), LoadTrace.constant(0.3, steps=5)]
+    batch = _zero_capacity_batch(traces, [None, None])
+    demand = batch.node_columns["demand_uips"]
+    assert demand[0, :, :3].tolist() == [[0.5e9] * 3] * 2
+    assert demand[1].tolist() == [[0.3e9] * 5] * 2
 
 
 def test_least_loaded_batch_zero_capacity_fallback_on_the_step_loop():
     """A cap below nominal keeps a row on the batched step loop, whose
     zero-weight total takes the even-split fallback; it shares the
     group with a synchronized row on the chain."""
-    table = _zero_capacity_bottom_table()
     traces = [LoadTrace.constant(0.5, steps=3), LoadTrace.constant(0.3, steps=5)]
     capped = DisturbanceSchedule(events=(thermal_cap(0, 0, 1.5e9),))
     with obs.capture() as window:
-        _assert_batch_equals_looped_kernel(
-            table, governor_by_name("powersave"), LeastLoadedRouting(),
-            traces, 2, False, disturbances=[capped, None],
-        )
-    # The batch and the per-row kernel calls each split the rows alike.
-    assert window.counter_deltas()["fleet.selection_step_rows"] == 2
-    assert window.counter_deltas()["fleet.selection_chain_rows"] == 2
-    fleet, _ = fleet_replay_columns(
-        table, WEB_SEARCH, 2, governor_by_name("powersave"),
-        LeastLoadedRouting(), None, 0.0, traces[0], False, capped,
-    )
+        batch = _zero_capacity_batch(traces, [capped, None])
+    assert window.counter_deltas()["fleet.selection_step_rows"] == 1
+    assert window.counter_deltas()["fleet.selection_chain_rows"] == 1
+    demand = batch.node_columns["demand_uips"]
     # Step 0 weighs the capped node at zero; from step 1 both weights
     # are zero and the mass splits evenly.
-    batch = FleetReplayBatch(
-        table, WEB_SEARCH, 2, governor_by_name("powersave"),
-        LeastLoadedRouting(), None, 0.0, traces[:1], False,
-        disturbances=[capped],
-    )
-    demand = batch.node_columns["demand_uips"][0]
-    assert demand[:, 0].tolist() == [0.0, 1.0e9]
-    assert demand[:, 1:].tolist() == [[0.5e9, 0.5e9], [0.5e9, 0.5e9]]
+    assert demand[0, :, 0].tolist() == [0.0, 1.0e9]
+    assert demand[0, :, 1:3].tolist() == [[0.5e9, 0.5e9], [0.5e9, 0.5e9]]
+    assert demand[1].tolist() == [[0.3e9] * 5] * 2
 
 
 def test_fleet_batch_needs_one_schedule_per_trace(default_context):
@@ -409,11 +401,20 @@ def timeline_cases(draw):
     return utilization, fleet_size, autoscaler, schedule
 
 
-def _pair_mask(pairs_per_step, fleet_size):
-    mask = np.zeros((fleet_size, len(pairs_per_step)), dtype=bool)
-    for step, nodes in enumerate(pairs_per_step):
-        mask[nodes, step] = True
-    return mask
+def _kernel_and_reference(simulator, trace, routing, schedule):
+    """``FleetSimulator.run`` on the kernel and on the object path;
+    a path that raises gives its error message instead."""
+    outcomes = []
+    for reference in (False, True):
+        try:
+            outcomes.append(
+                simulator.run(
+                    trace, routing, reference=reference, disturbances=schedule
+                )
+            )
+        except ValueError as error:
+            outcomes.append(str(error))
+    return outcomes
 
 
 @settings(max_examples=300, deadline=None)
@@ -434,25 +435,27 @@ def _pair_mask(pairs_per_step, fleet_size):
         DisturbanceSchedule(events=(node_crash(0, 1),)),
     )
 )
-def test_row_timeline_equals_the_scalar_state_machine(case):
-    """The batch engine's per-row timeline is ``_resolve_states`` bit for
-    bit: routing-view and post-crash states, wakes and static restores."""
+def test_row_timeline_equals_the_scalar_state_machine(case, default_context):
+    """A single replay -- a one-row batch -- equals the object path on
+    every fleet and node column under every routing, or fails with the
+    same error.  Per-node ``demand_uips`` shows the routing view before
+    a step's crashes land; ``state``, ``wake_events``,
+    ``serving_servers`` and ``booting_servers`` show the post-crash
+    states, the wakes and the static restores."""
     utilization, fleet_size, autoscaler, schedule = case
-    mass = (np.asarray(utilization, dtype=np.float64) * fleet_size).tolist()
-    reference = _resolve_states(mass, fleet_size, autoscaler, schedule)
-    timeline = _row_timeline(mass, fleet_size, autoscaler, schedule)
-    assert timeline.route_state.dtype == np.int8
-    assert np.array_equal(timeline.route_state, reference.route_state2d)
-    assert np.array_equal(timeline.state, reference.state2d)
-    for got, pairs in (
-        (timeline.wake, reference.woken),
-        (timeline.restart, reference.restarted),
-    ):
-        expected = _pair_mask(pairs, fleet_size)
-        if got is None:
-            assert not expected.any()
+    simulator = FleetSimulator(
+        default_context, WEB_SEARCH, fleet_size=fleet_size,
+        autoscaler=autoscaler,
+    )
+    trace = make_trace(utilization)
+    for routing in sorted(ROUTERS):
+        kernel, reference = _kernel_and_reference(
+            simulator, trace, routing, schedule
+        )
+        if isinstance(reference, str):
+            assert kernel == reference, routing
         else:
-            assert np.array_equal(got, expected)
+            _assert_fleet_results_equal(kernel, reference, routing)
 
 
 # -- the synchronized least_loaded chain ------------------------------------------------
@@ -518,37 +521,29 @@ def synchronized_cases(draw):
 
 
 def _assert_chain_equals_step_loops(table, governor, fleet_size, rows):
-    """``_least_loaded_chain`` == both step loops, bit for bit, on every
-    row alone (``(N, T)``) and on the rows stacked (``(B, N, T)``)."""
+    """``_least_loaded_chain`` == the batched step loop, bit for bit, on
+    every row alone (B=1) and on the rows stacked (ragged B)."""
     masses, timelines = [], []
     for utilization, autoscaler, schedule in rows:
         mass = np.asarray(utilization, dtype=np.float64) * fleet_size
         masses.append(mass)
-        timeline = _resolve_states(
-            mass.tolist(), fleet_size, autoscaler, schedule
+        timelines.append(
+            _row_timeline(mass.tolist(), fleet_size, autoscaler, schedule)
         )
-        timelines.append(timeline)
-        shares_ref = np.zeros((fleet_size, len(mass)))
-        idx_ref = np.full(
-            (fleet_size, len(mass)), table.nominal_index, dtype=np.int64
+    for mass, timeline in zip(masses, timelines):
+        _assert_chain_equals_step_loop(
+            table, governor, fleet_size, [mass], [timeline]
         )
-        _sequential_selection(
-            table, governor, LeastLoadedRouting(), mass.tolist(), timeline,
-            shares_ref, idx_ref, fleet_size, None,
-        )
-        route = timeline.route_state2d
-        shares, idx = _least_loaded_chain(
-            table,
-            governor,
-            mass,
-            _route_targets(route == _SERVING, route != _OFF),
-        )
-        serving = timeline.state2d == _SERVING
-        assert _same_bits(shares, shares_ref)
-        assert _same_bits(idx[serving], idx_ref[serving])
+    _assert_chain_equals_step_loop(
+        table, governor, fleet_size, masses, timelines
+    )
 
+
+def _assert_chain_equals_step_loop(
+    table, governor, fleet_size, masses, timelines
+):
     lengths = [len(mass) for mass in masses]
-    batch, steps = len(rows), max(lengths)
+    batch, steps = len(masses), max(lengths)
     mass2d = np.zeros((batch, steps))
     # Padded steps as FleetReplayBatch pads them: node 0 serving.
     state3d = np.full((batch, fleet_size, steps), _OFF, dtype=np.int8)
@@ -556,8 +551,8 @@ def _assert_chain_equals_step_loops(table, governor, fleet_size, rows):
     route3d = state3d.copy()
     for row, (mass, timeline) in enumerate(zip(masses, timelines)):
         mass2d[row, : len(mass)] = mass
-        state3d[row, :, : len(mass)] = timeline.state2d
-        route3d[row, :, : len(mass)] = timeline.route_state2d
+        state3d[row, :, : len(mass)] = timeline.state
+        route3d[row, :, : len(mass)] = timeline.route_state
     valid2d = np.arange(steps) < np.array(lengths)[:, np.newaxis]
     serving3d = state3d == _SERVING
     target3d = _route_targets(route3d == _SERVING, route3d != _OFF)
@@ -593,8 +588,9 @@ def _assert_chain_equals_step_loops(table, governor, fleet_size, rows):
     )
 )
 def test_least_loaded_chain_equals_the_step_loops(case, default_context):
-    """On synchronized rows the closed-form chain reproduces both step
-    loops' shares and serving-node indices bit for bit: one- to
+    """On synchronized rows the closed-form chain reproduces the step
+    loop's shares and serving-node indices bit for bit, alone and
+    stacked: one- to
     sixteen-node fleets, every memoryless governor, zero-load and
     saturated plateaus, single-step traces, crashes, and autoscaled
     rows that park but never wake."""
@@ -648,10 +644,10 @@ def test_least_loaded_chain_walks_where_candidates_disagree(default_context):
     )
     mass = np.array(utilization) * 8
     _, idx = _least_loaded_chain(
-        table, governor, mass, np.ones((8, 3), dtype=bool)
+        table, governor, mass[np.newaxis], np.ones((1, 8, 3), dtype=bool)
     )
     # The first candidate column alone would give 14, 14, 15.
-    assert idx[0].tolist() == [14, 15, 16]
+    assert idx[0, 0].tolist() == [14, 15, 16]
     simulator = FleetSimulator(
         default_context, WEB_SEARCH, fleet_size=8, governor="qos_tracker"
     )

@@ -1,4 +1,4 @@
-"""Kernel-vs-reference equivalence for the columnar fleet stepper.
+"""Kernel-vs-reference equivalence for the fleet replay kernels.
 
 The acceptance criterion the tentpole pins: for **every** routing x
 governor x autoscale combination, the kernel path's fleet-level and
@@ -24,7 +24,7 @@ from repro.fleet.node import NodeState
 from repro.fleet.result import FLEET_COLUMNS, NODE_COLUMNS
 from repro.fleet.routing import SpreadRouting
 from repro.kernels import fleet_kernel_supports, select_step_indices
-from repro.kernels.fleet import supports, tail_latencies
+from repro.kernels.fleet import _worst_tails, supports, tail_latencies
 from repro.kernels.table import FrequencyTable
 from repro.latency.queueing import MG1Queue, MM1Queue
 from repro.workloads.banking_vm import VMS_HIGH_MEM
@@ -318,10 +318,12 @@ def test_routing_kernels_reject_an_empty_active_set(default_context):
     def pack(*args):
         return _pack_shares(0.75, *args)
 
-    def least_loaded_chain(*args):
+    def least_loaded_chain(mass, targets, valid=None):
         table = default_context.frequency_table(WEB_SEARCH)
         governor = governor_by_name("qos_tracker")
-        return _least_loaded_chain(table, governor, *args)[0]
+        if targets.ndim == 2:  # the chain takes (B, N, T) only
+            mass, targets = mass[np.newaxis], targets[np.newaxis]
+        return _least_loaded_chain(table, governor, mass, targets, valid)[0]
 
     # A ragged batch's padded steps may have no target at all; only the
     # valid (unpadded) steps must.
@@ -613,3 +615,133 @@ def test_tail_deduplication_preserves_order_and_values(default_context):
     ) == 6
     _assert_tails_exactly_equal(table, WEB_SEARCH, indices, demand)
     assert tail_latencies(table, WEB_SEARCH, [], []).size == 0
+
+
+# -- the per-step worst tail and its neighbour skip -------------------------------------
+
+# Every tail branch on four grid points: zero capacity (inf), a NaN
+# base latency, and two finite points, the nominal one last.
+_TAIL_TABLE = FrequencyTable(
+    workload_name="tails",
+    frequencies_hz=[1.0e9, 1.5e9, 2.0e9, 3.0e9],
+    capacity_uips=[0.0, 1.0e9, 1.5e9, 2.0e9],
+    power_w=[10.0, 15.0, 20.0, 30.0],
+    qos_metric=[0.0, 0.0, 0.0, 0.0],
+    qos_ok=[True, True, True, True],
+    latency_seconds=[0.01, np.nan, 0.008, 0.005],
+)
+# Zero, finite and saturating (>= a point's capacity) shares.
+_TAIL_SHARES = (0.0, 0.25, 0.5, 0.8, 1.0)
+
+
+@st.composite
+def _tail_cases(draw):
+    """``(serving, idx, shares)`` over a drawn ``(B, N, T)``: a node may
+    repeat its previous neighbour's (index, share), and the small pools
+    make equal non-neighbours common."""
+    batch = draw(st.integers(min_value=1, max_value=3))
+    fleet_size = draw(st.integers(min_value=1, max_value=6))
+    steps = draw(st.integers(min_value=1, max_value=4))
+    shape = (batch, fleet_size, steps)
+    serving = np.empty(shape, dtype=bool)
+    idx = np.empty(shape, dtype=np.int64)
+    shares = np.empty(shape, dtype=np.float64)
+    cell = st.tuples(
+        st.booleans(),
+        st.integers(min_value=0, max_value=len(_TAIL_TABLE) - 1),
+        st.sampled_from(_TAIL_SHARES),
+        st.booleans(),
+    )
+    for row in range(batch):
+        for step in range(steps):
+            for node in range(fleet_size):
+                up, index, share, repeat = draw(cell)
+                if repeat and node:
+                    index = idx[row, node - 1, step]
+                    share = shares[row, node - 1, step]
+                serving[row, node, step] = up
+                idx[row, node, step] = index
+                shares[row, node, step] = share
+    return serving, idx, shares
+
+
+def _tail_case(*nodes):
+    """One step of a one-row batch, a ``(serving, index, share)`` per node."""
+    serving, idx, shares = zip(*nodes)
+    shape = (1, len(nodes), 1)
+    return (
+        np.array(serving, dtype=bool).reshape(shape),
+        np.array(idx, dtype=np.int64).reshape(shape),
+        np.array(shares, dtype=np.float64).reshape(shape),
+    )
+
+
+def _running_worst_tails(table, workload, serving, idx, shares):
+    """The reference loop's per-step worst tail, one pair at a time."""
+    batch, fleet_size, steps = shares.shape
+    worst = np.empty((batch, steps), dtype=np.float64)
+    for row in range(batch):
+        for step in range(steps):
+            running = math.nan
+            for node in range(fleet_size):
+                share = shares[row, node, step]
+                if serving[row, node, step] and share > 0.0:
+                    tail = float(
+                        tail_latencies(
+                            table,
+                            workload,
+                            [idx[row, node, step]],
+                            [share * table.nominal_capacity_uips],
+                        )[0]
+                    )
+                    if math.isnan(running) or tail > running:
+                        running = tail
+            worst[row, step] = running
+    return worst
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_tail_cases())
+# Same index, larger share on the second node: an index-only skip
+# would drop the larger tail.
+@example(case=_tail_case((True, 3, 0.25), (True, 3, 0.5)))
+# Same share, slower point on the second node: a share-only skip would
+# drop the larger tail.
+@example(case=_tail_case((True, 3, 0.5), (True, 2, 0.5)))
+# A run of three broken by an idle node, then a saturated pair.
+@example(
+    case=_tail_case(
+        (True, 2, 0.25), (False, 2, 0.25), (True, 2, 0.25), (True, 2, 0.8)
+    )
+)
+def test_worst_tails_equal_the_running_max(case):
+    """Skipping a node loaded with its previous neighbour's (index,
+    share) never changes a step's worst tail: the same floats, infs and
+    NaNs as the reference loop's running max over every loaded node."""
+    serving, idx, shares = case
+    got = _worst_tails(_TAIL_TABLE, WEB_SEARCH, serving, shares, idx)
+    expected = _running_worst_tails(
+        _TAIL_TABLE, WEB_SEARCH, serving, idx, shares
+    )
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "governor", ["ondemand", "performance", "powersave", "qos_tracker"]
+)
+def test_static_round_robin_hands_one_tail_pair_per_loaded_step(
+    governor, default_context
+):
+    """A static round_robin fleet under a memoryless governor loads every
+    node with one (index, share), so each loaded step is one pair."""
+    trace = LoadTrace(
+        name="gaps",
+        step_seconds=60.0,
+        utilization=(0.0, 0.3, 0.3, 0.0, 0.9, 0.5),
+    )
+    simulator = FleetSimulator(
+        default_context, WEB_SEARCH, fleet_size=6, governor=governor
+    )
+    with obs.capture() as window:
+        simulator.run(trace, "round_robin")
+    assert window.counter_deltas()["fleet.tail_pairs"] == 4
