@@ -55,23 +55,27 @@ def bench_artifact():
 def paired_walls():
     """Wall times of two functions, run back to back ``repeats`` times.
 
-    Returns ``[(first_s, second_s), ...]``, one pair per repeat.  The
-    two runs of a pair sit a moment apart, so host-speed drift between
-    pairs (a shared machine swings up to ~2x for seconds at a time)
-    scales both walls of a pair alike and cancels out of its ratio;
-    gate on the median pair ratio, not on separately taken bests.
+    Returns ``[(first_s, second_s), ...]``, one pair per repeat, in
+    argument order.  The two runs of a pair sit a moment apart, so
+    host-speed drift between pairs (a shared machine swings up to ~2x
+    for seconds at a time) scales both walls of a pair alike and
+    cancels out of its ratio; gate on the median pair ratio, not on
+    separately taken bests.  Which function runs first alternates from
+    repeat to repeat, so whatever running first or second is worth
+    (warm caches, drift within a pair) lands on both sides alike.
 
     Usage: ``pairs = paired_walls(first, second, repeats=12)``.
     """
 
     def measure(first, second, repeats: int):
+        functions = (first, second)
         pairs = []
-        for _ in range(repeats):
-            walls = []
-            for function in (first, second):
+        for repeat in range(repeats):
+            walls = [0.0, 0.0]
+            for index in (0, 1) if repeat % 2 == 0 else (1, 0):
                 started = time.perf_counter()
-                function()
-                walls.append(time.perf_counter() - started)
+                functions[index]()
+                walls[index] = time.perf_counter() - started
             pairs.append(tuple(walls))
         return pairs
 

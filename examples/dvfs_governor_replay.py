@@ -58,15 +58,23 @@ def print_governor_comparison(result) -> None:
 def print_qos_tracker_day(result) -> None:
     """How the winning policy rides the V/f curve over the day."""
     steps = result.extras["dvfs_replay"]["_steps"]["Web Search"]["qos_tracker"]
+    # One list per column; every 4th step is every second hour.
+    sampled = {name: values[::4] for name, values in steps.items()}
     rows = [
         (
-            f"{row['time_s'] / 3600.0:.1f}",
-            f"{row['utilization']:.2f}",
-            f"{row['frequency_hz'] / 1e6:.0f}",
-            f"{row['power_w']:.1f}",
-            "violated" if row["violation"] else "ok",
+            f"{time_s / 3600.0:.1f}",
+            f"{utilization:.2f}",
+            f"{frequency_hz / 1e6:.0f}",
+            f"{power_w:.1f}",
+            "violated" if violation else "ok",
         )
-        for row in steps[::4]  # every second hour
+        for time_s, utilization, frequency_hz, power_w, violation in zip(
+            sampled["time_s"],
+            sampled["utilization"],
+            sampled["frequency_hz"],
+            sampled["power_w"],
+            sampled["violation"],
+        )
     ]
     print("\nqos_tracker over the Web Search day (2-hour samples)")
     print(format_table(("hour", "load", "f (MHz)", "P (W)", "QoS"), rows))

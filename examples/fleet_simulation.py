@@ -67,16 +67,25 @@ def print_routing_comparison(result) -> None:
 def print_fleet_day(result) -> None:
     """How the autoscaled pack fleet follows the day."""
     steps = result.extras["fleet_replay"]["_steps"]["Web Search"]["pack"]
+    # One list per column; every 4th step is every second hour.
+    sampled = {name: values[::4] for name, values in steps.items()}
     rows = [
         (
-            f"{row['time_s'] / 3600.0:.1f}",
-            f"{row['utilization']:.2f}",
-            row["serving_servers"],
-            row["used_servers"],
-            f"{row['total_power_w']:.0f}",
-            "violated" if row["violation"] else "ok",
+            f"{time_s / 3600.0:.1f}",
+            f"{utilization:.2f}",
+            serving,
+            used,
+            f"{power_w:.0f}",
+            "violated" if violation else "ok",
         )
-        for row in steps[::4]  # every second hour
+        for time_s, utilization, serving, used, power_w, violation in zip(
+            sampled["time_s"],
+            sampled["utilization"],
+            sampled["serving_servers"],
+            sampled["used_servers"],
+            sampled["total_power_w"],
+            sampled["violation"],
+        )
     ]
     print("\npack + autoscale over the Web Search day (2-hour samples)")
     print(

@@ -9,8 +9,7 @@ scalars the ``dvfs_replay`` analysis and the golden fixtures pin.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -71,20 +70,18 @@ class ReplayResult:
     def __len__(self) -> int:
         return len(self._columns["step"])
 
-    def to_dicts(self) -> List[Dict[str, object]]:
-        """All steps as plain JSON-able dicts, in step order."""
-        rows: List[Dict[str, object]] = []
-        for index in range(len(self)):
-            row: Dict[str, object] = {"step": int(self._columns["step"][index])}
-            for name in _FLOAT_COLUMNS:
-                row[name] = float(self._columns[name][index])
-            for name in _OPTIONAL_COLUMNS:
-                value = float(self._columns[name][index])
-                row[name] = None if math.isnan(value) else value
-            for name in _BOOL_COLUMNS:
-                row[name] = bool(self._columns[name][index])
-            rows.append(row)
-        return rows
+    def to_columns(self) -> Dict[str, list]:
+        """All steps as plain JSON-able lists, one per ``REPLAY_COLUMNS`` name.
+
+        Each column is one ``ndarray.tolist()``: the same Python ints,
+        floats and bools the backing arrays hold.  An undefined (NaN)
+        ``qos_metric`` becomes ``None``, keeping the columns strict JSON.
+        """
+        columns = {name: self._columns[name].tolist() for name in REPLAY_COLUMNS}
+        undefined = np.flatnonzero(np.isnan(self._columns["qos_metric"]))
+        for index in undefined.tolist():
+            columns["qos_metric"][index] = None
+        return columns
 
     # -- reductions -------------------------------------------------------------------
 

@@ -5,8 +5,9 @@ per-node table; :class:`FleetResult` stores both as NumPy columns (the
 :class:`~repro.sweep.result.SweepResult` shape) so energy totals,
 server residencies and violation counts are vectorised reductions.
 :meth:`summary` exposes the per-routing scalars the ``fleet_replay``
-analysis and the golden fixtures pin; the bulky per-step rows ride
-under the analysis' private ``_steps`` key by convention.
+analysis and the golden fixtures pin; the bulky fleet-level step table
+rides under the analysis' private ``_steps`` key by convention, as the
+plain lists of :meth:`~FleetResult.to_columns` (one per column).
 
 Two ledger invariants the property tests lock down:
 
@@ -19,7 +20,6 @@ Two ledger invariants the property tests lock down:
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -170,31 +170,22 @@ class FleetResult:
         """Total replay duration."""
         return self.step_seconds * len(self)
 
-    def to_dicts(self) -> List[Dict[str, object]]:
-        """Fleet-level steps as plain JSON-able dicts, in step order.
+    def to_columns(self) -> Dict[str, list]:
+        """Fleet-level steps as plain JSON-able lists, one per ``FLEET_COLUMNS``.
 
-        Non-finite tail latencies serialise as ``None`` (undefined) or
-        the string ``"saturated"`` (an overloaded queue), keeping the
-        rows valid strict JSON.
+        Each column is one ``ndarray.tolist()``: the same Python ints,
+        floats and bools the backing arrays hold.  Non-finite tail
+        latencies become ``None`` (undefined) or the string
+        ``"saturated"`` (an overloaded queue), keeping the columns
+        strict JSON.
         """
-        rows: List[Dict[str, object]] = []
-        for index in range(len(self)):
-            row: Dict[str, object] = {"step": int(self._columns["step"][index])}
-            for name in _FLEET_FLOAT_COLUMNS:
-                row[name] = float(self._columns[name][index])
-            tail = float(self._columns["tail_latency_s"][index])
-            if math.isnan(tail):
-                row["tail_latency_s"] = None
-            elif math.isinf(tail):
-                row["tail_latency_s"] = "saturated"
-            else:
-                row["tail_latency_s"] = tail
-            for name in _FLEET_INT_COLUMNS:
-                row[name] = int(self._columns[name][index])
-            for name in _FLEET_BOOL_COLUMNS:
-                row[name] = bool(self._columns[name][index])
-            rows.append(row)
-        return rows
+        columns = {name: self._columns[name].tolist() for name in FLEET_COLUMNS}
+        tails = self._columns["tail_latency_s"]
+        for index in np.flatnonzero(np.isnan(tails)).tolist():
+            columns["tail_latency_s"][index] = None
+        for index in np.flatnonzero(np.isinf(tails)).tolist():
+            columns["tail_latency_s"][index] = "saturated"
+        return columns
 
     # -- reductions -------------------------------------------------------------------
 

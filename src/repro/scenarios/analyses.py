@@ -189,7 +189,8 @@ def dvfs_replay(
     evaluations as the sweep.  Scalars -- per-governor energy, mean
     frequency, energy per unit of work, violations -- are golden-pinned;
     the full per-step tables ride along under the private ``_steps``
-    key (rendered by the CLI, excluded from the golden fixtures).
+    key as :meth:`~repro.dvfs.replay.ReplayResult.to_columns` lists
+    (rendered by the CLI, excluded from the golden fixtures).
     """
     from repro.dvfs import GOVERNORS, GovernorSimulator, load_trace_by_name
 
@@ -213,7 +214,7 @@ def dvfs_replay(
             governor: replay.summary() for governor, replay in replays.items()
         }
         steps[name] = {
-            governor: replay.to_dicts() for governor, replay in replays.items()
+            governor: replay.to_columns() for governor, replay in replays.items()
         }
         clean = {
             governor: replay
@@ -248,7 +249,8 @@ def fleet_replay(
     against its utilisation band.  Per-routing scalars and the
     :class:`~repro.fleet.economics.CostModel` rollups are golden-pinned;
     the full per-step fleet tables ride along under the private
-    ``_steps`` key (rendered by the CLI, excluded from the goldens).
+    ``_steps`` key as :meth:`~repro.fleet.result.FleetResult.to_columns`
+    lists (rendered by the CLI, excluded from the goldens).
 
     ``best_routing_at_zero_violations`` ranks by energy among routings
     with zero *node* violations (QoS/coverage at the chosen operating
@@ -293,7 +295,7 @@ def fleet_replay(
             for routing, result in results.items()
         }
         steps[name] = {
-            routing: result.to_dicts() for routing, result in results.items()
+            routing: result.to_columns() for routing, result in results.items()
         }
         clean = {
             routing: result
@@ -335,7 +337,8 @@ def fleet_stress(
     like any injected failure.  ``best_recovering_routing`` ranks by
     energy among routings that recover from *every* event before the
     trace ends.  The full per-step tables ride under the private
-    ``_steps`` key (rendered by the CLI, excluded from the goldens).
+    ``_steps`` key as :meth:`~repro.fleet.result.FleetResult.to_columns`
+    lists (rendered by the CLI, excluded from the goldens).
     """
     from repro.dvfs import load_trace_by_name
     from repro.fleet import Autoscaler, FleetSimulator, load_surge
@@ -397,7 +400,7 @@ def fleet_stress(
             else None
         )
         steps[name] = {
-            routing: result.to_dicts() for routing, result in results.items()
+            routing: result.to_columns() for routing, result in results.items()
         }
     return {
         "trace": trace.summary(),

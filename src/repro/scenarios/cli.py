@@ -11,9 +11,10 @@ Commands
 ``run NAME... | --all``
     Execute scenarios and emit results as an aligned text table
     (default), ``--format csv`` (the sweep rows) or ``--format json``
-    (summaries + key scalars + analyses; ``--sweep`` adds the full
-    table).  ``--output FILE`` writes a single scenario's output to a
-    file; ``--outdir DIR`` writes one file per scenario.
+    (compact strict JSON: summaries + key scalars + analyses, per-step
+    tables as columns; ``--sweep`` adds the full table).  ``--output
+    FILE`` writes a single scenario's output to a file; ``--outdir
+    DIR`` writes one file per scenario.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ from repro.resilience.errors import classify
 from repro.scenarios.registry import REGISTRY, ScenarioRegistry
 from repro.scenarios.runner import ScenarioResult, ScenarioRunner, _public_tree
 from repro.sweep.result import COLUMNS
+
+OUTPUT_LAYOUT = "steps-columnar/json-compact"
+"""The rendered output's layout: ``_steps`` tables as columns, compact JSON.
+
+Part of the checkpoint fingerprint, so a ``--checkpoint-dir`` written
+under another layout is rebuilt instead of resumed into a mixed run.
+Change it whenever the same flags start rendering different bytes.
+"""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,44 +139,62 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _qos_cells(violations: List[bool]) -> List[str]:
+    """The QoS cell of each step: ``violated`` or ``ok``."""
+    return ["violated" if violation else "ok" for violation in violations]
+
+
+def _tail_cells(tails: List[object]) -> List[str]:
+    """Tail-latency cells in ms; ``-`` when undefined, ``sat`` when saturated."""
+    return [
+        "-" if tail is None else "sat" if tail == "saturated" else f"{tail * 1e3:.1f}"
+        for tail in tails
+    ]
+
+
 def _render_replay_steps(extras: dict) -> List[str]:
-    """Per-step governor tables of a ``dvfs_replay`` analysis."""
+    """Per-step governor tables of a ``dvfs_replay`` analysis.
+
+    Each ``_steps`` leaf is a columns dict (one list per column); the
+    table formats the columns it shows and zips them into rows.
+    """
     from repro.utils.tables import format_table
 
     steps = extras.get("dvfs_replay", {}).get("_steps", {})
     lines: List[str] = []
     for workload, by_governor in steps.items():
-        for governor, rows in by_governor.items():
+        for governor, columns in by_governor.items():
             lines.append("")
             lines.append(f"replay: {workload} under {governor}")
             lines.append(
                 format_table(
                     ("step", "t (s)", "util", "f (MHz)", "P (W)", "E (J)", "QoS"),
-                    [
-                        (
-                            row["step"],
-                            f"{row['time_s']:.0f}",
-                            f"{row['utilization']:.2f}",
-                            f"{row['frequency_hz'] / 1e6:.0f}",
-                            f"{row['power_w']:.1f}",
-                            f"{row['energy_j']:.0f}",
-                            "violated" if row["violation"] else "ok",
-                        )
-                        for row in rows
-                    ],
+                    zip(
+                        columns["step"],
+                        [f"{value:.0f}" for value in columns["time_s"]],
+                        [f"{value:.2f}" for value in columns["utilization"]],
+                        [f"{value / 1e6:.0f}" for value in columns["frequency_hz"]],
+                        [f"{value:.1f}" for value in columns["power_w"]],
+                        [f"{value:.0f}" for value in columns["energy_j"]],
+                        _qos_cells(columns["violation"]),
+                    ),
                 )
             )
     return lines
 
 
 def _render_fleet_steps(extras: dict) -> List[str]:
-    """Per-step fleet tables of a ``fleet_replay`` analysis."""
+    """Per-step fleet tables of a ``fleet_replay`` analysis.
+
+    Each ``_steps`` leaf is a columns dict (one list per column); the
+    table formats the columns it shows and zips them into rows.
+    """
     from repro.utils.tables import format_table
 
     steps = extras.get("fleet_replay", {}).get("_steps", {})
     lines: List[str] = []
     for workload, by_routing in steps.items():
-        for routing, rows in by_routing.items():
+        for routing, columns in by_routing.items():
             lines.append("")
             lines.append(f"fleet: {workload} under {routing}")
             lines.append(
@@ -184,34 +211,29 @@ def _render_fleet_steps(extras: dict) -> List[str]:
                         "tail (ms)",
                         "QoS",
                     ),
-                    [
-                        (
-                            row["step"],
-                            f"{row['time_s']:.0f}",
-                            f"{row['utilization']:.2f}",
-                            row["active_servers"],
-                            row["serving_servers"],
-                            row["used_servers"],
-                            f"{row['total_power_w']:.1f}",
-                            f"{row['energy_j']:.0f}",
-                            (
-                                "-"
-                                if row["tail_latency_s"] is None
-                                else "sat"
-                                if row["tail_latency_s"] == "saturated"
-                                else f"{row['tail_latency_s'] * 1e3:.1f}"
-                            ),
-                            "violated" if row["violation"] else "ok",
-                        )
-                        for row in rows
-                    ],
+                    zip(
+                        columns["step"],
+                        [f"{value:.0f}" for value in columns["time_s"]],
+                        [f"{value:.2f}" for value in columns["utilization"]],
+                        columns["active_servers"],
+                        columns["serving_servers"],
+                        columns["used_servers"],
+                        [f"{value:.1f}" for value in columns["total_power_w"]],
+                        [f"{value:.0f}" for value in columns["energy_j"]],
+                        _tail_cells(columns["tail_latency_s"]),
+                        _qos_cells(columns["violation"]),
+                    ),
                 )
             )
     return lines
 
 
 def _render_stress_events(extras: dict) -> List[str]:
-    """Event/recovery tables and step tables of a ``fleet_stress`` analysis."""
+    """Event/recovery tables and step tables of a ``fleet_stress`` analysis.
+
+    The step tables read the ``_steps`` columns dicts the way
+    :func:`_render_fleet_steps` does.
+    """
     from repro.utils.tables import format_table
 
     stress = extras.get("fleet_stress", {})
@@ -244,23 +266,20 @@ def _render_stress_events(extras: dict) -> List[str]:
                 )
             )
     for workload, by_routing in stress.get("_steps", {}).items():
-        for routing, rows in by_routing.items():
+        for routing, columns in by_routing.items():
             lines.append("")
             lines.append(f"stress fleet: {workload} under {routing}")
             lines.append(
                 format_table(
                     ("step", "util", "on", "serving", "E (J)", "QoS"),
-                    [
-                        (
-                            row["step"],
-                            f"{row['utilization']:.2f}",
-                            row["active_servers"],
-                            row["serving_servers"],
-                            f"{row['energy_j']:.0f}",
-                            "violated" if row["violation"] else "ok",
-                        )
-                        for row in rows
-                    ],
+                    zip(
+                        columns["step"],
+                        [f"{value:.2f}" for value in columns["utilization"]],
+                        columns["active_servers"],
+                        columns["serving_servers"],
+                        [f"{value:.0f}" for value in columns["energy_j"]],
+                        _qos_cells(columns["violation"]),
+                    ),
                 )
             )
     return lines
@@ -371,7 +390,7 @@ def _render(
     data = result.as_dict(include_sweep=include_sweep)
     if timing is not None:
         data["timing"] = timing
-    return json.dumps(data, indent=2)
+    return json.dumps(data, separators=(",", ":"), allow_nan=False)
 
 
 def _render_timing_summary(rows: List[Tuple[str, Dict[str, object]]]) -> str:
@@ -458,8 +477,9 @@ def _checkpoint_store(args: argparse.Namespace) -> Optional[CheckpointStore]:
     """The per-scenario output checkpoint store, when ``--checkpoint-dir``.
 
     The fingerprint binds checkpoints to the flags that shape the
-    rendered output, so a re-run with a different format rebuilds
-    instead of resuming stale bytes.
+    rendered output and to :data:`OUTPUT_LAYOUT`, so a re-run with a
+    different format, or by a version that renders another layout,
+    rebuilds instead of resuming stale bytes.
     """
     if args.checkpoint_dir is None:
         return None
@@ -468,6 +488,7 @@ def _checkpoint_store(args: argparse.Namespace) -> Optional[CheckpointStore]:
             "format": args.format,
             "sweep": bool(args.sweep),
             "timing": bool(args.timing),
+            "layout": OUTPUT_LAYOUT,
         }
     )
     return CheckpointStore(args.checkpoint_dir, fingerprint=fingerprint)

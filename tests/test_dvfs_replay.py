@@ -28,16 +28,35 @@ def assert_replays_identical(left, right) -> None:
 # -- table mechanics --------------------------------------------------------------------
 
 
-def test_replay_table_shape_and_dicts(websearch_simulator, diurnal_trace):
+def test_replay_table_shape_and_columns(websearch_simulator, diurnal_trace):
     replay = websearch_simulator.replay(diurnal_trace, "qos_tracker")
     assert len(replay) == len(diurnal_trace)
     assert replay.governor_name == "qos_tracker"
     assert replay.workload_name == "Web Search"
     assert replay.trace_name == "diurnal"
-    rows = replay.to_dicts()
-    assert [row["step"] for row in rows] == list(range(len(diurnal_trace)))
-    first = rows[0]
-    assert set(first) == set(REPLAY_COLUMNS)
+    columns = replay.to_columns()
+    assert tuple(columns) == REPLAY_COLUMNS
+    assert columns["step"] == list(range(len(diurnal_trace)))
+    # Each column holds the plain Python values of its array, in step
+    # order (what the per-element float()/int()/bool() casts gave).
+    for name, values in columns.items():
+        array = replay.column(name)
+        assert values == [array[index].item() for index in range(len(replay))]
+        kind = {"i": int, "f": float, "b": bool}[array.dtype.kind]
+        assert all(type(value) is kind for value in values), name
+    # An undefined QoS metric serialises as None (strict JSON).
+    arrays = {name: replay.column(name).copy() for name in REPLAY_COLUMNS}
+    arrays["qos_metric"][1] = np.nan
+    undefined = ReplayResult(
+        governor_name="qos_tracker",
+        workload_name="Web Search",
+        trace_name="diurnal",
+        step_seconds=diurnal_trace.step_seconds,
+        instructions_per_request=WEB_SEARCH.instructions_per_request,
+        columns=arrays,
+    ).to_columns()
+    assert undefined["qos_metric"][1] is None
+    assert undefined["qos_metric"][0] == columns["qos_metric"][0]
     # Energy is power x step duration, row by row.
     assert np.allclose(
         replay.column("energy_j"),

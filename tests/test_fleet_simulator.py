@@ -8,6 +8,7 @@ import pytest
 
 from repro.dvfs import LoadTrace, governor_by_name
 from repro.fleet import (
+    FLEET_COLUMNS,
     Autoscaler,
     CostModel,
     FleetResult,
@@ -353,6 +354,7 @@ def test_vm_fleet_has_no_queueing_tail(default_context, diurnal_trace):
         default_context, VMS_LOW_MEM, fleet_size=2
     ).run(diurnal_trace, "spread")
     assert np.isnan(result.column("tail_latency_s")).all()
+    assert result.to_columns()["tail_latency_s"] == [None] * len(diurnal_trace)
     assert result.queue_violation_count == 0
     assert result.max_tail_latency_s is None
     assert result.total_requests is None
@@ -368,9 +370,10 @@ def test_saturated_queue_is_reported(default_context):
         default_context, WEB_SEARCH, fleet_size=2, governor="performance"
     ).run(trace, "spread")
     assert result.saturated_step_count == len(trace)
-    rows = result.to_dicts()
-    assert rows[0]["tail_latency_s"] == "saturated"
-    json.dumps(rows)  # strict-JSON serialisable
+    columns = result.to_columns()
+    assert tuple(columns) == FLEET_COLUMNS
+    assert columns["tail_latency_s"] == ["saturated"] * len(trace)
+    json.dumps(columns, allow_nan=False)  # strict-JSON serialisable
 
 
 # -- fleet result validation ------------------------------------------------------------

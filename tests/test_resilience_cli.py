@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from repro.resilience import InjectedFault
+from repro.resilience import CheckpointStore, InjectedFault
+from repro.resilience.checkpoint import payload_digest
 from repro.scenarios.cli import main as cli_main
 
 
@@ -114,6 +115,18 @@ def test_checkpoint_fingerprint_binds_the_output_format(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "resumed" not in captured.err
     assert "scenario: table1_ddr4" in captured.out
+    # Nor may a checkpoint from before the output layout was bound (same
+    # flags, row-dict steps and indented JSON) resume into a compact run.
+    CheckpointStore(
+        checkpoints,
+        fingerprint=payload_digest(
+            {"format": "json", "sweep": False, "timing": False}
+        ),
+    ).save("table1_ddr4", {"scenario": "table1_ddr4", "rendered": "{\n  }"})
+    assert cli_main(base + ["--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert "resumed" not in captured.err
+    assert json.loads(captured.out)["scenario"] == "table1_ddr4"
 
 
 def test_report_out_skipped_when_everything_resumed(tmp_path, capsys):

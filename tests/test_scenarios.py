@@ -6,7 +6,13 @@ import pytest
 
 from repro import obs
 from repro.core.config import default_server
-from repro.dvfs import GOVERNORS, GovernorSimulator, load_trace_by_name
+from repro.dvfs import (
+    GOVERNORS,
+    REPLAY_COLUMNS,
+    GovernorSimulator,
+    load_trace_by_name,
+)
+from repro.fleet import FLEET_COLUMNS, Autoscaler, FleetSimulator
 from repro.fleet.routing import ROUTERS
 from repro.scenarios import (
     ALL_WORKLOADS,
@@ -535,6 +541,156 @@ def test_cli_run_leaves_instrumentation_off(tmp_path):
         cli_main(["run", "table1_ddr4", "--report-out", str(output)]) == 0
     )
     assert not obs.is_enabled()
+
+
+# -- per-step tables --------------------------------------------------------------------
+
+# Per scenario: the analysis holding its ``_steps``, their column keys
+# and the title prefix of the CLI's step tables.
+_STEP_TABLES = {
+    "dvfs_diurnal_websearch": ("dvfs_replay", REPLAY_COLUMNS, "replay"),
+    "fleet_diurnal_websearch": ("fleet_replay", FLEET_COLUMNS, "fleet"),
+    "stress_node_crash": ("fleet_stress", FLEET_COLUMNS, "stress fleet"),
+}
+
+
+def _step_results(name, context):
+    """The scenario's replays, rerun per (workload, policy) outside it."""
+    spec = get_scenario(name)
+    trace = load_trace_by_name(spec.load_trace)
+    results = {}
+    for workload_name, workload in spec.workloads().items():
+        if spec.fleet_size is None:
+            simulator = GovernorSimulator(
+                context, workload, frequencies=spec.frequency_grid_hz
+            )
+            results[workload_name] = simulator.compare(
+                trace, spec.governors or None
+            )
+            continue
+        simulator = FleetSimulator(
+            context,
+            workload,
+            fleet_size=spec.fleet_size,
+            governor=spec.fleet_governor,
+            autoscaler=Autoscaler() if spec.fleet_autoscale else None,
+            frequencies=spec.frequency_grid_hz,
+        )
+        results[workload_name] = simulator.compare(
+            trace,
+            spec.fleet_routings or None,
+            disturbances=(
+                spec.disturbance_schedule() if spec.disturbances else None
+            ),
+        )
+    return results
+
+
+def _first_step_cells(prefix, columns):
+    """The cells the CLI prints on a step table's first body line."""
+    first = {name: values[0] for name, values in columns.items()}
+    qos = "violated" if first["violation"] else "ok"
+    if prefix == "replay":
+        return [
+            str(first["step"]),
+            f"{first['time_s']:.0f}",
+            f"{first['utilization']:.2f}",
+            f"{first['frequency_hz'] / 1e6:.0f}",
+            f"{first['power_w']:.1f}",
+            f"{first['energy_j']:.0f}",
+            qos,
+        ]
+    if prefix == "fleet":
+        tail = first["tail_latency_s"]
+        if tail is None:
+            tail_cell = "-"
+        elif tail == "saturated":
+            tail_cell = "sat"
+        else:
+            tail_cell = f"{tail * 1e3:.1f}"
+        return [
+            str(first["step"]),
+            f"{first['time_s']:.0f}",
+            f"{first['utilization']:.2f}",
+            str(first["active_servers"]),
+            str(first["serving_servers"]),
+            str(first["used_servers"]),
+            f"{first['total_power_w']:.1f}",
+            f"{first['energy_j']:.0f}",
+            tail_cell,
+            qos,
+        ]
+    return [
+        str(first["step"]),
+        f"{first['utilization']:.2f}",
+        str(first["active_servers"]),
+        str(first["serving_servers"]),
+        f"{first['energy_j']:.0f}",
+        qos,
+    ]
+
+
+def _step_table_bodies(out, prefix):
+    """``{title: body lines}`` of the step tables titled ``prefix: ...``."""
+    lines = out.splitlines()
+    tables = {}
+    for index, line in enumerate(lines):
+        if line.startswith(f"{prefix}: "):
+            body = []
+            for row in lines[index + 3 :]:  # past the header and rule
+                if not row:
+                    break
+                body.append(row)
+            tables[line[len(prefix) + 2 :]] = body
+    return tables
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.parametrize("name", sorted(_STEP_TABLES))
+def test_cli_step_tables_render_the_step_columns(
+    name, scenario_results, tmp_path, capsys
+):
+    analysis, column_names, prefix = _STEP_TABLES[name]
+    results = _step_results(name, scenario_results(name).context)
+
+    # Table format: one body line per trace step, led by the first step.
+    assert cli_main(["run", name]) == 0
+    tables = _step_table_bodies(capsys.readouterr().out, prefix)
+    expected_titles = [
+        f"{workload} under {policy}"
+        for workload, by_policy in results.items()
+        for policy in by_policy
+    ]
+    assert list(tables) == expected_titles
+    for workload, by_policy in results.items():
+        for policy, result in by_policy.items():
+            body = tables[f"{workload} under {policy}"]
+            assert len(body) == len(result)
+            assert body[0].split() == _first_step_cells(
+                prefix, result.to_columns()
+            )
+
+    # JSON format: compact strict JSON whose _steps leaves are the
+    # results' columns, keyed in the class's column order.
+    output = tmp_path / f"{name}.json"
+    assert cli_main(["run", name, "--format", "json", "--output", str(output)]) == 0
+    capsys.readouterr()
+    text = output.read_text()
+    assert text.count("\n") == 1  # one compact line
+    steps = json.loads(text, parse_constant=_reject_constant)["extras"][analysis][
+        "_steps"
+    ]
+    assert list(steps) == list(results)
+    for workload, by_policy in results.items():
+        assert list(steps[workload]) == list(by_policy)
+        for policy, result in by_policy.items():
+            columns = steps[workload][policy]
+            assert tuple(columns) == column_names
+            assert {len(values) for values in columns.values()} == {len(result)}
+            assert columns == result.to_columns()
 
 
 # -- fleet spec fields ------------------------------------------------------------------
