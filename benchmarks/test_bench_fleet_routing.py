@@ -54,7 +54,7 @@ def test_bench_fleet_routing(benchmark, server_configuration, bench_artifact):
         "policies": {},
     }
     for name, result in results.items():
-        rollup = cost_model.rollup(result)
+        rollup = cost_model.rollup(result.summary())
         rows.append(
             (
                 name,
@@ -116,8 +116,10 @@ def test_bench_fleet_routing(benchmark, server_configuration, bench_artifact):
 
     # The dollars follow the joules: consolidation also wins on cost
     # per served request (capex is identical -- same owned fleet).
-    pack_cost = cost_model.rollup(pack)["cost_per_million_requests"]
-    base_cost = cost_model.rollup(baseline)["cost_per_million_requests"]
+    pack_cost = cost_model.rollup(pack.summary())["cost_per_million_requests"]
+    base_cost = cost_model.rollup(baseline.summary())[
+        "cost_per_million_requests"
+    ]
     assert pack_cost < base_cost
 
     out_path = bench_artifact("fleet", artifact)

@@ -87,7 +87,7 @@ def test_bench_policy_opt(benchmark, server_configuration, bench_artifact):
         autoscaler=Autoscaler(),
     )
     hand_result = simulator.run(trace, HAND_WRITTEN.routing_policy())
-    hand_rollup = CostModel().rollup(hand_result)
+    hand_rollup = CostModel().rollup(hand_result.summary())
     hand_cost = hand_rollup["cost_per_qps_year"]
 
     # The same config is a point of the search space, and the tuner's

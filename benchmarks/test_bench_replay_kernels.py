@@ -7,17 +7,20 @@ vectorized :mod:`repro.kernels` path and through the object-based
 ``reference=`` loop, on the same warmed
 :class:`~repro.sweep.context.ModelContext` (model evaluations are
 memoized, so the measured work is purely the replay stepping).  The
-tentpole's acceptance bar: the kernel path is at least **5x** faster;
-the week-long single-server governor replay speedup is reported
-alongside.  Both paths are also cross-checked summary-for-summary --
-the speedup must not buy a single bit of drift.
+tentpole's acceptance bar: the kernel path is at least **5x** faster,
+as the median of per-pair ratios (the ``paired_walls`` fixture: each
+pair times both paths back to back, so host-speed drift between pairs
+cancels out of the ratio); the week-long single-server governor replay
+speedup is reported alongside.  Both the fleet and the governor
+replays are also cross-checked summary-for-summary -- the speedup must
+not buy a single bit of drift.
 
 Emits a machine-readable ``BENCH_replay.json`` artifact (set
 ``BENCH_REPLAY_JSON`` to redirect it) so CI can archive the perf
 trajectory.
 """
 
-import time
+import statistics
 
 from repro.dvfs import GOVERNORS, GovernorSimulator, LoadTrace
 from repro.fleet import Autoscaler, FleetSimulator
@@ -30,16 +33,16 @@ MIN_FLEET_SPEEDUP = 5.0
 _REPEATS = 5
 
 
-def _best_of(function, repeats=_REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - started)
-    return best
+def _median_walls_and_speedup(pairs):
+    """Median kernel and reference walls, and the median pair speedup."""
+    return (
+        statistics.median(kernel for kernel, _ in pairs),
+        statistics.median(reference for _, reference in pairs),
+        statistics.median(reference / kernel for kernel, reference in pairs),
+    )
 
 
-def test_bench_replay_kernels(benchmark, bench_artifact):
+def test_bench_replay_kernels(benchmark, bench_artifact, paired_walls):
     spec = REGISTRY.get(SCENARIO)
     context = ModelContext(
         spec.configuration(), degradation_bound=spec.degradation_bound
@@ -78,9 +81,13 @@ def test_bench_replay_kernels(benchmark, bench_artifact):
             ), f"kernel drift on {name}/{routing}"
 
     benchmark(run_fleet, False)
-    fleet_kernel_s = _best_of(lambda: run_fleet(False))
-    fleet_reference_s = _best_of(lambda: run_fleet(True))
-    fleet_speedup = fleet_reference_s / fleet_kernel_s
+    fleet_kernel_s, fleet_reference_s, fleet_speedup = (
+        _median_walls_and_speedup(
+            paired_walls(
+                lambda: run_fleet(False), lambda: run_fleet(True), _REPEATS
+            )
+        )
+    )
 
     # The week-long single-server governor replay, reported alongside.
     governor_simulator = GovernorSimulator(
@@ -88,19 +95,28 @@ def test_bench_replay_kernels(benchmark, bench_artifact):
     )
     week = LoadTrace.from_bitbrains(steps=2016, seed=77)
 
-    def run_governors(reference: bool) -> None:
-        for governor in GOVERNORS:
+    def run_governors(reference: bool) -> list:
+        return [
             governor_simulator.replay(week, governor, reference=reference)
+            for governor in GOVERNORS
+        ]
 
-    dvfs_kernel_s = _best_of(lambda: run_governors(False))
-    dvfs_reference_s = _best_of(lambda: run_governors(True))
-    dvfs_speedup = dvfs_reference_s / dvfs_kernel_s
+    for kernel, reference in zip(run_governors(False), run_governors(True)):
+        assert kernel.summary() == reference.summary(), (
+            f"kernel drift on governor {kernel.governor_name}"
+        )
+
+    dvfs_kernel_s, dvfs_reference_s, dvfs_speedup = _median_walls_and_speedup(
+        paired_walls(
+            lambda: run_governors(False), lambda: run_governors(True), _REPEATS
+        )
+    )
 
     print()
     print(f"Replay kernels vs reference loops ({SCENARIO} + week-long dvfs)")
     print(
         format_table(
-            ("replay", "kernel (ms)", "reference (ms)", "speedup"),
+            ("replay", "kernel (ms)", "reference (ms)", "median pair speedup"),
             [
                 (
                     f"fleet {SCENARIO}",

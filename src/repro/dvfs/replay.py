@@ -2,14 +2,19 @@
 
 A replay produces one row per trace step; :class:`ReplayResult` stores
 the rows as NumPy columns (the :class:`~repro.sweep.result.SweepResult`
-shape) so energy totals, violation counts and frequency residencies are
-vectorised reductions, and exposes :meth:`summary` -- the per-governor
+shape) and exposes :meth:`~ReplayResult.summary` -- the per-governor
 scalars the ``dvfs_replay`` analysis and the golden fixtures pin.
+Those come from :func:`replay_summaries`, which reduces ``(B, L)``
+column blocks: :meth:`ReplayResult.summary` calls it on one row and the
+batch engine once per trace-length group, so each summary key has one
+arithmetic, and the reduction properties
+(:attr:`~ReplayResult.total_energy_j`, ...) read their key of that
+summary.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +34,85 @@ _OPTIONAL_COLUMNS = ("qos_metric",)
 _BOOL_COLUMNS = ("qos_ok", "demand_met", "violation")
 
 REPLAY_COLUMNS = ("step",) + _FLOAT_COLUMNS + _OPTIONAL_COLUMNS + _BOOL_COLUMNS
+
+REPLAY_SUMMARY_COLUMNS = (
+    "energy_j",
+    "power_w",
+    "frequency_hz",
+    "served_uips",
+    "violation",
+)
+"""The replay columns :func:`replay_summaries` reads."""
+
+
+def replay_summaries(
+    blocks: Mapping[str, np.ndarray],
+    traces: Sequence[str],
+    step_seconds: Sequence[float],
+    *,
+    governor: str,
+    workload: str,
+    instructions_per_request: float,
+) -> List[Dict[str, object]]:
+    """Reduce B governor replays of L steps each to B summary dicts.
+
+    ``blocks`` maps every :data:`REPLAY_SUMMARY_COLUMNS` name to a
+    ``(B, L)`` array whose rows are whole replays: a zero-padded row
+    would change the pairwise summation order, and with it the bits.
+    Row ``b`` replays trace ``traces[b]``, stepped every
+    ``step_seconds[b]`` seconds; the governor and workload are shared
+    by every row.  This is the one arithmetic, and the one key layout,
+    behind :meth:`ReplayResult.summary` (one row) and the batch
+    engine's summaries (one call per trace-length group).
+    """
+    frequency = blocks["frequency_hz"]
+    length = frequency.shape[1]
+    energy_sum = blocks["energy_j"].sum(axis=1).tolist()
+    power_mean = blocks["power_w"].mean(axis=1).tolist()
+    frequency_mean = frequency.mean(axis=1).tolist()
+    # Distinct frequencies: one plus the number of value changes along
+    # each sorted row.
+    changes = (np.diff(np.sort(frequency, axis=1), axis=1) != 0).sum(axis=1)
+    distinct = (1 + changes).tolist()
+    served_sum = blocks["served_uips"].sum(axis=1).tolist()
+    violations = blocks["violation"].sum(axis=1).tolist()
+    instructions = instructions_per_request
+    out: List[Dict[str, object]] = []
+    for row, trace in enumerate(traces):
+        seconds = step_seconds[row]
+        total_energy = energy_sum[row]
+        served = served_sum[row] * seconds
+        work = served / 1.0e9
+        requests = None if instructions <= 0 else served / instructions
+        violation_count = violations[row]
+        out.append(
+            {
+                "governor": governor,
+                "workload": workload,
+                "trace": trace,
+                "steps": length,
+                "step_seconds": seconds,
+                "total_energy_j": total_energy,
+                "mean_power_w": power_mean[row],
+                "mean_frequency_hz": frequency_mean[row],
+                "distinct_frequencies": distinct[row],
+                "total_giga_instructions": work,
+                "energy_per_giga_instruction_j": (
+                    total_energy / work if work > 0 else None
+                ),
+                "total_requests": requests,
+                "energy_per_request_j": (
+                    None
+                    if requests is None or requests <= 0
+                    else total_energy / requests
+                ),
+                "violation_count": violation_count,
+                "violation_fraction": (
+                    violation_count / length if length else 0.0
+                ),
+            }
+        )
+    return out
 
 
 class ReplayResult:
@@ -55,6 +139,7 @@ class ReplayResult:
         self.step_seconds = step_seconds
         self.instructions_per_request = instructions_per_request
         self._columns = {name: columns[name] for name in REPLAY_COLUMNS}
+        self._summary: Optional[Dict[str, object]] = None
 
     # -- access -----------------------------------------------------------------------
 
@@ -83,60 +168,69 @@ class ReplayResult:
             columns["qos_metric"][index] = None
         return columns
 
-    # -- reductions -------------------------------------------------------------------
+    # -- reductions: keys of the one-row summary --------------------------------------
+
+    def _scalars(self) -> Dict[str, object]:
+        """This replay's :func:`replay_summaries` row, reduced once."""
+        if self._summary is None:
+            blocks = {
+                name: self._columns[name][np.newaxis]
+                for name in REPLAY_SUMMARY_COLUMNS
+            }
+            self._summary = replay_summaries(
+                blocks,
+                [self.trace_name],
+                [self.step_seconds],
+                governor=self.governor_name,
+                workload=self.workload_name,
+                instructions_per_request=self.instructions_per_request,
+            )[0]
+        return self._summary
 
     @property
     def total_energy_j(self) -> float:
         """Energy consumed over the whole replay."""
-        return float(self._columns["energy_j"].sum())
+        return self._scalars()["total_energy_j"]
 
     @property
     def mean_power_w(self) -> float:
         """Average power over the replay (steps are equal-length)."""
-        return float(self._columns["power_w"].mean())
+        return self._scalars()["mean_power_w"]
 
     @property
     def mean_frequency_hz(self) -> float:
         """Average running frequency."""
-        return float(self._columns["frequency_hz"].mean())
+        return self._scalars()["mean_frequency_hz"]
 
     @property
     def total_giga_instructions(self) -> float:
         """User work actually served over the replay, in 10^9 instructions."""
-        served = self._columns["served_uips"].sum() * self.step_seconds
-        return float(served / 1.0e9)
+        return self._scalars()["total_giga_instructions"]
 
     @property
     def energy_per_giga_instruction_j(self) -> float | None:
         """Energy per 10^9 served instructions (None when nothing ran)."""
-        work = self.total_giga_instructions
-        return self.total_energy_j / work if work > 0 else None
+        return self._scalars()["energy_per_giga_instruction_j"]
 
     @property
     def total_requests(self) -> float | None:
         """Requests served (None for workloads without a request size)."""
-        if self.instructions_per_request <= 0:
-            return None
-        served = self._columns["served_uips"].sum() * self.step_seconds
-        return float(served / self.instructions_per_request)
+        return self._scalars()["total_requests"]
 
     @property
     def energy_per_request_j(self) -> float | None:
         """Energy per served request (None when undefined)."""
-        requests = self.total_requests
-        if requests is None or requests <= 0:
-            return None
-        return self.total_energy_j / requests
+        return self._scalars()["energy_per_request_j"]
 
     @property
     def violation_count(self) -> int:
         """Steps where the QoS bound or the offered load was missed."""
-        return int(self._columns["violation"].sum())
+        return self._scalars()["violation_count"]
 
     @property
     def violation_fraction(self) -> float:
         """Fraction of steps in violation."""
-        return self.violation_count / len(self) if len(self) else 0.0
+        return self._scalars()["violation_fraction"]
 
     def residency(self) -> Dict[float, float]:
         """Fraction of steps spent at each frequency, ascending."""
@@ -149,23 +243,7 @@ class ReplayResult:
 
     def summary(self) -> Dict[str, object]:
         """The replay's scalar outcomes (what the golden fixtures pin)."""
-        return {
-            "governor": self.governor_name,
-            "workload": self.workload_name,
-            "trace": self.trace_name,
-            "steps": len(self),
-            "step_seconds": self.step_seconds,
-            "total_energy_j": self.total_energy_j,
-            "mean_power_w": self.mean_power_w,
-            "mean_frequency_hz": self.mean_frequency_hz,
-            "distinct_frequencies": len(self.residency()),
-            "total_giga_instructions": self.total_giga_instructions,
-            "energy_per_giga_instruction_j": self.energy_per_giga_instruction_j,
-            "total_requests": self.total_requests,
-            "energy_per_request_j": self.energy_per_request_j,
-            "violation_count": self.violation_count,
-            "violation_fraction": self.violation_fraction,
-        }
+        return dict(self._scalars())
 
     def __repr__(self) -> str:
         return (

@@ -3,11 +3,13 @@
 The paper's pitch is economic -- a near-threshold server only matters
 if it serves the same traffic for fewer dollars -- and the ROADMAP
 queues "cost-per-QPS economic sweeps" explicitly.  :class:`CostModel`
-turns a :class:`~repro.fleet.result.FleetResult` into TCO-style
-rollups: the energy bill (metered at the wall through a PUE overhead),
-the amortised capital cost of the machines you own whether or not they
-are powered on, and the derived unit economics (dollars per sustained
-QPS, dollars per million requests, joules per request).
+turns a fleet replay summary dict
+(:meth:`~repro.fleet.result.FleetResult.summary`, or a row of the batch
+engine's summaries: the same reduction) into TCO-style rollups: the
+energy bill (metered at the wall through a PUE overhead), the amortised
+capital cost of the machines you own whether or not they are powered
+on, and the derived unit economics (dollars per sustained QPS, dollars
+per million requests, joules per request).
 
 The defaults are deliberately round, publicly-defensible magnitudes
 (commodity 1U server, three-year amortisation, US industrial power
@@ -18,12 +20,9 @@ so changing a default is a visible golden diff, not silent drift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict
+from typing import Dict, Mapping
 
 from repro.utils.validation import check_positive
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fleet.result import FleetResult
 
 SECONDS_PER_YEAR = 365.0 * 24.0 * 3600.0
 
@@ -73,30 +72,36 @@ class CostModel:
 
     # -- rollups -------------------------------------------------------------------------
 
-    def rollup(self, result: "FleetResult") -> Dict[str, object]:
-        """TCO-style unit economics of one fleet replay.
+    def rollup(self, summary: Mapping[str, object]) -> Dict[str, object]:
+        """TCO-style unit economics of one fleet replay's summary.
 
-        Capex covers every *owned* server over the replay window --
-        parking a machine saves energy, not capital -- which is exactly
-        why packing plus autoscaling has to beat an always-on spread on
-        the energy line to pay off.  Request-denominated entries are
+        ``summary`` is a fleet replay summary dict:
+        :meth:`~repro.fleet.result.FleetResult.summary` or one row of
+        the batch engine's summaries (the same reduction).  Capex
+        covers every *owned* server over the replay window -- parking a
+        machine saves energy, not capital -- which is exactly why
+        packing plus autoscaling has to beat an always-on spread on the
+        energy line to pay off.  Request-denominated entries are
         ``None`` for workloads without a request size (the virtualized
         classes), mirroring the replay summaries.
         """
-        duration_s = result.duration_seconds
-        energy_cost = self.energy_cost(result.total_energy_j)
+        duration_s = summary["step_seconds"] * summary["steps"]
+        total_energy_j = summary["total_energy_j"]
+        energy_cost = self.energy_cost(total_energy_j)
         capex_cost = (
-            result.fleet_size * self.capex_rate_per_server_second * duration_s
+            summary["fleet_size"]
+            * self.capex_rate_per_server_second
+            * duration_s
         )
         total_cost = energy_cost + capex_cost
 
-        requests = result.total_requests
-        mean_qps = result.mean_qps
+        requests = summary["total_requests"]
+        mean_qps = summary["mean_qps"]
         cost_rate_per_year = total_cost / duration_s * SECONDS_PER_YEAR
 
         return {
             "duration_s": duration_s,
-            "energy_kwh": result.total_energy_j / 3.6e6,
+            "energy_kwh": total_energy_j / 3.6e6,
             "energy_cost": energy_cost,
             "capex_cost": capex_cost,
             "total_cost": total_cost,
@@ -111,7 +116,9 @@ class CostModel:
                 if requests is not None and requests > 0
                 else None
             ),
-            "joules_per_request": result.energy_per_request_j,
-            "joules_per_giga_instruction": result.energy_per_giga_instruction_j,
+            "joules_per_request": summary["energy_per_request_j"],
+            "joules_per_giga_instruction": summary[
+                "energy_per_giga_instruction_j"
+            ],
             "annual_tco": cost_rate_per_year,
         }

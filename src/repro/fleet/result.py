@@ -2,12 +2,16 @@
 
 One fleet replay produces a fleet-level row per trace step plus one
 per-node table; :class:`FleetResult` stores both as NumPy columns (the
-:class:`~repro.sweep.result.SweepResult` shape) so energy totals,
-server residencies and violation counts are vectorised reductions.
-:meth:`summary` exposes the per-routing scalars the ``fleet_replay``
-analysis and the golden fixtures pin; the bulky fleet-level step table
-rides under the analysis' private ``_steps`` key by convention, as the
-plain lists of :meth:`~FleetResult.to_columns` (one per column).
+:class:`~repro.sweep.result.SweepResult` shape).  Its scalar outcomes
+-- the per-routing summary the ``fleet_replay`` analysis and the golden
+fixtures pin -- come from :func:`fleet_summaries`, which reduces
+``(B, L)`` column blocks: :meth:`FleetResult.summary` calls it on one
+row and the batch engine once per trace-length group, so each summary
+key has one arithmetic, and the reduction properties
+(:attr:`~FleetResult.total_energy_j`, ...) read their key of that
+summary.  The bulky fleet-level step table rides under the analysis'
+private ``_steps`` key by convention, as the plain lists of
+:meth:`~FleetResult.to_columns` (one per column).
 
 Two ledger invariants the property tests lock down:
 
@@ -20,7 +24,15 @@ Two ledger invariants the property tests lock down:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -70,6 +82,122 @@ NODE_COLUMNS = (
     "violation",
 )
 """Per-node columns; the float/bool subset mirrors the replay columns."""
+
+FLEET_SUMMARY_COLUMNS = (
+    "energy_j",
+    "total_power_w",
+    "active_servers",
+    "serving_servers",
+    "used_servers",
+    "wake_events",
+    "served_uips",
+    "offered_uips",
+    "violation",
+    "queue_ok",
+    "tail_latency_s",
+)
+"""The fleet columns :func:`fleet_summaries` reads."""
+
+
+def fleet_summaries(
+    blocks: Mapping[str, np.ndarray],
+    traces: Sequence[str],
+    step_seconds: Sequence[float],
+    *,
+    routing: str,
+    governor: str,
+    workload: str,
+    fleet_size: int,
+    autoscaled: bool,
+    instructions_per_request: float,
+) -> List[Dict[str, object]]:
+    """Reduce B fleet replays of L steps each to B summary dicts.
+
+    ``blocks`` maps every :data:`FLEET_SUMMARY_COLUMNS` name to a
+    ``(B, L)`` array whose rows are whole replays: a zero-padded row
+    would change the pairwise summation order, and with it the bits.
+    Row ``b`` replays trace ``traces[b]``, stepped every
+    ``step_seconds[b]`` seconds; the other labels are shared by every
+    row.  This is the one arithmetic, and the one key layout, behind
+    :meth:`FleetResult.summary` (one row) and the batch engine's
+    summaries (one call per trace-length group).
+    """
+    length = blocks["energy_j"].shape[1]
+    energy_sum = blocks["energy_j"].sum(axis=1).tolist()
+    power_mean = blocks["total_power_w"].mean(axis=1).tolist()
+    active_mean = blocks["active_servers"].mean(axis=1).tolist()
+    serving = blocks["serving_servers"]
+    serving_mean = serving.mean(axis=1).tolist()
+    peak_serving = serving.max(axis=1).tolist()
+    used_mean = blocks["used_servers"].mean(axis=1).tolist()
+    wake_sum = blocks["wake_events"].sum(axis=1).tolist()
+    served_sum = blocks["served_uips"].sum(axis=1).tolist()
+    offered_sum = blocks["offered_uips"].sum(axis=1).tolist()
+    violations = blocks["violation"].sum(axis=1).tolist()
+    queue_violations = (~blocks["queue_ok"]).sum(axis=1).tolist()
+    tails = blocks["tail_latency_s"]
+    finite = np.isfinite(tails)
+    has_finite = finite.any(axis=1).tolist()
+    finite_max = np.where(finite, tails, -np.inf).max(axis=1).tolist()
+    saturated = np.isinf(tails).sum(axis=1).tolist()
+    instructions = instructions_per_request
+    out: List[Dict[str, object]] = []
+    for row, trace in enumerate(traces):
+        seconds = step_seconds[row]
+        total_energy = energy_sum[row]
+        offered = offered_sum[row]
+        served = served_sum[row] * seconds
+        work = served / 1.0e9
+        requests = None if instructions <= 0 else served / instructions
+        duration = seconds * length
+        violation_count = violations[row]
+        out.append(
+            {
+                "routing": routing,
+                "governor": governor,
+                "workload": workload,
+                "trace": trace,
+                "fleet_size": fleet_size,
+                "autoscaled": autoscaled,
+                "steps": length,
+                "step_seconds": seconds,
+                "total_energy_j": total_energy,
+                "mean_power_w": power_mean[row],
+                "mean_active_servers": active_mean[row],
+                "mean_serving_servers": serving_mean[row],
+                "mean_used_servers": used_mean[row],
+                "peak_serving_servers": peak_serving[row],
+                "wake_count": wake_sum[row],
+                "served_fraction": (
+                    1.0 if offered <= 0.0 else served_sum[row] / offered
+                ),
+                "total_giga_instructions": work,
+                "energy_per_giga_instruction_j": (
+                    total_energy / work if work > 0 else None
+                ),
+                "total_requests": requests,
+                "mean_qps": (
+                    None
+                    if requests is None or duration <= 0
+                    else requests / duration
+                ),
+                "energy_per_request_j": (
+                    None
+                    if requests is None or requests <= 0
+                    else total_energy / requests
+                ),
+                "violation_count": violation_count,
+                "violation_fraction": (
+                    violation_count / length if length else 0.0
+                ),
+                "queue_violation_count": queue_violations[row],
+                "saturated_step_count": saturated[row],
+                "max_tail_latency_s": (
+                    finite_max[row] if has_finite[row] else None
+                ),
+            }
+        )
+    return out
 
 
 class FleetResult:
@@ -129,6 +257,7 @@ class FleetResult:
             node_id: {name: table[name] for name in NODE_COLUMNS}
             for node_id, table in sorted(node_columns.items())
         }
+        self._summary: Optional[Dict[str, object]] = None
 
     # -- access -----------------------------------------------------------------------
 
@@ -187,12 +316,32 @@ class FleetResult:
             columns["tail_latency_s"][index] = "saturated"
         return columns
 
-    # -- reductions -------------------------------------------------------------------
+    # -- reductions: keys of the one-row summary --------------------------------------
+
+    def _scalars(self) -> Dict[str, object]:
+        """This replay's :func:`fleet_summaries` row, reduced once."""
+        if self._summary is None:
+            blocks = {
+                name: self._columns[name][np.newaxis]
+                for name in FLEET_SUMMARY_COLUMNS
+            }
+            self._summary = fleet_summaries(
+                blocks,
+                [self.trace_name],
+                [self.step_seconds],
+                routing=self.routing_name,
+                governor=self.governor_name,
+                workload=self.workload_name,
+                fleet_size=self.fleet_size,
+                autoscaled=self.autoscaled,
+                instructions_per_request=self.instructions_per_request,
+            )[0]
+        return self._summary
 
     @property
     def total_energy_j(self) -> float:
         """Fleet energy over the whole replay (wake/idle draws included)."""
-        return float(self._columns["energy_j"].sum())
+        return self._scalars()["total_energy_j"]
 
     def node_energy_j(self, node_id: int) -> float:
         """One node's energy over the whole replay."""
@@ -201,103 +350,87 @@ class FleetResult:
     @property
     def mean_power_w(self) -> float:
         """Average fleet power (steps are equal-length)."""
-        return float(self._columns["total_power_w"].mean())
+        return self._scalars()["mean_power_w"]
 
     @property
     def mean_active_servers(self) -> float:
         """Average powered-on server count."""
-        return float(self._columns["active_servers"].mean())
+        return self._scalars()["mean_active_servers"]
 
     @property
     def mean_serving_servers(self) -> float:
         """Average count of servers actually accepting load."""
-        return float(self._columns["serving_servers"].mean())
+        return self._scalars()["mean_serving_servers"]
 
     @property
     def mean_used_servers(self) -> float:
         """Average count of serving servers with a nonzero share."""
-        return float(self._columns["used_servers"].mean())
+        return self._scalars()["mean_used_servers"]
 
     @property
     def peak_serving_servers(self) -> int:
         """Largest serving count over the replay."""
-        return int(self._columns["serving_servers"].max())
+        return self._scalars()["peak_serving_servers"]
 
     @property
     def wake_count(self) -> int:
         """Total server boots initiated over the replay."""
-        return int(self._columns["wake_events"].sum())
+        return self._scalars()["wake_count"]
 
     @property
     def total_giga_instructions(self) -> float:
         """User work actually served, in 10^9 instructions."""
-        served = self._columns["served_uips"].sum() * self.step_seconds
-        return float(served / 1.0e9)
+        return self._scalars()["total_giga_instructions"]
 
     @property
     def served_fraction(self) -> float:
         """Served over offered work (1.0 when nothing was dropped)."""
-        offered = float(self._columns["offered_uips"].sum())
-        if offered <= 0.0:
-            return 1.0
-        return float(self._columns["served_uips"].sum()) / offered
+        return self._scalars()["served_fraction"]
 
     @property
     def energy_per_giga_instruction_j(self) -> float | None:
         """Fleet energy per 10^9 served instructions (None when idle)."""
-        work = self.total_giga_instructions
-        return self.total_energy_j / work if work > 0 else None
+        return self._scalars()["energy_per_giga_instruction_j"]
 
     @property
     def total_requests(self) -> float | None:
         """Requests served (None for workloads without a request size)."""
-        if self.instructions_per_request <= 0:
-            return None
-        served = self._columns["served_uips"].sum() * self.step_seconds
-        return float(served / self.instructions_per_request)
+        return self._scalars()["total_requests"]
 
     @property
     def mean_qps(self) -> float | None:
         """Sustained served request rate (None when undefined)."""
-        requests = self.total_requests
-        if requests is None or self.duration_seconds <= 0:
-            return None
-        return requests / self.duration_seconds
+        return self._scalars()["mean_qps"]
 
     @property
     def energy_per_request_j(self) -> float | None:
         """Fleet energy per served request (None when undefined)."""
-        requests = self.total_requests
-        if requests is None or requests <= 0:
-            return None
-        return self.total_energy_j / requests
+        return self._scalars()["energy_per_request_j"]
 
     @property
     def violation_count(self) -> int:
         """Steps where some node missed its QoS or dropped load."""
-        return int(self._columns["violation"].sum())
+        return self._scalars()["violation_count"]
 
     @property
     def violation_fraction(self) -> float:
         """Fraction of steps in violation."""
-        return self.violation_count / len(self) if len(self) else 0.0
+        return self._scalars()["violation_fraction"]
 
     @property
     def queue_violation_count(self) -> int:
         """Steps whose queueing-model tail breached the QoS limit."""
-        return int((~self._columns["queue_ok"]).sum())
+        return self._scalars()["queue_violation_count"]
 
     @property
     def max_tail_latency_s(self) -> float | None:
         """Worst finite queueing-tail latency seen (None if undefined)."""
-        tails = self._columns["tail_latency_s"]
-        finite = tails[np.isfinite(tails)]
-        return float(finite.max()) if finite.size else None
+        return self._scalars()["max_tail_latency_s"]
 
     @property
     def saturated_step_count(self) -> int:
         """Steps where some loaded node's queue was saturated."""
-        return int(np.isinf(self._columns["tail_latency_s"]).sum())
+        return self._scalars()["saturated_step_count"]
 
     # -- resilience -------------------------------------------------------------------
 
@@ -362,34 +495,7 @@ class FleetResult:
 
     def summary(self) -> Dict[str, object]:
         """The replay's scalar outcomes (what the golden fixtures pin)."""
-        return {
-            "routing": self.routing_name,
-            "governor": self.governor_name,
-            "workload": self.workload_name,
-            "trace": self.trace_name,
-            "fleet_size": self.fleet_size,
-            "autoscaled": self.autoscaled,
-            "steps": len(self),
-            "step_seconds": self.step_seconds,
-            "total_energy_j": self.total_energy_j,
-            "mean_power_w": self.mean_power_w,
-            "mean_active_servers": self.mean_active_servers,
-            "mean_serving_servers": self.mean_serving_servers,
-            "mean_used_servers": self.mean_used_servers,
-            "peak_serving_servers": self.peak_serving_servers,
-            "wake_count": self.wake_count,
-            "served_fraction": self.served_fraction,
-            "total_giga_instructions": self.total_giga_instructions,
-            "energy_per_giga_instruction_j": self.energy_per_giga_instruction_j,
-            "total_requests": self.total_requests,
-            "mean_qps": self.mean_qps,
-            "energy_per_request_j": self.energy_per_request_j,
-            "violation_count": self.violation_count,
-            "violation_fraction": self.violation_fraction,
-            "queue_violation_count": self.queue_violation_count,
-            "saturated_step_count": self.saturated_step_count,
-            "max_tail_latency_s": self.max_tail_latency_s,
-        }
+        return dict(self._scalars())
 
     def __repr__(self) -> str:
         return (

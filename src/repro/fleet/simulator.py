@@ -44,7 +44,7 @@ from repro.fleet.result import NODE_COLUMNS, FleetResult
 from repro.fleet.routing import RoutingPolicy, router_by_name
 from repro.latency.queueing import MG1Queue, MM1Queue
 from repro.sweep.context import ModelContext
-from repro.utils.validation import check_non_negative
+from repro.utils.validation import check_fleet
 from repro.workloads.base import WorkloadCharacteristics
 
 _MASS_TOLERANCE = 1e-9
@@ -92,25 +92,7 @@ class FleetSimulator:
     _sim: GovernorSimulator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.fleet_size < 1:
-            raise ValueError(
-                f"fleet_size must be >= 1, got {self.fleet_size}"
-            )
-        # NaN slips through the < 0 check, and a NaN or inf draw would
-        # poison every replay's energy columns.
-        if not math.isfinite(self.off_power_w):
-            raise ValueError(
-                f"off_power_w must be finite, got {self.off_power_w}"
-            )
-        check_non_negative("off_power_w", self.off_power_w)
-        if (
-            self.autoscaler is not None
-            and self.autoscaler.min_servers > self.fleet_size
-        ):
-            raise ValueError(
-                f"autoscaler min_servers ({self.autoscaler.min_servers}) "
-                f"exceeds the fleet size ({self.fleet_size})"
-            )
+        check_fleet(self.fleet_size, self.off_power_w, self.autoscaler)
         self._sim = GovernorSimulator(
             self.context, self.workload, frequencies=self.frequencies
         )

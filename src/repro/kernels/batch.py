@@ -32,10 +32,12 @@ the trace axis; this module adds the batch axis:
   fleet replay -- ``FleetSimulator.run`` through
   :func:`~repro.kernels.fleet.fleet_replay_columns` -- is a batch of
   one row.
-* **Summaries** -- per-replay scalar summaries are axis-1 reductions
-  over exact-length row blocks (rows grouped by trace length, because
-  reducing a zero-padded row would change pairwise-summation order and
-  break bit parity).
+* **Summaries** -- one :func:`~repro.dvfs.replay.replay_summaries` or
+  :func:`~repro.fleet.result.fleet_summaries` call per trace-length
+  group, over exact-length row blocks of just the columns it reads
+  (reducing a zero-padded row would change pairwise-summation order).
+  The result objects' ``summary()`` runs the same function on one
+  row, so each summary key has one arithmetic.
 
 Every fleet row is bit-for-bit identical to the object-based
 reference path, ``FleetSimulator.run(..., reference=True)`` -- same
@@ -70,7 +72,11 @@ from repro.resilience import (
 )
 from repro.resilience.chaos import active_plan
 from repro.dvfs.governors import Governor, governor_by_name
-from repro.dvfs.replay import ReplayResult
+from repro.dvfs.replay import (
+    REPLAY_SUMMARY_COLUMNS,
+    ReplayResult,
+    replay_summaries,
+)
 from repro.dvfs.trace import LoadTrace
 from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.disturbance import (
@@ -79,7 +85,11 @@ from repro.fleet.disturbance import (
     DisturbanceSchedule,
 )
 from repro.fleet.node import NodeState
-from repro.fleet.result import FleetResult
+from repro.fleet.result import (
+    FLEET_SUMMARY_COLUMNS,
+    FleetResult,
+    fleet_summaries,
+)
 from repro.fleet.routing import (
     LeastLoadedRouting,
     PackRouting,
@@ -95,7 +105,7 @@ from repro.kernels.governors import (
     select_step_indices,
 )
 from repro.kernels.table import FrequencyTable
-from repro.utils.validation import check_non_negative
+from repro.utils.validation import check_fleet
 from repro.workloads.base import WorkloadCharacteristics
 
 _OFF = int(NodeState.OFF)
@@ -149,28 +159,12 @@ class ReplaySpec:
                     "single-server replays have no fleet to disturb"
                 )
             return
-        if self.fleet_size < 1:
-            raise SpecError(
-                f"fleet_size must be >= 1, got {self.fleet_size}"
-            )
+        try:
+            check_fleet(self.fleet_size, self.off_power_w, self.autoscaler)
+        except ValueError as error:
+            raise SpecError(f"replay spec: {error}") from None
         if self.routing is None:
             raise SpecError("a fleet replay needs a routing policy")
-        # NaN slips through the < 0 comparison below, so reject
-        # non-finite power explicitly before it reaches the kernels.
-        if not math.isfinite(self.off_power_w):
-            raise SpecError(
-                f"replay spec: off_power_w must be finite, "
-                f"got {self.off_power_w}"
-            )
-        check_non_negative("off_power_w", self.off_power_w)
-        if (
-            self.autoscaler is not None
-            and self.autoscaler.min_servers > self.fleet_size
-        ):
-            raise SpecError(
-                f"autoscaler min_servers ({self.autoscaler.min_servers}) "
-                f"exceeds the fleet size ({self.fleet_size})"
-            )
 
     @property
     def is_fleet(self) -> bool:
@@ -223,10 +217,30 @@ def _padded_utilization(
     return util2d, lengths
 
 
-def _length_groups(lengths: np.ndarray):
-    """Yield (length, row-index array) pairs, one per distinct length."""
-    for length in np.unique(lengths):
-        yield int(length), np.nonzero(lengths == length)[0]
+def _summaries_by_length(
+    reduce, names, columns, lengths, traces, step_seconds, **labels
+) -> List[Dict[str, object]]:
+    """Summaries of padded ``(B, T)`` columns, one ``reduce`` per length.
+
+    ``reduce`` (:func:`replay_summaries` or :func:`fleet_summaries`)
+    sees only the ``names`` columns, cut to each group's exact length
+    (a zero-padded row would change the pairwise summation order), with
+    the group's trace names and step lengths and the shared ``labels``.
+    """
+    out: List[Optional[Dict[str, object]]] = [None] * len(traces)
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        blocks = {name: columns[name][rows, :length] for name in names}
+        picked = rows.tolist()
+        group = reduce(
+            blocks,
+            [traces[row] for row in picked],
+            [step_seconds[row] for row in picked],
+            **labels,
+        )
+        for row, summary in zip(picked, group):
+            out[row] = summary
+    return out  # type: ignore[return-value]
 
 
 # -- single-server batches --------------------------------------------------------------
@@ -245,7 +259,7 @@ class GovernorReplayBatch:
         table: FrequencyTable,
         governor: Governor,
         traces: Sequence[LoadTrace],
-        workload: Optional[WorkloadCharacteristics] = None,
+        workload: WorkloadCharacteristics,
     ):
         self.table = table
         self.governor = governor
@@ -292,11 +306,6 @@ class GovernorReplayBatch:
 
     def result(self, row: int) -> ReplayResult:
         """Materialize one replay as a full :class:`ReplayResult`."""
-        if self.workload is None:
-            raise ValueError(
-                "this batch was built without a workload; results and "
-                "summaries are unavailable"
-            )
         trace = self.traces[row]
         return ReplayResult(
             governor_name=self.governor.name,
@@ -308,76 +317,19 @@ class GovernorReplayBatch:
         )
 
     def summaries(self) -> List[Dict[str, object]]:
-        """Per-replay scalar summaries, computed columnar.
-
-        Key-for-key and bit-for-bit what ``ReplayResult.summary()``
-        returns for each replay: the reductions run as axis-1 passes
-        over exact-length row blocks, which NumPy evaluates with the
-        same pairwise order as the per-replay 1-D reductions.
-        """
-        if self.workload is None:
-            raise ValueError(
-                "this batch was built without a workload; results and "
-                "summaries are unavailable"
-            )
-        instructions = self.workload.instructions_per_request
-        out: List[Optional[Dict[str, object]]] = [None] * len(self.traces)
-        for length, rows in _length_groups(self.lengths):
-            block = {
-                name: self.columns[name][rows][:, :length]
-                for name in (
-                    "energy_j",
-                    "power_w",
-                    "frequency_hz",
-                    "served_uips",
-                    "violation",
-                )
-            }
-            energy_sum = block["energy_j"].sum(axis=1)
-            power_mean = block["power_w"].mean(axis=1)
-            frequency_mean = block["frequency_hz"].mean(axis=1)
-            sorted_freq = np.sort(block["frequency_hz"], axis=1)
-            if length > 1:
-                distinct = 1 + (np.diff(sorted_freq, axis=1) != 0).sum(axis=1)
-            else:
-                distinct = np.ones(len(rows), dtype=np.int64)
-            served_sum = block["served_uips"].sum(axis=1)
-            violations = block["violation"].sum(axis=1)
-            for position, row in enumerate(rows.tolist()):
-                trace = self.traces[row]
-                total_energy = float(energy_sum[position])
-                served = served_sum[position] * trace.step_seconds
-                work = float(served / 1.0e9)
-                requests = (
-                    None if instructions <= 0 else float(served / instructions)
-                )
-                violation_count = int(violations[position])
-                out[row] = {
-                    "governor": self.governor.name,
-                    "workload": self.workload.name,
-                    "trace": trace.name,
-                    "steps": length,
-                    "step_seconds": trace.step_seconds,
-                    "total_energy_j": total_energy,
-                    "mean_power_w": float(power_mean[position]),
-                    "mean_frequency_hz": float(frequency_mean[position]),
-                    "distinct_frequencies": int(distinct[position]),
-                    "total_giga_instructions": work,
-                    "energy_per_giga_instruction_j": (
-                        total_energy / work if work > 0 else None
-                    ),
-                    "total_requests": requests,
-                    "energy_per_request_j": (
-                        None
-                        if requests is None or requests <= 0
-                        else total_energy / requests
-                    ),
-                    "violation_count": violation_count,
-                    "violation_fraction": (
-                        violation_count / length if length else 0.0
-                    ),
-                }
-        return out  # type: ignore[return-value]
+        """Per-replay scalar summaries, one :func:`replay_summaries` call
+        per trace-length group."""
+        return _summaries_by_length(
+            replay_summaries,
+            REPLAY_SUMMARY_COLUMNS,
+            self.columns,
+            self.lengths,
+            [trace.name for trace in self.traces],
+            [trace.step_seconds for trace in self.traces],
+            governor=self.governor.name,
+            workload=self.workload.name,
+            instructions_per_request=self.workload.instructions_per_request,
+        )
 
 
 # -- fleet batches ----------------------------------------------------------------------
@@ -1053,91 +1005,22 @@ class FleetReplayBatch:
         )
 
     def summaries(self) -> List[Dict[str, object]]:
-        """Per-replay scalar summaries, bit-equal to FleetResult's."""
-        instructions = self.workload.instructions_per_request
-        columns = self.fleet_columns
-        out: List[Optional[Dict[str, object]]] = [None] * len(self.traces)
-        for length, rows in _length_groups(self.lengths):
-            def block(name: str) -> np.ndarray:
-                return columns[name][rows][:, :length]
-
-            energy_sum = block("energy_j").sum(axis=1)
-            power_mean = block("total_power_w").mean(axis=1)
-            active_mean = block("active_servers").mean(axis=1)
-            serving_block = block("serving_servers")
-            serving_mean = serving_block.mean(axis=1)
-            peak_serving = serving_block.max(axis=1)
-            used_mean = block("used_servers").mean(axis=1)
-            wake_sum = block("wake_events").sum(axis=1)
-            served_sum = block("served_uips").sum(axis=1)
-            offered_sum = block("offered_uips").sum(axis=1)
-            violations = block("violation").sum(axis=1)
-            queue_violations = (~block("queue_ok")).sum(axis=1)
-            tails = block("tail_latency_s")
-            finite = np.isfinite(tails)
-            has_finite = finite.any(axis=1)
-            finite_max = np.where(finite, tails, -np.inf).max(axis=1)
-            saturated = np.isinf(tails).sum(axis=1)
-            for position, row in enumerate(rows.tolist()):
-                trace = self.traces[row]
-                total_energy = float(energy_sum[position])
-                offered = float(offered_sum[position])
-                served = served_sum[position] * trace.step_seconds
-                work = float(served / 1.0e9)
-                requests = (
-                    None if instructions <= 0 else float(served / instructions)
-                )
-                duration = trace.step_seconds * length
-                violation_count = int(violations[position])
-                out[row] = {
-                    "routing": self.routing.name,
-                    "governor": self.governor.name,
-                    "workload": self.workload.name,
-                    "trace": trace.name,
-                    "fleet_size": self.fleet_size,
-                    "autoscaled": self.autoscaler is not None,
-                    "steps": length,
-                    "step_seconds": trace.step_seconds,
-                    "total_energy_j": total_energy,
-                    "mean_power_w": float(power_mean[position]),
-                    "mean_active_servers": float(active_mean[position]),
-                    "mean_serving_servers": float(serving_mean[position]),
-                    "mean_used_servers": float(used_mean[position]),
-                    "peak_serving_servers": int(peak_serving[position]),
-                    "wake_count": int(wake_sum[position]),
-                    "served_fraction": (
-                        1.0
-                        if offered <= 0.0
-                        else float(served_sum[position]) / offered
-                    ),
-                    "total_giga_instructions": work,
-                    "energy_per_giga_instruction_j": (
-                        total_energy / work if work > 0 else None
-                    ),
-                    "total_requests": requests,
-                    "mean_qps": (
-                        None
-                        if requests is None or duration <= 0
-                        else requests / duration
-                    ),
-                    "energy_per_request_j": (
-                        None
-                        if requests is None or requests <= 0
-                        else total_energy / requests
-                    ),
-                    "violation_count": violation_count,
-                    "violation_fraction": (
-                        violation_count / length if length else 0.0
-                    ),
-                    "queue_violation_count": int(queue_violations[position]),
-                    "saturated_step_count": int(saturated[position]),
-                    "max_tail_latency_s": (
-                        float(finite_max[position])
-                        if has_finite[position]
-                        else None
-                    ),
-                }
-        return out  # type: ignore[return-value]
+        """Per-replay scalar summaries, one :func:`fleet_summaries` call
+        per trace-length group."""
+        return _summaries_by_length(
+            fleet_summaries,
+            FLEET_SUMMARY_COLUMNS,
+            self.fleet_columns,
+            self.lengths,
+            [trace.name for trace in self.traces],
+            [trace.step_seconds for trace in self.traces],
+            routing=self.routing.name,
+            governor=self.governor.name,
+            workload=self.workload.name,
+            fleet_size=self.fleet_size,
+            autoscaled=self.autoscaler is not None,
+            instructions_per_request=self.workload.instructions_per_request,
+        )
 
 
 # -- the user-facing runner -------------------------------------------------------------

@@ -7,17 +7,13 @@ objective, with the batched replay engine
 (:class:`~repro.kernels.batch.BatchReplayRunner`) as the evaluation
 backend.  Two deterministic strategies: exhaustive grid search and
 prefix-based successive halving.  Results are frozen and golden-pinnable:
-a columnar trials table, the best config under a deterministic total
-order, and the energy-vs-QoS Pareto frontier with dominated points
-dropped.
+every trial (its replay summary and the
+:meth:`~repro.fleet.economics.CostModel.rollup` of it), the best config
+under a deterministic total order, and the energy-vs-QoS Pareto
+frontier with dominated points dropped.
 """
 
-from repro.opt.objective import (
-    economics_from_summary,
-    is_feasible,
-    objective_value,
-    qos_violations,
-)
+from repro.opt.objective import is_feasible, objective_value, qos_violations
 from repro.opt.result import OptResult, Trial, pareto_frontier, trial_rank_key
 from repro.opt.space import ParamSpace, PolicyConfig
 from repro.opt.strategies import STRATEGIES, GridSearch, SuccessiveHalving
@@ -32,7 +28,6 @@ __all__ = [
     "PolicyTuner",
     "SuccessiveHalving",
     "Trial",
-    "economics_from_summary",
     "is_feasible",
     "objective_value",
     "pareto_frontier",

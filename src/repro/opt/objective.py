@@ -10,19 +10,17 @@ infeasible config's objective is ``inf``: it can never beat a feasible
 one, which is what makes the reported optimum QoS-clean whenever a
 clean config exists in the space.
 
-The economics here are computed from the batched engine's summary
-*dicts* with exactly the arithmetic
-:meth:`~repro.fleet.economics.CostModel.rollup` applies to a
-:class:`~repro.fleet.result.FleetResult`, so a trial's dollars are
-bit-identical to what the object path reports for the same replay.
+The economics are :meth:`~repro.fleet.economics.CostModel.rollup` of
+the batched engine's summary dict, the same reduction
+:meth:`~repro.fleet.result.FleetResult.summary` runs, so a trial's
+dollars are bit-identical to what the object path reports for the
+same replay.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, Optional
-
-from repro.fleet.economics import SECONDS_PER_YEAR, CostModel
 
 
 def qos_violations(summary: Dict[str, object]) -> int:
@@ -33,53 +31,6 @@ def qos_violations(summary: Dict[str, object]) -> int:
 def is_feasible(summary: Dict[str, object]) -> bool:
     """True when the replay held the QoS bound at every step."""
     return qos_violations(summary) == 0
-
-
-def economics_from_summary(
-    summary: Dict[str, object], cost_model: CostModel
-) -> Dict[str, object]:
-    """:meth:`CostModel.rollup` computed from a batched summary dict.
-
-    Same fields, same arithmetic order, so the numbers match the
-    object path's rollup bit for bit for the same replay.
-    """
-    duration_s = float(summary["step_seconds"]) * int(summary["steps"])
-    total_energy_j = float(summary["total_energy_j"])
-    energy_cost = cost_model.energy_cost(total_energy_j)
-    capex_cost = (
-        int(summary["fleet_size"])
-        * cost_model.capex_rate_per_server_second
-        * duration_s
-    )
-    total_cost = energy_cost + capex_cost
-
-    requests = summary["total_requests"]
-    mean_qps = summary["mean_qps"]
-    cost_rate_per_year = total_cost / duration_s * SECONDS_PER_YEAR
-
-    return {
-        "duration_s": duration_s,
-        "energy_kwh": total_energy_j / 3.6e6,
-        "energy_cost": energy_cost,
-        "capex_cost": capex_cost,
-        "total_cost": total_cost,
-        "mean_qps": mean_qps,
-        "cost_per_qps_year": (
-            cost_rate_per_year / mean_qps
-            if mean_qps is not None and mean_qps > 0
-            else None
-        ),
-        "cost_per_million_requests": (
-            total_cost / requests * 1.0e6
-            if requests is not None and requests > 0
-            else None
-        ),
-        "joules_per_request": summary["energy_per_request_j"],
-        "joules_per_giga_instruction": summary[
-            "energy_per_giga_instruction_j"
-        ],
-        "annual_tco": cost_rate_per_year,
-    }
 
 
 def objective_value(

@@ -3,21 +3,18 @@
 A :class:`Trial` is one (config, trace prefix) evaluation: the batched
 engine's replay summary, the cost-model economics derived from it, and
 the scalar objective.  :class:`OptResult` collects every trial an
-optimization produced (all rungs, in evaluation order), exposes them as
-a frozen columnar table, and derives the two headline artifacts golden
-fixtures pin: the best config (deterministic total order, never
-QoS-violating when a QoS-clean config exists) and the energy-vs-QoS
-Pareto frontier over the full-length trials with dominated points
-dropped.
+optimization produced (all rungs, in evaluation order) and derives the
+two headline artifacts golden fixtures pin: the best config
+(deterministic total order, never QoS-violating when a QoS-clean config
+exists) and the energy-vs-QoS Pareto frontier over the full-length
+trials with dominated points dropped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from repro.opt.space import ParamSpace, PolicyConfig
 
@@ -107,17 +104,13 @@ def pareto_frontier(
     return tuple(index for _, _, index in frontier)
 
 
-def _float_or_nan(value) -> float:
-    return math.nan if value is None else float(value)
-
-
 class OptResult:
     """Everything one policy optimization produced.
 
     ``trials`` holds every evaluation in submission order across all
     rungs; the *final rung* (the full-length evaluations the strategy
     finished on) is what the optimum and the frontier are derived
-    from.  :attr:`columns` is the frozen columnar trials table;
+    from.  :meth:`trial_dicts` lists every trial as a JSON-able row;
     :attr:`wall_s` carries the nondeterministic wall clock and is
     deliberately excluded from :meth:`as_dict` so golden fixtures stay
     byte-stable.
@@ -158,7 +151,6 @@ class OptResult:
                     f"final-rung trial {index} ran {self.trials[index].steps} "
                     f"steps, not the full {self.full_steps}"
                 )
-        self._columns: Optional[Dict[str, np.ndarray]] = None
 
     def __len__(self) -> int:
         return len(self.trials)
@@ -234,84 +226,7 @@ class OptResult:
             )
         return rows
 
-    # -- columnar access ---------------------------------------------------------------
-
-    @property
-    def columns(self) -> Dict[str, np.ndarray]:
-        """The trials as a frozen columnar table (one row per trial)."""
-        if self._columns is None:
-            trials = self.trials
-            columns: Dict[str, np.ndarray] = {
-                "rung": np.array([t.rung for t in trials], dtype=np.int64),
-                "steps": np.array([t.steps for t in trials], dtype=np.int64),
-                "governor": np.array(
-                    [t.config.governor for t in trials], dtype=object
-                ),
-                "routing": np.array(
-                    [t.config.routing for t in trials], dtype=object
-                ),
-                "fleet_size": np.array(
-                    [t.config.fleet_size for t in trials], dtype=np.int64
-                ),
-                "fill_fraction": np.array(
-                    [_float_or_nan(t.config.fill_fraction) for t in trials]
-                ),
-                "band_low": np.array(
-                    [
-                        math.nan if t.config.band is None else t.config.band[0]
-                        for t in trials
-                    ]
-                ),
-                "band_high": np.array(
-                    [
-                        math.nan if t.config.band is None else t.config.band[1]
-                        for t in trials
-                    ]
-                ),
-                "wake_steps": np.array(
-                    [_float_or_nan(t.config.wake_steps) for t in trials]
-                ),
-                "degradation_bound": np.array(
-                    [
-                        _float_or_nan(t.config.degradation_bound)
-                        for t in trials
-                    ]
-                ),
-                "total_energy_j": np.array(
-                    [t.summary["total_energy_j"] for t in trials]
-                ),
-                "energy_per_request_j": np.array(
-                    [
-                        _float_or_nan(t.summary["energy_per_request_j"])
-                        for t in trials
-                    ]
-                ),
-                "mean_qps": np.array(
-                    [_float_or_nan(t.summary["mean_qps"]) for t in trials]
-                ),
-                "violation_count": np.array(
-                    [t.summary["violation_count"] for t in trials],
-                    dtype=np.int64,
-                ),
-                "queue_violation_count": np.array(
-                    [t.summary["queue_violation_count"] for t in trials],
-                    dtype=np.int64,
-                ),
-                "cost_per_qps_year": np.array(
-                    [
-                        _float_or_nan(t.economics["cost_per_qps_year"])
-                        for t in trials
-                    ]
-                ),
-                "objective": np.array([t.objective for t in trials]),
-                "feasible": np.array(
-                    [t.feasible for t in trials], dtype=bool
-                ),
-            }
-            for array in columns.values():
-                array.setflags(write=False)
-            self._columns = columns
-        return self._columns
+    # -- rows ------------------------------------------------------------------------
 
     def trial_dicts(self) -> List[Dict[str, object]]:
         """One JSON-able row per trial (CLI trials table rendering)."""

@@ -216,10 +216,10 @@ class ParamSpace:
             _check_no_duplicates(name, values)
 
         for size in self.fleet_sizes:
-            if not isinstance(size, int) or size < 1:
+            if isinstance(size, bool) or not isinstance(size, int) or size < 1:
                 raise ValueError(
-                    f"parameter space: fleet sizes must be integers >= 1, "
-                    f"got {size!r}"
+                    f"parameter space: dimension 'fleet_sizes': fleet sizes "
+                    f"must be integers >= 1, got {size!r}"
                 )
         unknown_governors = [g for g in self.governors if g not in GOVERNORS]
         if unknown_governors:

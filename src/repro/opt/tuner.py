@@ -24,11 +24,7 @@ from repro import obs
 from repro.fleet.economics import CostModel
 from repro.dvfs.trace import LoadTrace
 from repro.kernels.batch import BatchReplayRunner, unique_specs
-from repro.opt.objective import (
-    economics_from_summary,
-    is_feasible,
-    objective_value,
-)
+from repro.opt.objective import is_feasible, objective_value
 from repro.opt.result import OptResult, Trial
 from repro.opt.space import ParamSpace, PolicyConfig
 from repro.resilience import (
@@ -251,7 +247,7 @@ class PolicyTuner:
                 # drop the trial and keep its identity on the record.
                 self._record_quarantine(config, rung, summary)
                 continue
-            economics = economics_from_summary(summary, self.cost_model)
+            economics = self.cost_model.rollup(summary)
             objective = corrupt(
                 "tuner.objective",
                 objective_value(summary, economics),

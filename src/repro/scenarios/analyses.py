@@ -18,7 +18,7 @@ local to each function to keep the package import graph acyclic.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Callable, Dict
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.sweep.context import ModelContext
 from repro.sweep.result import SweepResult
@@ -178,6 +178,25 @@ def _plan_dict(plan) -> dict:
     return data
 
 
+def _lowest_energy(
+    summaries: Dict[str, dict],
+    eligible: Optional[Callable[[str], bool]] = None,
+) -> Optional[str]:
+    """The key of the lowest-``total_energy_j`` eligible summary, or None.
+
+    Eligible means zero violations unless ``eligible(key)`` decides;
+    ``min`` keeps the first key on an energy tie.
+    """
+    keys = [
+        key
+        for key, summary in summaries.items()
+        if (eligible(key) if eligible else summary["violation_count"] == 0)
+    ]
+    return min(
+        keys, key=lambda key: summaries[key]["total_energy_j"], default=None
+    )
+
+
 def dvfs_replay(
     spec: "ScenarioSpec", context: ModelContext, sweep: SweepResult
 ) -> dict:
@@ -216,16 +235,7 @@ def dvfs_replay(
         steps[name] = {
             governor: replay.to_columns() for governor, replay in replays.items()
         }
-        clean = {
-            governor: replay
-            for governor, replay in replays.items()
-            if replay.violation_count == 0
-        }
-        best[name] = (
-            min(clean, key=lambda governor: clean[governor].total_energy_j)
-            if clean
-            else None
-        )
+        best[name] = _lowest_energy(summaries[name])
     return {
         "trace": trace.summary(),
         "governors": list(governor_names),
@@ -291,22 +301,13 @@ def fleet_replay(
             routing: result.summary() for routing, result in results.items()
         }
         economics[name] = {
-            routing: cost_model.rollup(result)
-            for routing, result in results.items()
+            routing: cost_model.rollup(summary)
+            for routing, summary in summaries[name].items()
         }
         steps[name] = {
             routing: result.to_columns() for routing, result in results.items()
         }
-        clean = {
-            routing: result
-            for routing, result in results.items()
-            if result.violation_count == 0
-        }
-        best[name] = (
-            min(clean, key=lambda routing: clean[routing].total_energy_j)
-            if clean
-            else None
-        )
+        best[name] = _lowest_energy(summaries[name])
     return {
         "trace": trace.summary(),
         "fleet_size": spec.fleet_size,
@@ -386,18 +387,10 @@ def fleet_stress(
             routing: result.resilience()
             for routing, result in results.items()
         }
-        recovering = {
-            routing: result
-            for routing, result in results.items()
-            if resilience[name][routing]["unrecovered_events"] == 0
-        }
-        best[name] = (
-            min(
-                recovering,
-                key=lambda routing: recovering[routing].total_energy_j,
-            )
-            if recovering
-            else None
+        recovered = resilience[name]
+        best[name] = _lowest_energy(
+            summaries[name],
+            lambda routing: recovered[routing]["unrecovered_events"] == 0,
         )
         steps[name] = {
             routing: result.to_columns() for routing, result in results.items()
@@ -520,19 +513,7 @@ def sweep_governor_grid(
                 per_governor[governor] = summaries[position]
                 position += 1
             replays[name][trace_name] = per_governor
-            clean = {
-                governor: summary
-                for governor, summary in per_governor.items()
-                if summary["violation_count"] == 0
-            }
-            best[name][trace_name] = (
-                min(
-                    clean,
-                    key=lambda governor: clean[governor]["total_energy_j"],
-                )
-                if clean
-                else None
-            )
+            best[name][trace_name] = _lowest_energy(per_governor)
     return {
         "traces": {name: trace.summary() for name, trace in traces.items()},
         "governors": list(governor_names),

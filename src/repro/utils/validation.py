@@ -6,6 +6,8 @@ through these helpers so error messages are uniform and informative.
 
 from __future__ import annotations
 
+import math
+
 
 def check_positive(name: str, value: float) -> float:
     """Return ``value`` if strictly positive, otherwise raise ``ValueError``."""
@@ -39,3 +41,31 @@ def check_probability_sum(name: str, values, tolerance: float = 1e-6):
     if abs(total - 1.0) > tolerance:
         raise ValueError(f"{name} must sum to 1.0 (got {total:.6f})")
     return values
+
+
+def check_fleet(fleet_size: int, off_power_w: float, autoscaler=None) -> None:
+    """Check a fleet's size, parked-server draw and autoscaler floor.
+
+    ``fleet_size`` must be an ``int`` >= 1: the engines allocate and
+    index by it, so a float (even ``2.0``) or a ``bool`` is rejected
+    here rather than failing mid-replay.  ``off_power_w`` must be
+    finite and >= 0, and the autoscaler's ``min_servers`` (when one is
+    given) must fit in the fleet.
+    """
+    if isinstance(fleet_size, bool) or not isinstance(fleet_size, int):
+        raise ValueError(
+            f"fleet_size must be an int, got {fleet_size!r} "
+            f"({type(fleet_size).__name__})"
+        )
+    if fleet_size < 1:
+        raise ValueError(f"fleet_size must be >= 1, got {fleet_size}")
+    # NaN slips through the < 0 check, and a NaN or inf draw would
+    # poison every replay's energy columns.
+    if not math.isfinite(off_power_w):
+        raise ValueError(f"off_power_w must be finite, got {off_power_w}")
+    check_non_negative("off_power_w", off_power_w)
+    if autoscaler is not None and autoscaler.min_servers > fleet_size:
+        raise ValueError(
+            f"autoscaler min_servers ({autoscaler.min_servers}) "
+            f"exceeds the fleet size ({fleet_size})"
+        )

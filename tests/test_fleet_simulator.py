@@ -229,6 +229,10 @@ def test_autoscaler_respects_min_servers(websearch_simulator):
 def test_fleet_rejects_bad_construction(default_context):
     with pytest.raises(ValueError, match="fleet_size"):
         FleetSimulator(default_context, WEB_SEARCH, fleet_size=0)
+    # Floats (even integral ones) and bools fail here, not mid-replay.
+    for fleet_size in (2.0, 2.5, True):
+        with pytest.raises(ValueError, match="fleet_size must be an int"):
+            FleetSimulator(default_context, WEB_SEARCH, fleet_size=fleet_size)
     with pytest.raises(ValueError, match="min_servers"):
         FleetSimulator(
             default_context,
@@ -468,7 +472,7 @@ def test_energy_cost_arithmetic():
 def test_rollup_capex_covers_owned_servers(websearch_fleet, diurnal_trace):
     model = CostModel()
     result = websearch_fleet.run(diurnal_trace, "spread")
-    rollup = model.rollup(result)
+    rollup = model.rollup(result.summary())
     expected_capex = (
         4 * model.capex_rate_per_server_second * result.duration_seconds
     )
@@ -490,7 +494,7 @@ def test_rollup_request_economics_undefined_for_vms(default_context, diurnal_tra
     result = FleetSimulator(default_context, VMS_LOW_MEM, fleet_size=2).run(
         diurnal_trace, "spread"
     )
-    rollup = CostModel().rollup(result)
+    rollup = CostModel().rollup(result.summary())
     assert rollup["mean_qps"] is None
     assert rollup["cost_per_qps_year"] is None
     assert rollup["cost_per_million_requests"] is None

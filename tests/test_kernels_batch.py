@@ -11,9 +11,9 @@ kernel fleet replay is itself a one-row batch, so it is no oracle):
 * every column of every replay, across all governors, routings,
   autoscale on/off and ragged trace lengths (so the (B, T) padding and
   masking must be exact, not approximately right);
-* every scalar summary dict, against ``GovernorSimulator.replay`` /
-  ``FleetSimulator.run`` summaries (float-sensitive derived ratios
-  included);
+* every scalar summary dict, against ``reference=True``
+  ``GovernorSimulator.replay`` / ``FleetSimulator.run`` summaries
+  (float-sensitive derived ratios included);
 * hypothesis-sampled batch shapes: random row counts, random lengths,
   mixed governors in one batch;
 * ``least_loaded`` on 8- and 12-node fleets, where the routing weights
@@ -69,6 +69,7 @@ from repro.kernels.fleet import (
     _route_targets,
 )
 from repro.kernels.governors import select_step_indices
+from repro.resilience import SpecError
 from repro.workloads.banking_vm import VMS_LOW_MEM
 from repro.workloads.cloudsuite import DATA_SERVING, WEB_SEARCH
 
@@ -148,7 +149,7 @@ def test_batched_replay_equals_looped_kernel_calls(
 def test_mixed_governor_batch_matches_simulator_summaries(
     batch, default_context, websearch_simulator
 ):
-    """Mixed-policy batches reproduce simulator summaries exactly."""
+    """Mixed-policy batches reproduce reference-path summaries exactly."""
     governors = sorted(GOVERNORS)
     specs = []
     for index, values in enumerate(batch):
@@ -162,7 +163,9 @@ def test_mixed_governor_batch_matches_simulator_summaries(
     result = BatchReplayRunner(default_context).run(specs)
     summaries = result.summaries()
     for index, spec in enumerate(specs):
-        reference = websearch_simulator.replay(spec.trace, spec.governor)
+        reference = websearch_simulator.replay(
+            spec.trace, spec.governor, reference=True
+        )
         assert summaries[index] == reference.summary()
 
 
@@ -223,7 +226,7 @@ def test_batched_fleet_equals_looped_kernel_calls(
 
 @pytest.mark.parametrize("routing", sorted(ROUTERS))
 def test_batched_fleet_summaries_match_simulator(routing, default_context):
-    """Summary dicts equal FleetSimulator's exactly, per routing."""
+    """Summary dicts equal the reference path's exactly, per routing."""
     traces = [
         LoadTrace.bursty(steps=40, seed=3).head(31),
         LoadTrace.diurnal(steps=24, step_seconds=600.0),
@@ -249,7 +252,8 @@ def test_batched_fleet_summaries_match_simulator(routing, default_context):
         autoscaler=Autoscaler(),
     )
     for index, trace in enumerate(traces):
-        assert summaries[index] == simulator.run(trace, routing).summary()
+        reference = simulator.run(trace, routing, reference=True)
+        assert summaries[index] == reference.summary()
 
 
 @pytest.mark.parametrize("governor", ["conservative", "ondemand"])
@@ -841,6 +845,14 @@ def test_replay_spec_validation():
             fleet_size=0,
             routing="pack",
         )
+    for fleet_size in (2.0, 2.5, True):
+        with pytest.raises(SpecError, match="fleet_size must be an int"):
+            ReplaySpec(
+                workload=WEB_SEARCH,
+                trace=trace,
+                fleet_size=fleet_size,
+                routing="pack",
+            )
     with pytest.raises(ValueError, match="min_servers"):
         ReplaySpec(
             workload=WEB_SEARCH,

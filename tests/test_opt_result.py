@@ -203,19 +203,6 @@ class TestOptResult:
         assert result.final_indices == (1, 2)
         assert set(result.frontier_indices) == {1, 2}
 
-    def test_columns_are_frozen_and_row_aligned(self):
-        trials = [
-            _trial(_config(2), 0, cost=1.0, energy_per_request=0.02),
-            _trial(_config(4), 3, cost=0.5, energy_per_request=0.01),
-        ]
-        columns = self._result(trials).columns
-        assert list(columns["fleet_size"]) == [2, 4]
-        assert list(columns["violation_count"]) == [0, 3]
-        assert list(columns["feasible"]) == [True, False]
-        assert math.isinf(columns["objective"][1])
-        with pytest.raises(ValueError):
-            columns["fleet_size"][0] = 99
-
     def test_trial_dicts_mark_exactly_one_best(self):
         trials = [
             _trial(_config(2), 0, cost=1.0, energy_per_request=0.02),

@@ -47,10 +47,13 @@ class TestParamSpaceValidation:
             ParamSpace(fleet_sizes=(4, 4))
 
     def test_non_integer_fleet_size_rejected(self):
-        with pytest.raises(
-            ValueError, match=r"fleet sizes must be integers >= 1, got 2.5"
-        ):
-            ParamSpace(fleet_sizes=(2.5,))
+        for size in (2.5, 2.0, True):
+            with pytest.raises(
+                ValueError,
+                match=rf"'fleet_sizes': fleet sizes must be integers >= 1, "
+                rf"got {size!r}",
+            ):
+                ParamSpace(fleet_sizes=(size,))
 
     def test_zero_fleet_size_rejected(self):
         with pytest.raises(

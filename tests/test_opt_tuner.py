@@ -110,7 +110,8 @@ class TestTunerEvaluation:
         )
         trial = tuner.evaluate([config])[0]
         simulator = FleetSimulator(default_context, WEB_SEARCH, fleet_size=2)
-        rollup = CostModel().rollup(simulator.run(short_trace, "round_robin"))
+        result = simulator.run(short_trace, "round_robin", reference=True)
+        rollup = CostModel().rollup(result.summary())
         for key, value in rollup.items():
             assert trial.economics[key] == value, key
 
