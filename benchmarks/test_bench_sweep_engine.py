@@ -12,12 +12,16 @@ host-speed drift between pairs cancels out of the ratio).
 
 import statistics
 
-from repro.core.efficiency import EfficiencyAnalyzer, EfficiencyScope
 from repro.core.performance import ServerPerformanceModel
 from repro.latency.tail import TailLatencyModel
 from repro.sweep import SweepRunner
 from repro.utils.tables import format_table
 from repro.workloads.cloudsuite import scale_out_workloads
+
+
+def _fresh_traffic(performance, workload, frequency):
+    """Traffic from a fresh CPI stack, as each seed power accessor built it."""
+    return performance.traffic(workload, performance.performance(workload, frequency))
 
 
 def _legacy_sweep(configuration, workloads, frequencies):
@@ -30,16 +34,32 @@ def _legacy_sweep(configuration, workloads, frequencies):
             # Each accessor builds its own model stack, as the seed
             # explorer's properties did.
             performance = ServerPerformanceModel(configuration)
-            efficiency = EfficiencyAnalyzer(configuration)
             point = performance.performance(workload, frequency)
             nominal = performance.nominal_performance(workload)
             operating_point = configuration.core_power_model().operating_point(
                 frequency, workload.activity_factor
             )
-            core_power = efficiency.power(workload, frequency, EfficiencyScope.CORES)
-            soc_power = efficiency.power(workload, frequency, EfficiencyScope.SOC)
-            server_power = efficiency.power(
-                workload, frequency, EfficiencyScope.SERVER
+            # The seed's per-scope power composition: a fresh power model
+            # and traffic per scope, independent of ModelContext.evaluate,
+            # which the identity asserts below pin.
+            core_power = configuration.soc_power_model().core_power(
+                frequency, workload.activity_factor
+            )
+            traffic = _fresh_traffic(performance, workload, frequency)
+            soc_power = configuration.soc_power_model().total_power(
+                frequency,
+                workload.activity_factor,
+                llc_accesses_per_second=traffic.llc_accesses_per_second_per_cluster,
+                crossbar_bytes_per_second=traffic.crossbar_bytes_per_second_per_cluster,
+            )
+            traffic = _fresh_traffic(performance, workload, frequency)
+            server_power = configuration.server_power_model().total_power(
+                frequency,
+                workload.activity_factor,
+                memory_read_bandwidth=traffic.read_bandwidth,
+                memory_write_bandwidth=traffic.write_bandwidth,
+                llc_accesses_per_second=traffic.llc_accesses_per_second_per_cluster,
+                crossbar_bytes_per_second=traffic.crossbar_bytes_per_second_per_cluster,
             )
             latency = TailLatencyModel(workload).latency(
                 frequency, point.core_uips, nominal.core_uips

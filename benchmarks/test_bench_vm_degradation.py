@@ -5,6 +5,7 @@ at 500MHz and a 2x bound still allows 1GHz.
 """
 
 from repro.core.qos import QosAnalyzer
+from repro.sweep.context import ModelContext
 from repro.utils.tables import format_table
 from repro.workloads.banking_vm import (
     DEGRADATION_LIMIT_RELAXED,
@@ -14,7 +15,7 @@ from repro.workloads.banking_vm import (
 
 
 def _build(configuration, frequencies):
-    analyzer = QosAnalyzer(configuration)
+    analyzer = QosAnalyzer(ModelContext(configuration))
     curves = {
         name: analyzer.degradation_curve(workload, frequencies)
         for name, workload in virtualized_workloads().items()

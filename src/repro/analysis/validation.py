@@ -220,7 +220,7 @@ def _efficiency_checks(sweep: SweepResult, context: ModelContext) -> List[ClaimC
 def _proportionality_checks(
     sweep: SweepResult, context: ModelContext
 ) -> List[ClaimCheck]:
-    ep = EnergyProportionalityAnalyzer(context.configuration)
+    ep = EnergyProportionalityAnalyzer(context)
     checks = []
 
     workload = scale_out_workloads()["Data Serving"]

@@ -19,6 +19,12 @@ workloads, latency) into the study the paper presents:
 * :mod:`repro.core.consolidation` -- workload co-allocation analysis for
   the public-cloud scenario (Section V-C).
 * :mod:`repro.core.report` -- plain-text reporting of DSE results.
+
+The four analyzers are views over one
+:class:`~repro.sweep.context.ModelContext`, their only field, so only
+:mod:`repro.core.config` builds performance or power models.  Since
+:mod:`repro.sweep.context` imports this package, the analyzers import
+the context for annotations only (or inside a function).
 """
 
 from repro.core.config import ServerConfiguration, default_server

@@ -17,15 +17,14 @@ This module provides that analysis for the virtualized VM classes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Sequence
 
-from repro.core.config import ServerConfiguration
-from repro.core.efficiency import EfficiencyAnalyzer, EfficiencyScope
-from repro.core.performance import ServerPerformanceModel
 from repro.core.qos import QosAnalyzer
-from repro.workloads.banking_vm import DEGRADATION_LIMIT_RELAXED
 from repro.workloads.base import WorkloadCharacteristics
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sweep.context import ModelContext
 
 
 @dataclass(frozen=True)
@@ -58,16 +57,16 @@ class ConsolidationPlan:
 
 @dataclass(frozen=True)
 class ConsolidationAnalyzer:
-    """Sizes co-allocation plans under degradation and capacity limits."""
+    """Sizes co-allocation plans under degradation and capacity limits.
 
-    configuration: ServerConfiguration = field(default_factory=ServerConfiguration)
-    degradation_bound: float = DEGRADATION_LIMIT_RELAXED
+    Plans read the context's memoized performance points and server
+    power, and the degradation bound is the context's.
+    """
 
-    def _performance(self) -> ServerPerformanceModel:
-        return ServerPerformanceModel(self.configuration)
+    context: "ModelContext"
 
     def _memory_capacity_vms(self, workload: WorkloadCharacteristics) -> int:
-        capacity = self.configuration.memory_power_model().total_capacity_bytes()
+        capacity = self.context.server_power_model.memory.total_capacity_bytes()
         # Reserve a slice of memory for the host OS images (one per cluster).
         reserved = 2 * 1024**3
         return int((capacity - reserved) // workload.memory_footprint_bytes)
@@ -81,15 +80,14 @@ class ConsolidationAnalyzer:
         """Build the plan packing ``vms_per_core`` VMs onto every core."""
         if vms_per_core < 1:
             raise ValueError("vms_per_core must be >= 1")
-        performance = self._performance()
-        efficiency = EfficiencyAnalyzer(self.configuration)
-        point = performance.performance(workload, frequency_hz)
-        nominal = performance.nominal_performance(workload)
+        context = self.context
+        point = context.performance(workload, frequency_hz)
+        nominal = context.nominal_performance(workload)
 
         # Time multiplexing: each VM sees 1/vms_per_core of the core.
         degradation = (nominal.core_uips / point.core_uips) * vms_per_core
 
-        requested_vms = self.configuration.core_count * vms_per_core
+        requested_vms = context.configuration.core_count * vms_per_core
         capacity_vms = self._memory_capacity_vms(workload)
         vm_count = min(requested_vms, capacity_vms)
 
@@ -99,9 +97,7 @@ class ConsolidationAnalyzer:
             vm_count=vm_count,
             vms_per_core=vms_per_core,
             degradation=degradation,
-            server_power=efficiency.power(
-                workload, frequency_hz, EfficiencyScope.SERVER
-            ),
+            server_power=context.evaluate(workload, frequency_hz).server_power,
             chip_uips=point.chip_uips,
             memory_capacity_limited=capacity_vms < requested_vms,
         )
@@ -110,13 +106,14 @@ class ConsolidationAnalyzer:
         self, workload: WorkloadCharacteristics, frequency_hz: float
     ) -> int:
         """Largest multiplexing degree honouring the degradation bound."""
-        performance = self._performance()
-        point = performance.performance(workload, frequency_hz)
-        nominal = performance.nominal_performance(workload)
+        context = self.context
+        point = context.performance(workload, frequency_hz)
+        nominal = context.nominal_performance(workload)
         base_degradation = nominal.core_uips / point.core_uips
-        if base_degradation > self.degradation_bound:
+        bound = context.degradation_bound
+        if base_degradation > bound:
             return 0
-        return max(1, int(self.degradation_bound / base_degradation))
+        return max(1, int(bound / base_degradation))
 
     def best_plan(
         self,
@@ -124,16 +121,15 @@ class ConsolidationAnalyzer:
         frequencies: Sequence[float] | None = None,
     ) -> ConsolidationPlan:
         """Plan with the lowest energy per unit of work that meets the bound."""
-        analyzer = EfficiencyAnalyzer(self.configuration)
         candidates: List[ConsolidationPlan] = []
-        for frequency in analyzer.reachable_frequencies(frequencies):
+        for frequency in self.context.reachable_frequencies(frequencies):
             degree = self.max_vms_per_core(workload, frequency)
             if degree < 1:
                 continue
             candidates.append(self.plan(workload, frequency, degree))
         if not candidates:
             raise ValueError(
-                f"no operating point satisfies the {self.degradation_bound}x "
+                f"no operating point satisfies the {self.context.degradation_bound}x "
                 f"degradation bound for {workload.name}"
             )
         return min(
@@ -141,7 +137,7 @@ class ConsolidationAnalyzer:
         )
 
     def qos_floor(self, workload: WorkloadCharacteristics) -> float | None:
-        """Frequency floor of the workload under the configured bound."""
-        return QosAnalyzer(self.configuration).frequency_floor(
-            workload, self.degradation_bound
+        """Frequency floor of the workload under the context's bound."""
+        return QosAnalyzer(self.context).frequency_floor(
+            workload, self.context.degradation_bound
         )

@@ -75,13 +75,13 @@ class DesignSpaceExplorer:
 
     @cached_property
     def efficiency_analyzer(self) -> EfficiencyAnalyzer:
-        """Efficiency analyzer for this configuration."""
-        return EfficiencyAnalyzer(self.configuration)
+        """Efficiency analyzer over the shared context."""
+        return EfficiencyAnalyzer(self.context)
 
     @cached_property
     def qos_analyzer(self) -> QosAnalyzer:
-        """QoS analyzer for this configuration."""
-        return QosAnalyzer(self.configuration)
+        """QoS analyzer over the shared context."""
+        return QosAnalyzer(self.context)
 
     # -- record construction ------------------------------------------------------------
 

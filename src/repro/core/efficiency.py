@@ -16,13 +16,13 @@ the scope under consideration (Figures 3 and 4).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, List, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, List, Sequence
 
-from repro.core.config import ServerConfiguration
-from repro.core.performance import ServerPerformanceModel
 from repro.workloads.base import WorkloadCharacteristics
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sweep.context import ModelContext
 
 
 class EfficiencyScope(enum.Enum):
@@ -31,6 +31,14 @@ class EfficiencyScope(enum.Enum):
     CORES = "cores"
     SOC = "soc"
     SERVER = "server"
+
+
+SCOPE_POWER_COLUMN = {
+    EfficiencyScope.CORES: "core_power",
+    EfficiencyScope.SOC: "soc_power",
+    EfficiencyScope.SERVER: "server_power",
+}
+"""The operating-point record field (and sweep column) of each scope's power."""
 
 
 @dataclass(frozen=True)
@@ -58,26 +66,14 @@ class EfficiencyPoint:
 
 @dataclass(frozen=True)
 class EfficiencyAnalyzer:
-    """Computes UIPS/Watt curves and optima for any workload and scope."""
+    """UIPS/Watt curves and optima, read from one model context.
 
-    configuration: ServerConfiguration = field(default_factory=ServerConfiguration)
+    Every point is the context's memoized
+    :meth:`~repro.sweep.context.ModelContext.evaluate` record, so an
+    analyzer over a swept context recomputes nothing.
+    """
 
-    @cached_property
-    def performance_model(self) -> ServerPerformanceModel:
-        """The analytical performance model for this configuration."""
-        return ServerPerformanceModel(self.configuration)
-
-    @cached_property
-    def _soc_power_model(self):
-        return self.configuration.soc_power_model()
-
-    @cached_property
-    def _server_power_model(self):
-        return self.configuration.server_power_model()
-
-    @cached_property
-    def _core_power_model(self):
-        return self.configuration.core_power_model()
+    context: "ModelContext"
 
     # -- single points ----------------------------------------------------------------
 
@@ -88,29 +84,8 @@ class EfficiencyAnalyzer:
         scope: EfficiencyScope,
     ) -> float:
         """Power in watts of ``scope`` at the given operating point."""
-        if scope is EfficiencyScope.CORES:
-            return self._soc_power_model.core_power(
-                frequency_hz, workload.activity_factor
-            )
-        performance = self.performance_model
-        traffic = performance.traffic(
-            workload, performance.performance(workload, frequency_hz)
-        )
-        if scope is EfficiencyScope.SOC:
-            return self._soc_power_model.total_power(
-                frequency_hz,
-                workload.activity_factor,
-                llc_accesses_per_second=traffic.llc_accesses_per_second_per_cluster,
-                crossbar_bytes_per_second=traffic.crossbar_bytes_per_second_per_cluster,
-            )
-        return self._server_power_model.total_power(
-            frequency_hz,
-            workload.activity_factor,
-            memory_read_bandwidth=traffic.read_bandwidth,
-            memory_write_bandwidth=traffic.write_bandwidth,
-            llc_accesses_per_second=traffic.llc_accesses_per_second_per_cluster,
-            crossbar_bytes_per_second=traffic.crossbar_bytes_per_second_per_cluster,
-        )
+        record = self.context.evaluate(workload, frequency_hz)
+        return getattr(record, SCOPE_POWER_COLUMN[scope])
 
     def efficiency(
         self,
@@ -119,14 +94,13 @@ class EfficiencyAnalyzer:
         scope: EfficiencyScope,
     ) -> EfficiencyPoint:
         """Efficiency point of ``workload`` at ``frequency_hz`` and ``scope``."""
-        point = self.performance_model.performance(workload, frequency_hz)
-        power = self.power(workload, frequency_hz, scope)
+        record = self.context.evaluate(workload, frequency_hz)
         return EfficiencyPoint(
             workload_name=workload.name,
             frequency_hz=frequency_hz,
             scope=scope,
-            chip_uips=point.chip_uips,
-            power_watts=power,
+            chip_uips=record.chip_uips,
+            power_watts=getattr(record, SCOPE_POWER_COLUMN[scope]),
         )
 
     # -- curves and optima --------------------------------------------------------------
@@ -137,14 +111,11 @@ class EfficiencyAnalyzer:
         scope: EfficiencyScope,
         frequencies: Sequence[float] | None = None,
     ) -> List[EfficiencyPoint]:
-        """Efficiency versus frequency over the configuration's grid."""
-        grid = frequencies if frequencies is not None else self.configuration.frequency_grid
-        points = []
-        for frequency in grid:
-            if not self._reachable(frequency):
-                continue
-            points.append(self.efficiency(workload, frequency, scope))
-        return points
+        """Efficiency versus frequency over the reachable grid."""
+        return [
+            self.efficiency(workload, frequency, scope)
+            for frequency in self.context.reachable_frequencies(frequencies)
+        ]
 
     def optimal_frequency(
         self,
@@ -169,14 +140,8 @@ class EfficiencyAnalyzer:
             for scope in EfficiencyScope
         }
 
-    # -- helpers ----------------------------------------------------------------------------
-
-    def _reachable(self, frequency_hz: float) -> bool:
-        return self._core_power_model.is_reachable(frequency_hz)
-
     def reachable_frequencies(
         self, frequencies: Iterable[float] | None = None
     ) -> List[float]:
         """The subset of the grid this technology flavour can reach."""
-        grid = frequencies if frequencies is not None else self.configuration.frequency_grid
-        return [frequency for frequency in grid if self._reachable(frequency)]
+        return list(self.context.reachable_frequencies(frequencies))

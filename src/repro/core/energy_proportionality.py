@@ -18,14 +18,15 @@ This module quantifies that argument:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Sequence
 
-from repro.core.config import ServerConfiguration
 from repro.core.efficiency import EfficiencyAnalyzer, EfficiencyScope
-from repro.core.performance import ServerPerformanceModel
 from repro.power.dram_power import LPDDR4_4GBIT_X8, DramChipEnergyProfile
 from repro.workloads.base import WorkloadCharacteristics
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sweep.context import ModelContext
 
 
 @dataclass(frozen=True)
@@ -46,12 +47,13 @@ class ProportionalityReport:
 
 @dataclass(frozen=True)
 class EnergyProportionalityAnalyzer:
-    """Energy-proportionality metrics and memory-technology ablations."""
+    """Energy-proportionality metrics and memory-technology ablations.
 
-    configuration: ServerConfiguration = field(default_factory=ServerConfiguration)
+    Every power and throughput compared is the context's memoized
+    operating-point record.
+    """
 
-    def _efficiency(self, configuration: ServerConfiguration) -> EfficiencyAnalyzer:
-        return EfficiencyAnalyzer(configuration)
+    context: "ModelContext"
 
     # -- metrics ---------------------------------------------------------------------
 
@@ -74,23 +76,16 @@ class EnergyProportionalityAnalyzer:
         This is the dynamic-range flavour of Barroso and Hoelzle's
         energy-proportionality argument the paper builds on.
         """
-        analyzer = self._efficiency(self.configuration)
-        performance = ServerPerformanceModel(self.configuration)
-        grid = analyzer.reachable_frequencies(frequencies)
+        context = self.context
+        grid = context.reachable_frequencies(frequencies)
         if not grid:
             raise ValueError("no reachable frequencies to analyse")
-        nominal_frequency = self.configuration.nominal_frequency_hz
-        floor_frequency = grid[0]
-        nominal_power = analyzer.power(
-            workload, nominal_frequency, EfficiencyScope.SERVER
+        nominal = context.evaluate(
+            workload, context.configuration.nominal_frequency_hz
         )
-        nominal_uips = performance.performance(
-            workload, nominal_frequency
-        ).chip_uips
-        floor_power = analyzer.power(workload, floor_frequency, EfficiencyScope.SERVER)
-        floor_uips = performance.performance(workload, floor_frequency).chip_uips
-        power_range = 1.0 - floor_power / nominal_power
-        throughput_range = 1.0 - floor_uips / nominal_uips
+        floor = context.evaluate(workload, grid[0])
+        power_range = 1.0 - floor.server_power / nominal.server_power
+        throughput_range = 1.0 - floor.chip_uips / nominal.chip_uips
         if throughput_range <= 0.0:
             return 1.0
         return max(0.0, min(1.0, power_range / throughput_range))
@@ -99,14 +94,13 @@ class EnergyProportionalityAnalyzer:
         self, workload: WorkloadCharacteristics, frequency_hz: float
     ) -> float:
         """Share of server power that does not scale with the cores."""
-        analyzer = self._efficiency(self.configuration)
-        server_power = analyzer.power(workload, frequency_hz, EfficiencyScope.SERVER)
-        core_power = analyzer.power(workload, frequency_hz, EfficiencyScope.CORES)
-        memory_dynamic = ServerPerformanceModel(self.configuration).memory_read_bandwidth(
-            workload, frequency_hz
-        ) * self.configuration.memory_chip.read_energy_per_byte
-        fixed = server_power - core_power - memory_dynamic
-        return max(0.0, fixed / server_power)
+        record = self.context.evaluate(workload, frequency_hz)
+        memory_dynamic = (
+            record.memory_read_bandwidth
+            * self.context.configuration.memory_chip.read_energy_per_byte
+        )
+        fixed = record.server_power - record.core_power - memory_dynamic
+        return max(0.0, fixed / record.server_power)
 
     def report(
         self,
@@ -114,16 +108,15 @@ class EnergyProportionalityAnalyzer:
         frequencies: Sequence[float] | None = None,
     ) -> ProportionalityReport:
         """Full proportionality report for one workload."""
-        analyzer = self._efficiency(self.configuration)
-        grid = analyzer.reachable_frequencies(frequencies)
-        optimum = analyzer.optimal_frequency(
+        grid = self.context.reachable_frequencies(frequencies)
+        optimum = EfficiencyAnalyzer(self.context).optimal_frequency(
             workload, EfficiencyScope.SERVER, grid
         ).frequency_hz
         return ProportionalityReport(
             workload_name=workload.name,
             proportionality_index=self.proportionality_index(workload, grid),
             fixed_power_fraction_at_nominal=self.fixed_power_fraction(
-                workload, self.configuration.nominal_frequency_hz
+                workload, self.context.configuration.nominal_frequency_hz
             ),
             fixed_power_fraction_at_floor=self.fixed_power_fraction(workload, grid[0]),
             server_optimum_hz=optimum,
@@ -144,14 +137,20 @@ class EnergyProportionalityAnalyzer:
         proportionality index and moves the server optimum to a lower
         core frequency.
         """
+        # Function-local: repro.sweep.context imports repro.core, so a
+        # module-level import would break `import repro.sweep` as a first
+        # import (see repro.core.dse).
+        from repro.sweep.context import ModelContext
+
+        configuration = self.context.configuration
         baseline = self.report(workload, frequencies)
-        alternative_configuration = self.configuration.with_memory_chip(
-            alternative_chip
-        )
         alternative = EnergyProportionalityAnalyzer(
-            alternative_configuration
+            ModelContext(
+                configuration.with_memory_chip(alternative_chip),
+                degradation_bound=self.context.degradation_bound,
+            )
         ).report(workload, frequencies)
         return {
-            self.configuration.memory_chip.name: baseline,
+            configuration.memory_chip.name: baseline,
             alternative_chip.name: alternative,
         }

@@ -13,16 +13,15 @@ Implements Section V-A of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Sequence
 
-from repro.core.config import ServerConfiguration
-from repro.core.performance import ServerPerformanceModel
-from repro.latency.degradation import BatchDegradationModel
-from repro.latency.tail import LatencyPoint, TailLatencyModel
+from repro.latency.tail import LatencyPoint
 from repro.workloads.banking_vm import DEGRADATION_LIMIT_RELAXED
 from repro.workloads.base import WorkloadCharacteristics
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sweep.context import ModelContext
 
 
 @dataclass(frozen=True)
@@ -52,23 +51,16 @@ class DegradationResult:
 
 @dataclass(frozen=True)
 class QosAnalyzer:
-    """Computes QoS floors over the configuration's frequency grid."""
+    """Computes QoS floors over one model context's reachable grid.
 
-    configuration: ServerConfiguration = field(default_factory=ServerConfiguration)
+    The performance points and the latency and degradation models are
+    the context's memoized ones.
+    """
 
-    @cached_property
-    def performance_model(self) -> ServerPerformanceModel:
-        """Analytical performance model for this configuration."""
-        return ServerPerformanceModel(self.configuration)
-
-    @cached_property
-    def _core_power_model(self):
-        return self.configuration.core_power_model()
+    context: "ModelContext"
 
     def _grid(self, frequencies: Sequence[float] | None) -> List[float]:
-        grid = frequencies if frequencies is not None else self.configuration.frequency_grid
-        power_model = self._core_power_model
-        return sorted(f for f in grid if power_model.is_reachable(f))
+        return sorted(self.context.reachable_frequencies(frequencies))
 
     # -- scale-out -------------------------------------------------------------------
 
@@ -78,12 +70,12 @@ class QosAnalyzer:
         frequencies: Sequence[float] | None = None,
     ) -> QosResult:
         """Figure 2 data for one scale-out workload."""
-        model = TailLatencyModel(workload)
-        performance = self.performance_model
-        nominal = performance.nominal_performance(workload)
+        context = self.context
+        model = context.latency_model(workload)
+        nominal = context.nominal_performance(workload)
         points: List[LatencyPoint] = []
         for frequency in self._grid(frequencies):
-            point = performance.performance(workload, frequency)
+            point = context.performance(workload, frequency)
             points.append(
                 model.latency(frequency, point.core_uips, nominal.core_uips)
             )
@@ -110,13 +102,13 @@ class QosAnalyzer:
         frequencies: Sequence[float] | None = None,
     ) -> DegradationResult:
         """Degradation data and frequency floors for one VM class."""
-        model = BatchDegradationModel(workload)
-        performance = self.performance_model
-        nominal = performance.nominal_performance(workload)
+        context = self.context
+        model = context.degradation_model(workload)
+        nominal = context.nominal_performance(workload)
         grid = self._grid(frequencies)
         degradations = []
         for frequency in grid:
-            point = performance.performance(workload, frequency)
+            point = context.performance(workload, frequency)
             degradations.append(
                 model.degradation(point.core_uips, nominal.core_uips)
             )
@@ -138,11 +130,11 @@ class QosAnalyzer:
         frequencies: Sequence[float] | None = None,
     ) -> float | None:
         """Lowest frequency keeping degradation within ``bound``."""
-        model = BatchDegradationModel(workload)
-        performance = self.performance_model
-        nominal = performance.nominal_performance(workload)
+        context = self.context
+        model = context.degradation_model(workload)
+        nominal = context.nominal_performance(workload)
         for frequency in self._grid(frequencies):
-            point = performance.performance(workload, frequency)
+            point = context.performance(workload, frequency)
             if model.meets_bound(point.core_uips, nominal.core_uips, bound):
                 return frequency
         return None

@@ -17,6 +17,7 @@ are bit-for-bit reproducible and can be pinned by golden fixtures.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -34,7 +35,8 @@ class LoadTrace:
     name:
         Identifier of the trace (used in tables and summaries).
     step_seconds:
-        Duration of every step; must be positive and finite.
+        Duration of every step; must be a positive, finite number
+        (not a ``bool``), and is stored as a ``float``.
     utilization:
         One offered-load level per step, each in ``[0, 1]``: the
         fraction of the server's nominal-frequency throughput the load
@@ -47,6 +49,14 @@ class LoadTrace:
     utilization: Tuple[float, ...]
 
     def __post_init__(self) -> None:
+        step = self.step_seconds
+        if isinstance(step, bool) or not isinstance(step, numbers.Real):
+            raise ValueError(
+                f"trace {self.name!r}: step duration must be a number, "
+                f"got {step!r} ({type(step).__name__})"
+            )
+        # Stored as a float so summaries and rollups carry one type.
+        object.__setattr__(self, "step_seconds", float(step))
         if not math.isfinite(self.step_seconds) or self.step_seconds <= 0.0:
             raise ValueError(
                 f"trace {self.name!r}: step duration must be positive and "

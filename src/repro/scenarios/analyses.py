@@ -132,7 +132,7 @@ def memory_technology(
             f"scenario {spec.name!r}: the memory_technology analysis needs "
             "compare_memory_chip to be set"
         )
-    analyzer = EnergyProportionalityAnalyzer(context.configuration)
+    analyzer = EnergyProportionalityAnalyzer(context)
     alternative = dram_chip_by_name(spec.compare_memory_chip)
     return {
         name: {
@@ -151,9 +151,7 @@ def consolidation(
     """Best co-allocation plan per VM class versus the naive 2GHz plan."""
     from repro.core.consolidation import ConsolidationAnalyzer
 
-    analyzer = ConsolidationAnalyzer(
-        context.configuration, degradation_bound=context.degradation_bound
-    )
+    analyzer = ConsolidationAnalyzer(context)
     results = {}
     for name, workload in spec.workloads().items():
         best = analyzer.best_plan(workload)

@@ -27,6 +27,7 @@ from repro.core.efficiency import EfficiencyScope
 from repro.power.dram_power import DRAM_CHIPS, dram_chip_by_name
 from repro.technology.a57_model import BodyBiasPolicy
 from repro.technology.process import TECHNOLOGIES, technology_by_name
+from repro.utils.validation import check_fleet
 from repro.workloads.banking_vm import (
     DEGRADATION_LIMIT_RELAXED,
     virtualized_workloads,
@@ -107,7 +108,7 @@ class ScenarioSpec:
         governor.
     fleet_size:
         Number of servers for the ``fleet_replay`` analysis (required
-        by it; must be >= 1 when set).
+        by it; an ``int`` >= 1 when set, never a ``bool``).
     fleet_routings:
         Routing-policy names from :data:`repro.fleet.routing.ROUTERS`
         for the ``fleet_replay`` analysis; empty means every registered
@@ -305,11 +306,11 @@ class ScenarioSpec:
         # imported here to keep module import order acyclic.
         from repro.fleet.routing import ROUTERS
 
-        if self.fleet_size is not None and self.fleet_size < 1:
-            raise ValueError(
-                f"scenario {self.name!r}: fleet_size must be >= 1, "
-                f"got {self.fleet_size}"
-            )
+        if self.fleet_size is not None:
+            try:
+                check_fleet(self.fleet_size, off_power_w=0.0)
+            except ValueError as error:
+                raise ValueError(f"scenario {self.name!r}: {error}") from None
         unknown_routings = [r for r in self.fleet_routings if r not in ROUTERS]
         if unknown_routings:
             known = ", ".join(ROUTERS)

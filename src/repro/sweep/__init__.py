@@ -13,7 +13,11 @@ exploration:
   sweep executor.
 
 :class:`~repro.core.dse.DesignSpaceExplorer` is the high-level facade
-over this package; import from here to drive sweeps directly.
+over this package; import from here to drive sweeps directly.  The
+:mod:`repro.core` analyzers, the governor and fleet simulators, the
+batch replay runner and the policy tuner all take a
+:class:`ModelContext`, so every consumer of one configuration shares a
+single evaluation path and memo.
 """
 
 from repro.sweep.context import ModelContext

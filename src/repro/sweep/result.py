@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Sequence
 
 import numpy as np
 
-from repro.core.efficiency import EfficiencyScope
+from repro.core.efficiency import SCOPE_POWER_COLUMN, EfficiencyScope
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,6 @@ _OPTIONAL_COLUMNS = ("latency_seconds", "latency_normalized_to_qos", "degradatio
 _BOOL_COLUMNS = ("meets_qos",)
 
 COLUMNS = _STRING_COLUMNS + _FLOAT_COLUMNS + _OPTIONAL_COLUMNS + _BOOL_COLUMNS
-
-_SCOPE_POWER_COLUMN = {
-    EfficiencyScope.CORES: "core_power",
-    EfficiencyScope.SOC: "soc_power",
-    EfficiencyScope.SERVER: "server_power",
-}
 
 
 def _optional(value: float) -> float | None:
@@ -181,7 +175,7 @@ class SweepResult(Sequence):
 
     def efficiency(self, scope: EfficiencyScope) -> np.ndarray:
         """UIPS/W at ``scope`` for every row (0 where power is not positive)."""
-        power = self._columns[_SCOPE_POWER_COLUMN[scope]]
+        power = self._columns[SCOPE_POWER_COLUMN[scope]]
         uips = self._columns["chip_uips"]
         out = np.zeros(len(self), dtype=np.float64)
         np.divide(uips, power, out=out, where=power > 0.0)

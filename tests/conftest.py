@@ -89,14 +89,14 @@ def default_explorer(default_configuration):
 
 @pytest.fixture(scope="session")
 def efficiency_analyzer(default_configuration):
-    """A shared efficiency analyzer for the default configuration."""
-    return EfficiencyAnalyzer(default_configuration)
+    """A shared efficiency analyzer over its own default-server context."""
+    return EfficiencyAnalyzer(ModelContext(default_configuration))
 
 
 @pytest.fixture(scope="session")
 def qos_analyzer(default_configuration):
-    """A shared QoS analyzer for the default configuration."""
-    return QosAnalyzer(default_configuration)
+    """A shared QoS analyzer over its own default-server context."""
+    return QosAnalyzer(ModelContext(default_configuration))
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ from repro.core.config import default_server
 from repro.core.consolidation import ConsolidationAnalyzer
 from repro.core.energy_proportionality import EnergyProportionalityAnalyzer
 from repro.power.dram_power import LPDDR4_4GBIT_X8
+from repro.sweep.context import ModelContext
 from repro.utils.units import ghz, mhz
 from repro.workloads.banking_vm import VMS_HIGH_MEM, VMS_LOW_MEM
 from repro.workloads.cloudsuite import DATA_SERVING, WEB_SEARCH
@@ -16,7 +17,7 @@ from repro.workloads.cloudsuite import DATA_SERVING, WEB_SEARCH
 
 @pytest.fixture(scope="module")
 def ep(default_configuration):
-    return EnergyProportionalityAnalyzer(default_configuration)
+    return EnergyProportionalityAnalyzer(ModelContext(default_configuration))
 
 
 def test_proportionality_index_between_zero_and_one(ep):
@@ -63,7 +64,7 @@ def test_custom_alternative_chip(ep):
 
 @pytest.fixture(scope="module")
 def consolidation(default_configuration):
-    return ConsolidationAnalyzer(default_configuration)
+    return ConsolidationAnalyzer(ModelContext(default_configuration))
 
 
 def test_plan_counts_vms_and_power(consolidation):
@@ -89,7 +90,9 @@ def test_max_vms_per_core_grows_at_high_frequency(consolidation):
 
 
 def test_max_vms_per_core_zero_when_bound_already_violated():
-    analyzer = ConsolidationAnalyzer(default_server(), degradation_bound=1.05)
+    analyzer = ConsolidationAnalyzer(
+        ModelContext(default_server(), degradation_bound=1.05)
+    )
     assert analyzer.max_vms_per_core(VMS_LOW_MEM, mhz(200)) == 0
 
 

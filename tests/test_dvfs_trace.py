@@ -21,6 +21,18 @@ def test_non_positive_or_non_finite_duration_is_rejected(duration):
         LoadTrace(name="bad", step_seconds=duration, utilization=(0.5,))
 
 
+@pytest.mark.parametrize("duration", [True, "60", None])
+def test_non_numeric_duration_is_rejected(duration):
+    with pytest.raises(ValueError, match="trace 'bad': step duration must be a number"):
+        LoadTrace(name="bad", step_seconds=duration, utilization=(0.5,))
+
+
+def test_integer_duration_is_stored_as_float():
+    trace = LoadTrace(name="int", step_seconds=60, utilization=(0.5,))
+    assert type(trace.step_seconds) is float
+    assert trace == LoadTrace(name="int", step_seconds=60.0, utilization=(0.5,))
+
+
 def test_utilization_above_one_is_rejected():
     with pytest.raises(ValueError, match="exceeds 1"):
         LoadTrace(name="over", step_seconds=60.0, utilization=(0.5, 1.2))

@@ -8,6 +8,7 @@ from repro.core.efficiency import EfficiencyAnalyzer, EfficiencyScope
 from repro.core.qos import QosAnalyzer
 from repro.dram.commands import MemoryRequest, RequestType
 from repro.power.dram_power import MemoryOrganization, MemoryPowerModel
+from repro.sweep.context import ModelContext
 from repro.technology.a57_model import CortexA57PowerModel
 from repro.technology.process import BULK_28NM
 from repro.utils.units import ghz, mhz
@@ -18,11 +19,13 @@ from repro.workloads.cloudsuite import DATA_SERVING
 def test_bulk_server_has_reduced_frequency_grid():
     """A bulk-technology server cannot reach the lowest NTC grid points."""
     configuration = default_server().with_technology(BULK_28NM)
-    analyzer = EfficiencyAnalyzer(configuration)
+    analyzer = EfficiencyAnalyzer(ModelContext(configuration))
     reachable = analyzer.reachable_frequencies()
     assert min(reachable) >= mhz(100)
     # Bulk cannot use the 100MHz point that FD-SOI reaches at 0.5V...
-    fdsoi_reachable = EfficiencyAnalyzer(default_server()).reachable_frequencies()
+    fdsoi_reachable = EfficiencyAnalyzer(
+        ModelContext(default_server())
+    ).reachable_frequencies()
     assert len(reachable) <= len(fdsoi_reachable)
 
 
@@ -36,13 +39,15 @@ def test_qos_floor_is_none_when_no_frequency_meets_qos():
         minimum_latency_99th_seconds=19.9e-3,
         qos_limit_seconds=20.0e-3,
     )
-    analyzer = QosAnalyzer(default_server())
+    analyzer = QosAnalyzer(ModelContext(default_server()))
     floor = analyzer.qos_frequency_floor(tight, [mhz(200), mhz(500)])
     assert floor is None
 
 
 def test_consolidation_best_plan_raises_when_bound_unreachable():
-    analyzer = ConsolidationAnalyzer(default_server(), degradation_bound=0.5)
+    analyzer = ConsolidationAnalyzer(
+        ModelContext(default_server(), degradation_bound=0.5)
+    )
     with pytest.raises(ValueError, match="degradation bound"):
         analyzer.best_plan(VMS_LOW_MEM)
 
@@ -68,7 +73,7 @@ def test_memory_model_with_single_channel_has_lower_peak():
 
 def test_unreachable_frequency_in_efficiency_curve_is_skipped():
     configuration = default_server().with_technology(BULK_28NM)
-    analyzer = EfficiencyAnalyzer(configuration)
+    analyzer = EfficiencyAnalyzer(ModelContext(configuration))
     points = analyzer.curve(DATA_SERVING, EfficiencyScope.SOC, [mhz(100), ghz(1), 5e9])
     frequencies = [point.frequency_hz for point in points]
     assert 5e9 not in frequencies

@@ -502,6 +502,20 @@ def test_rollup_request_economics_undefined_for_vms(default_context, diurnal_tra
     assert rollup["joules_per_giga_instruction"] > 0
 
 
+def test_integer_step_trace_summarises_like_float_step_trace(websearch_fleet):
+    """An int ``step_seconds`` reaches summaries and rollups as a float."""
+    load = (0.2, 0.5, 0.8)
+    by_int = websearch_fleet.run(LoadTrace("probe", 60, load), "pack").summary()
+    by_float = websearch_fleet.run(LoadTrace("probe", 60.0, load), "pack").summary()
+    assert by_int == by_float
+    assert type(by_int["step_seconds"]) is float
+    model = CostModel()
+    rollup = model.rollup(by_int)
+    assert rollup == model.rollup(by_float)
+    assert rollup["duration_s"] == 180.0
+    assert type(rollup["duration_s"]) is float
+
+
 # -- simulator guard rails --------------------------------------------------------------
 
 

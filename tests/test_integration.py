@@ -102,10 +102,11 @@ def test_uncore_voltage_scaling_ablation_moves_soc_optimum_down():
     from dataclasses import replace
 
     from repro.core.efficiency import EfficiencyAnalyzer
+    from repro.sweep.context import ModelContext
 
-    baseline = EfficiencyAnalyzer(default_server())
+    baseline = EfficiencyAnalyzer(ModelContext(default_server()))
     scaled = EfficiencyAnalyzer(
-        replace(default_server(), uncore_voltage_scales_with_core=True)
+        ModelContext(replace(default_server(), uncore_voltage_scales_with_core=True))
     )
     baseline_opt = baseline.optimal_frequency(WEB_SEARCH, EfficiencyScope.SOC)
     scaled_opt = scaled.optimal_frequency(WEB_SEARCH, EfficiencyScope.SOC)

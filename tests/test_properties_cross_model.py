@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.config import default_server
 from repro.core.efficiency import EfficiencyAnalyzer, EfficiencyScope
 from repro.core.performance import ServerPerformanceModel
+from repro.sweep.context import ModelContext
 from repro.technology.a57_model import CortexA57PowerModel
 from repro.technology.process import FDSOI_28NM
 from repro.uarch.core_model import IntervalCoreModel
@@ -88,7 +89,7 @@ def test_uips_never_exceeds_issue_width_times_frequency(workload, frequency):
     frequency=913990701.0,
 )
 def test_scope_power_ordering_holds_for_random_workloads(workload, frequency):
-    analyzer = EfficiencyAnalyzer(default_server())
+    analyzer = EfficiencyAnalyzer(ModelContext(default_server()))
     cores = analyzer.power(workload, frequency, EfficiencyScope.CORES)
     soc = analyzer.power(workload, frequency, EfficiencyScope.SOC)
     server = analyzer.power(workload, frequency, EfficiencyScope.SERVER)

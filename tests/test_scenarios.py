@@ -1,5 +1,6 @@
 """Unit tests for the scenario spec/registry/runner/CLI layer."""
 
+import dataclasses
 import json
 
 import pytest
@@ -718,6 +719,18 @@ def test_fleet_spec_accepts_valid_fields():
 def test_fleet_spec_rejects_non_positive_fleet_size():
     with pytest.raises(ValueError, match="fleet_size must be >= 1"):
         _fleet_spec(fleet_size=0)
+
+
+@pytest.mark.parametrize("fleet_size", [2.0, True])
+def test_fleet_spec_rejects_non_int_fleet_size(fleet_size):
+    """Rejected at the spec itself, not in the derived opt parameter space."""
+    registered = get_scenario("fleet_diurnal_websearch")
+    with pytest.raises(ValueError) as error:
+        dataclasses.replace(registered, fleet_size=fleet_size)
+    message = str(error.value)
+    assert message.startswith("scenario 'fleet_diurnal_websearch': fleet_size")
+    assert f"must be an int, got {fleet_size!r}" in message
+    assert "parameter space" not in message
 
 
 def test_fleet_spec_rejects_unknown_routing():
