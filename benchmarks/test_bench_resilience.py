@@ -26,9 +26,11 @@ from repro.workloads.cloudsuite import WEB_SEARCH
 
 MAX_GUARDED_OVERHEAD = 0.03
 # The two paths differ by one predictable branch per replay, so the
-# true gap is well under 1%; the median of 12 back-to-back pair ratios
-# keeps shared-machine speed swings from dominating the comparison.
-_REPEATS = 12
+# true gap is well under 1%; the median of 36 back-to-back pair ratios
+# keeps shared-machine speed swings from dominating the comparison
+# (12 pairs read -3.9% to +4.5% across solo runs, 36 pairs -0.0% to
+# +1.6%).
+_REPEATS = 36
 _SEEDS = 100
 _STEPS = 60
 _FLEET_SIZE = 4

@@ -6,11 +6,17 @@ access and recomputed the CPI stack up to six times per design point.
 exactly once per :class:`~repro.core.config.ServerConfiguration` and
 memoizes the quantities that are shared across the sweep:
 
-* per-(frequency, activity) core operating points (the body-bias scan
-  behind vdd and the core power breakdown) -- shared across workloads;
-* per-frequency reachability;
 * per-(workload, frequency) performance points and fully-resolved
-  operating-point records.
+  operating-point records;
+* the reachable subset of each frequency grid.
+
+Core operating points (the body-bias scan behind vdd and the core power
+breakdown) are memoized per core-model *value* for the whole process,
+in :func:`~repro.technology.a57_model.operating_point_memo`: every
+context whose configuration builds an equal core model shares them, so
+each (model, frequency, activity) point is solved once per process.
+Reachability is one comparison against the model's maximum frequency
+and solves nothing.  Records and frequency tables stay per context.
 
 Every cached value is produced by the same frozen model objects the
 per-point path uses, so the records are numerically identical to the
@@ -31,7 +37,11 @@ from repro.latency.tail import TailLatencyModel
 from repro.power.server import ServerPowerModel
 from repro.power.soc import SoCPowerModel
 from repro.sweep.result import OperatingPointRecord
-from repro.technology.a57_model import CoreOperatingPoint, CortexA57PowerModel
+from repro.technology.a57_model import (
+    CoreOperatingPoint,
+    CortexA57PowerModel,
+    operating_point_memo,
+)
 from repro.workloads.banking_vm import DEGRADATION_LIMIT_RELAXED
 from repro.workloads.base import WorkloadCharacteristics
 
@@ -48,8 +58,6 @@ class ModelContext:
     degradation_bound: float = DEGRADATION_LIMIT_RELAXED
 
     def __post_init__(self) -> None:
-        self._operating_points: Dict[Tuple[float, float], CoreOperatingPoint] = {}
-        self._reachability: Dict[float, bool] = {}
         self._performance_points: Dict[
             Tuple[WorkloadCharacteristics, float], PerformancePoint
         ] = {}
@@ -102,29 +110,36 @@ class ModelContext:
 
     # -- memoized per-frequency state ----------------------------------------------------
 
+    @cached_property
+    def _operating_points(self) -> Dict[Tuple[float, float], CoreOperatingPoint]:
+        return operating_point_memo(self.core_power_model)
+
     def operating_point(
         self, frequency_hz: float, activity: float = 1.0
     ) -> CoreOperatingPoint:
-        """Cached core operating point (vdd, bias, power) at a frequency."""
+        """Core operating point (vdd, bias, power) at a frequency.
+
+        Memoized per core-model value for the whole process: the first
+        context to ask for a (frequency, activity) point of an equal
+        core model solves it, and every later one reads it back.
+        """
         key = (frequency_hz, activity)
         point = self._operating_points.get(key)
         if point is None:
+            obs.count("context.operating_point_solves")
             point = self.core_power_model.operating_point(frequency_hz, activity)
             self._operating_points[key] = point
+        else:
+            obs.count("context.operating_point_hits")
         return point
 
     def is_reachable(self, frequency_hz: float) -> bool:
-        """Cached reachability of a frequency for this flavour."""
-        reachable = self._reachability.get(frequency_hz)
-        if reachable is None:
-            try:
-                self.operating_point(frequency_hz)
-            except ValueError:
-                reachable = False
-            else:
-                reachable = True
-            self._reachability[frequency_hz] = reachable
-        return reachable
+        """Whether this flavour reaches ``frequency_hz``.
+
+        One comparison against the core model's maximum frequency (see
+        :meth:`CortexA57PowerModel.is_reachable`); nothing is solved.
+        """
+        return self.core_power_model.is_reachable(frequency_hz)
 
     def reachable_frequencies(
         self, frequencies: Iterable[float] | None = None

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import Dict, Tuple
 
 from repro.technology.body_bias import BodyBiasModel
 from repro.technology.dynamic_power import DynamicPowerModel
@@ -184,8 +185,8 @@ class CortexA57PowerModel:
 
     # -- public API ----------------------------------------------------------------
 
-    def max_frequency(self) -> float:
-        """Highest frequency reachable at nominal voltage (best allowed bias)."""
+    @cached_property
+    def _max_frequency_hz(self) -> float:
         best = 0.0
         for bias in self._candidate_bias_grid:
             best = max(
@@ -193,6 +194,13 @@ class CortexA57PowerModel:
                 self.vf_model.max_frequency(self.technology.nominal_vdd, bias),
             )
         return best
+
+    def max_frequency(self) -> float:
+        """Highest frequency reachable at nominal voltage (best allowed bias).
+
+        Computed once per model instance.
+        """
+        return self._max_frequency_hz
 
     def min_voltage_frequency(self) -> float:
         """Highest frequency reachable at the minimum functional voltage.
@@ -248,12 +256,34 @@ class CortexA57PowerModel:
         return self.core_power(frequency_hz, activity) * core_count
 
     def is_reachable(self, frequency_hz: float) -> bool:
-        """True when ``frequency_hz`` is reachable by this flavour."""
-        try:
-            self.operating_point(frequency_hz)
-        except ValueError:
-            return False
-        return True
+        """True when ``frequency_hz`` is reachable by this flavour.
+
+        One comparison against :meth:`max_frequency`, with no solve.
+        :meth:`operating_point` raises exactly when the frequency is not
+        positive (NaN included) or exceeds the nominal-voltage maximum of
+        every candidate bias, so this closed form agrees with the solver
+        on every input.
+        """
+        return 0.0 < frequency_hz <= self.max_frequency()
+
+
+@lru_cache(maxsize=64)
+def operating_point_memo(
+    model: CortexA57PowerModel,
+) -> Dict[Tuple[float, float], CoreOperatingPoint]:
+    """The process-wide ``(frequency_hz, activity) -> point`` memo of ``model``.
+
+    One dict per model *value*: the model is a frozen dataclass of
+    frozen fields, and :meth:`CortexA57PowerModel.operating_point` is a
+    pure function of them, so every equal model shares one memo and a
+    point is solved once per process, however many contexts ask for it.
+    The memo is filled by
+    :meth:`repro.sweep.context.ModelContext.operating_point` with an
+    unlocked check-then-set, so two threads may both solve a missing
+    point, and both store equal values; the solver itself stays
+    uncached.  Bounded to the 64 most recently used models.
+    """
+    return {}
 
 
 def default_flavour_models() -> dict:

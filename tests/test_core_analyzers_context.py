@@ -1,11 +1,12 @@
 """The core analyzers are views over one ModelContext.
 
 Every core operating point (the body-bias scan behind vdd and core
-power) is solved by :meth:`ModelContext.operating_point`, and the
-efficiency, QoS, consolidation and proportionality analyzers read the
-records a scenario's sweep already memoized: their scope powers, optima
-and floors equal the sweep's columns bit for bit and add no design
-point to the context.
+power) is solved by :meth:`ModelContext.operating_point`, once per
+process for each core-model value, and the efficiency, QoS,
+consolidation and proportionality analyzers read the records a
+scenario's sweep already memoized: their scope powers, optima and
+floors equal the sweep's columns bit for bit and add no design point to
+the context.
 """
 
 import collections
@@ -23,7 +24,7 @@ from repro.core.energy_proportionality import EnergyProportionalityAnalyzer
 from repro.core.qos import QosAnalyzer
 from repro.scenarios import ScenarioRunner
 from repro.sweep.context import ModelContext
-from repro.technology.a57_model import CortexA57PowerModel
+from repro.technology.a57_model import CortexA57PowerModel, operating_point_memo
 from repro.workloads.banking_vm import (
     DEGRADATION_LIMIT_RELAXED,
     DEGRADATION_LIMIT_STRICT,
@@ -36,17 +37,26 @@ SCENARIOS = ("ablation_memory_tech", "consolidation_oversubscribe", "colocation_
 def traced_runs():
     """Fresh runs of the analyzer scenarios plus every operating-point solve.
 
-    Each solve is logged as ``(caller code, caller's self, frequency,
-    activity)``; holding the caller keeps every context alive, so
-    contexts compare by identity without id reuse.
+    The process-wide operating-point memo is emptied first, so the runs
+    solve every point they need.  Each solve is logged as ``(caller
+    code, caller's self, model, frequency, activity)``; holding the
+    caller keeps every context alive, so contexts compare by identity
+    without id reuse.
     """
+    operating_point_memo.cache_clear()
     solves = []
     solve = CortexA57PowerModel.operating_point
 
     def traced(self, frequency_hz, activity=1.0):
         caller = sys._getframe(1)
         solves.append(
-            (caller.f_code, caller.f_locals.get("self"), frequency_hz, activity)
+            (
+                caller.f_code,
+                caller.f_locals.get("self"),
+                self,
+                frequency_hz,
+                activity,
+            )
         )
         return solve(self, frequency_hz, activity)
 
@@ -60,16 +70,22 @@ def traced_runs():
 def test_every_operating_point_solve_goes_through_the_context(traced_runs):
     _, solves = traced_runs
     assert solves
-    callers = {code for code, _, _, _ in solves}
+    callers = {code for code, _, _, _, _ in solves}
     assert callers == {ModelContext.operating_point.__code__}
+    assert all(isinstance(context, ModelContext) for _, context, _, _, _ in solves)
 
 
-def test_no_operating_point_is_solved_twice_in_one_context(traced_runs):
+def test_no_operating_point_is_solved_twice_in_the_process(traced_runs):
+    """No (model value, frequency, activity) key is solved twice.
+
+    Across all three scenarios' contexts, including the alternative
+    LPDDR4 chip's context ``ablation_memory_tech`` builds per workload,
+    which shares the scenario's core model.
+    """
     _, solves = traced_runs
     counts = collections.Counter(
-        (context, frequency, activity) for _, context, frequency, activity in solves
+        (model, frequency, activity) for _, _, model, frequency, activity in solves
     )
-    assert all(isinstance(context, ModelContext) for context, _, _ in counts)
     assert max(counts.values()) == 1
 
 

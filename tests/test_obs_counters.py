@@ -5,14 +5,21 @@ test pins a counter against an independently observable quantity: the
 context's memoisation counters against ``evaluated_points`` (every
 distinct design point is a miss exactly once, every repeat a hit), the
 batch engine's batched/fallback split against a batch with a known
-mix, and the replay/tuner counters against the work the call visibly
+mix, the operating-point solve/hit split against the solver's own
+calls, and the replay/tuner counters against the work the call visibly
 performed.
 """
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import obs
 from repro.core.config import default_server
 from repro.dvfs import GovernorSimulator, LoadTrace
@@ -26,6 +33,7 @@ from repro.fleet import (
 from repro.kernels import BatchReplayRunner, ReplaySpec
 from repro.opt import PolicyConfig, PolicyTuner
 from repro.sweep.context import ModelContext
+from repro.technology.a57_model import CortexA57PowerModel, operating_point_memo
 from repro.workloads.banking_vm import VMS_LOW_MEM
 from repro.workloads.cloudsuite import WEB_SEARCH
 
@@ -83,6 +91,91 @@ def test_frequency_table_built_once_then_cache_hits():
     assert span.attributes["grid_points"] == len(
         context.configuration.frequency_grid
     )
+
+
+# -- operating-point memo --------------------------------------------------------------
+
+
+def test_operating_point_solved_once_per_key_then_hit_by_a_fresh_context(
+    monkeypatch,
+):
+    """Two fresh contexts on one configuration share the process memo:
+    the first solves each distinct key once, the second only hits."""
+    operating_point_memo.cache_clear()
+    solver_calls = []
+    solve = CortexA57PowerModel.operating_point
+
+    def logged(self, frequency_hz, activity=1.0):
+        solver_calls.append((frequency_hz, activity))
+        return solve(self, frequency_hz, activity)
+
+    monkeypatch.setattr(CortexA57PowerModel, "operating_point", logged)
+    configuration = default_server()
+    workloads = (WEB_SEARCH, VMS_LOW_MEM)
+    deltas = []
+    for _ in range(2):
+        context = ModelContext(configuration)
+        grid = context.reachable_frequencies()
+        with obs.capture() as cap:
+            for workload in workloads:
+                for frequency_hz in grid:
+                    context.evaluate(workload, frequency_hz)
+        deltas.append(cap.counter_deltas())
+    first, second = deltas
+    requests = len(workloads) * len(grid)
+    keys = {(f, workload.activity_factor) for workload in workloads for f in grid}
+    assert sorted(solver_calls) == sorted(keys)
+    assert first["context.operating_point_solves"] == len(keys)
+    assert first.get("context.operating_point_hits", 0) == requests - len(keys)
+    assert "context.operating_point_solves" not in second
+    assert second["context.operating_point_hits"] == requests
+
+
+_COLD_PASS = """
+import json
+
+from repro import obs
+from repro.scenarios import REGISTRY, ScenarioRunner
+from repro.technology.a57_model import CortexA57PowerModel
+
+keys = []
+solve = CortexA57PowerModel.operating_point
+
+
+def logged(self, frequency_hz, activity=1.0):
+    keys.append((self, frequency_hz, activity))
+    return solve(self, frequency_hz, activity)
+
+
+CortexA57PowerModel.operating_point = logged
+with obs.capture() as cap:
+    for name in REGISTRY.names():
+        ScenarioRunner().run(name)
+deltas = cap.counter_deltas()
+print(json.dumps({
+    "solves": deltas.get("context.operating_point_solves", 0),
+    "hits": deltas.get("context.operating_point_hits", 0),
+    "calls": len(keys),
+    "keys": len(set(keys)),
+}))
+"""
+
+
+def test_cold_pass_over_every_scenario_solves_each_key_once():
+    """A fresh interpreter's first pass counts one solve per distinct
+    (model value, frequency, activity) key, and nothing is solved twice."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    completed = subprocess.run(
+        [sys.executable, "-c", _COLD_PASS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    counts = json.loads(completed.stdout.splitlines()[-1])
+    assert counts["solves"] == counts["calls"] == counts["keys"] > 0
+    assert counts["hits"] > 0
 
 
 # -- batched vs fallback ---------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Tests for the calibrated Cortex-A57 power model (Figure 1 anchors)."""
 
+import math
+
 import pytest
 
+from repro.core.config import default_frequency_grid
 from repro.technology.a57_model import (
     BodyBiasPolicy,
     CortexA57PowerModel,
@@ -90,6 +93,51 @@ def test_unreachable_frequency_raises(models):
 def test_is_reachable(models):
     assert models["fdsoi"].is_reachable(ghz(2))
     assert not models["bulk"].is_reachable(ghz(4))
+
+
+REACHABILITY_MODELS = {
+    "bulk": CortexA57PowerModel(technology=BULK_28NM),
+    "fdsoi": CortexA57PowerModel(technology=FDSOI_28NM),
+    "fdsoi-fbb-fixed": CortexA57PowerModel(
+        technology=FDSOI_28NM_FBB, bias_policy=BodyBiasPolicy.FIXED
+    ),
+    "fdsoi-fbb-optimal": CortexA57PowerModel(
+        technology=FDSOI_28NM_FBB, bias_policy=BodyBiasPolicy.OPTIMAL
+    ),
+}
+
+
+def _solver_reaches(model, frequency_hz):
+    try:
+        model.operating_point(frequency_hz)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(REACHABILITY_MODELS))
+def test_closed_form_reachability_agrees_with_the_solver(name):
+    """``is_reachable``'s closed form answers as the solver does."""
+    model = REACHABILITY_MODELS[name]
+    maximum = model.max_frequency()
+    frequencies = (
+        *default_frequency_grid(),
+        *(mhz(100 * step) for step in range(1, 36)),
+        maximum,
+        math.nextafter(maximum, math.inf),
+        0.0,
+        -1.0,
+        math.nan,
+        math.inf,
+    )
+    for frequency in frequencies:
+        assert model.is_reachable(frequency) == _solver_reaches(model, frequency), (
+            name,
+            frequency,
+        )
+    # The edges hold on both sides.
+    assert model.is_reachable(maximum)
+    assert not model.is_reachable(math.nextafter(maximum, math.inf))
 
 
 def test_activity_reduces_dynamic_power(models):
