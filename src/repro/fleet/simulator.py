@@ -44,7 +44,7 @@ from repro.fleet.result import NODE_COLUMNS, FleetResult
 from repro.fleet.routing import RoutingPolicy, router_by_name
 from repro.latency.queueing import MG1Queue, MM1Queue
 from repro.sweep.context import ModelContext
-from repro.utils.validation import check_fleet
+from repro.utils.validation import check_flag, check_fleet
 from repro.workloads.base import WorkloadCharacteristics
 
 _MASS_TOLERANCE = 1e-9
@@ -93,6 +93,7 @@ class FleetSimulator:
 
     def __post_init__(self) -> None:
         check_fleet(self.fleet_size, self.off_power_w, self.autoscaler)
+        check_flag("queueing", self.queueing)
         self._sim = GovernorSimulator(
             self.context, self.workload, frequencies=self.frequencies
         )

@@ -11,9 +11,12 @@ the trace axis; this module adds the batch axis:
   (a ``searchsorted`` per demand); ``conservative`` walks the T axis
   once with all B rows advancing a notch per step in parallel
   (:func:`~repro.kernels.governors.select_batch_trace_indices`).
-* **Fleet stacks** -- B fleet replays sharing one (workload, fleet
-  size, governor, routing, autoscaler) configuration become
-  ``(B, N, T)`` tensors, evaluated in five stages (each one
+* **Fleet stacks** -- B fleet replays sharing one (workload, governor,
+  routing kind, queueing) group become ``(B, N, T)`` tensors; fleet
+  size, autoscaler, pack fill fraction, off-power and disturbances are
+  per-row inputs, and the node axis pads to the largest fleet with
+  nodes that are off at every step and add an exact 0.0 to every
+  node-axis sum.  The tensors are evaluated in five stages (each one
   ``batch.*`` span per batch): the power-state ``timeline``, one
   plain-int state machine per distinct row (autoscaler decisions plus
   the row's own crash/restore events) stacked into the tensor beside
@@ -32,10 +35,11 @@ the trace axis; this module adds the batch axis:
   fleet replay -- ``FleetSimulator.run`` through
   :func:`~repro.kernels.fleet.fleet_replay_columns` -- is a batch of
   one row.
-* **Summaries** -- one :func:`~repro.dvfs.replay.replay_summaries` or
-  :func:`~repro.fleet.result.fleet_summaries` call per trace-length
-  group, over exact-length row blocks of just the columns it reads
-  (reducing a zero-padded row would change pairwise-summation order).
+* **Summaries** -- one :func:`~repro.dvfs.replay.replay_summaries` call
+  per trace length, or one :func:`~repro.fleet.result.fleet_summaries`
+  call per (trace length, routing, fleet size, autoscaled) group, over
+  exact-length row blocks of just the columns it reads (reducing a
+  zero-padded row would change pairwise-summation order).
   The result objects' ``summary()`` runs the same function on one
   row, so each summary key has one arithmetic.
 
@@ -56,6 +60,7 @@ path, exactly like the single-replay dispatch.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -105,7 +110,7 @@ from repro.kernels.governors import (
     select_step_indices,
 )
 from repro.kernels.table import FrequencyTable
-from repro.utils.validation import check_fleet
+from repro.utils.validation import check_flag, check_fleet
 from repro.workloads.base import WorkloadCharacteristics
 
 _OFF = int(NodeState.OFF)
@@ -123,7 +128,10 @@ class ReplaySpec:
     ``fleet_size=None`` is a single-server governor replay (routing,
     autoscaler and off-power must stay unset); a fleet replay needs an
     explicit routing.  Governors and routings accept registry names or
-    policy instances, exactly like the simulators.
+    policy instances, exactly like the simulators; a name is resolved
+    to its policy instance here, so an unknown one fails at
+    construction with the registry's message.  ``queueing`` must be a
+    ``bool``.
     """
 
     workload: WorkloadCharacteristics
@@ -137,6 +145,18 @@ class ReplaySpec:
     disturbances: Optional[DisturbanceSchedule] = None
 
     def __post_init__(self) -> None:
+        try:
+            check_flag("queueing", self.queueing)
+            if isinstance(self.governor, str):
+                object.__setattr__(
+                    self, "governor", governor_by_name(self.governor)
+                )
+            if isinstance(self.routing, str):
+                object.__setattr__(
+                    self, "routing", router_by_name(self.routing)
+                )
+        except ValueError as error:
+            raise SpecError(f"replay spec: {error}") from None
         if self.fleet_size is None:
             if self.routing is not None:
                 raise SpecError(
@@ -218,27 +238,35 @@ def _padded_utilization(
 
 
 def _summaries_by_length(
-    reduce, names, columns, lengths, traces, step_seconds, **labels
+    reduce, names, columns, lengths, traces, step_seconds, row_labels=None,
+    **labels,
 ) -> List[Dict[str, object]]:
-    """Summaries of padded ``(B, T)`` columns, one ``reduce`` per length.
+    """Summaries of padded ``(B, T)`` columns, one ``reduce`` per group.
 
-    ``reduce`` (:func:`replay_summaries` or :func:`fleet_summaries`)
-    sees only the ``names`` columns, cut to each group's exact length
-    (a zero-padded row would change the pairwise summation order), with
-    the group's trace names and step lengths and the shared ``labels``.
+    Rows group by trace length and, when ``row_labels`` is given, by
+    ``row_labels[b]``: the ``(label, value)`` pairs row ``b`` does not
+    share with the whole batch.  ``reduce`` (:func:`replay_summaries`
+    or :func:`fleet_summaries`) sees only the ``names`` columns, cut to
+    the group's exact length (a zero-padded row would change the
+    pairwise summation order), with the group's trace names, step
+    lengths and row labels and the shared ``labels``.
     """
+    groups: Dict[tuple, List[int]] = {}
+    for row, key in enumerate(
+        zip(lengths.tolist(), row_labels or itertools.repeat(()))
+    ):
+        groups.setdefault(key, []).append(row)
     out: List[Optional[Dict[str, object]]] = [None] * len(traces)
-    for length in np.unique(lengths).tolist():
-        rows = np.flatnonzero(lengths == length)
+    for (length, row_label), rows in groups.items():
         blocks = {name: columns[name][rows, :length] for name in names}
-        picked = rows.tolist()
         group = reduce(
             blocks,
-            [traces[row] for row in picked],
-            [step_seconds[row] for row in picked],
+            [traces[row] for row in rows],
+            [step_seconds[row] for row in rows],
             **labels,
+            **dict(row_label),
         )
-        for row, summary in zip(picked, group):
+        for row, summary in zip(rows, group):
             out[row] = summary
     return out  # type: ignore[return-value]
 
@@ -508,14 +536,15 @@ def _stack_rows(
     blocks: Sequence[Optional[np.ndarray]],
     lengths: Sequence[int],
 ) -> np.ndarray:
-    """Write row ``b``'s ``(N, L)`` block over ``out[b, :, :L]``, in place.
+    """Write row ``b``'s ``(n, L)`` block over ``out[b, :n, :L]``, in place.
 
     Stacks per-row blocks into a ``(B, N, T)`` tensor; a ``None`` block
-    leaves its row as it was.  Returns ``out``.
+    leaves its row as it was, and so does a block of ``n < N`` nodes
+    for the pad nodes past it.  Returns ``out``.
     """
     for row, (block, length) in enumerate(zip(blocks, lengths)):
         if block is not None:
-            out[row, :, :length] = block
+            out[row, : len(block), :length] = block
     return out
 
 
@@ -657,17 +686,32 @@ def _least_loaded_or_sequential(
     return shares3d, idx3d
 
 
-class FleetReplayBatch:
-    """B fleet replays of one configuration stacked into (B, N, T).
+def _per_row(values: Sequence, trailing: int):
+    """Per-row values as a ``(B, 1, ...)`` float column with ``trailing``
+    unit axes; in a one-row batch, the plain value itself, so a single
+    replay keeps the scalar arithmetic and does no per-row work."""
+    if len(values) == 1:
+        return values[0]
+    return np.array(values, dtype=np.float64).reshape((-1,) + (1,) * trailing)
 
-    All replays share (table, workload, fleet size, governor, routing,
-    autoscaler, off-power, queueing flag); only the traces and the
-    disturbance schedules differ -- the natural shape of a seed/trace
-    sweep.  Row ``b``, sliced to its trace length, is bit-identical to
-    the columns of ``FleetSimulator.run(traces[b], routing,
-    reference=True, disturbances=disturbances[b])`` (default: no
-    schedule), which the caller has validated against the fleet, trace
-    and grid.  A one-row batch is the single-replay kernel,
+
+class FleetReplayBatch:
+    """B fleet replays of one (governor, routing kind) stacked into (B, N, T).
+
+    All replays share (table, workload, governor, queueing flag) and the
+    routing policy's type; each row brings its own trace, fleet size,
+    routing instance (pack's fill fraction), autoscaler (or none),
+    off-power and disturbance schedule -- the natural shape of a policy
+    search over fleet sizes and autoscaler bands.  The node axis pads
+    to the largest fleet: a pad node is off at every step, is never a
+    routing target, draws no off-power or wake energy, and adds an
+    exact 0.0 to every node-axis sum.  Row ``b``, sliced to its trace
+    length and its own nodes, is bit-identical to the columns of
+    ``FleetSimulator.run(traces[b], routings[b], reference=True,
+    disturbances=disturbances[b])`` on a fleet of ``fleet_sizes[b]``
+    servers with ``autoscalers[b]`` and ``off_powers_w[b]``, which the
+    caller has validated against the fleet, trace and grid.  A one-row
+    batch is the single-replay kernel,
     :func:`~repro.kernels.fleet.fleet_replay_columns`.
     """
 
@@ -675,38 +719,51 @@ class FleetReplayBatch:
         self,
         table: FrequencyTable,
         workload: WorkloadCharacteristics,
-        fleet_size: int,
         governor: Governor,
-        routing: RoutingPolicy,
-        autoscaler: Optional[Autoscaler],
-        off_power_w: float,
-        traces: Sequence[LoadTrace],
         use_queueing: bool,
+        traces: Sequence[LoadTrace],
+        fleet_sizes: Sequence[int],
+        routings: Sequence[RoutingPolicy],
+        autoscalers: Sequence[Optional[Autoscaler]],
+        off_powers_w: Sequence[float],
+        disturbances: Sequence[Optional[DisturbanceSchedule]],
         timeline_cache: Optional[dict] = None,
-        disturbances: Optional[
-            Sequence[Optional[DisturbanceSchedule]]
-        ] = None,
     ):
         self.table = table
         self.workload = workload
-        self.fleet_size = fleet_size
         self.governor = governor
-        self.routing = routing
-        self.autoscaler = autoscaler
         self.traces = list(traces)
-        self.disturbances = (
-            [None] * len(self.traces)
-            if disturbances is None
-            else list(disturbances)
-        )
-        if len(self.disturbances) != len(self.traces):
-            raise ValueError(
-                f"{len(self.disturbances)} disturbance schedules for "
-                f"{len(self.traces)} traces"
-            )
+        self.fleet_sizes = list(fleet_sizes)
+        self.routings = list(routings)
+        self.autoscalers = list(autoscalers)
+        self.disturbances = list(disturbances)
+        for count, what in (
+            (len(self.fleet_sizes), "fleet sizes"),
+            (len(self.routings), "routings"),
+            (len(self.autoscalers), "autoscalers"),
+            (len(off_powers_w), "off-powers"),
+            (len(self.disturbances), "disturbance schedules"),
+        ):
+            if count != len(self.traces):
+                raise ValueError(
+                    f"{count} {what} for {len(self.traces)} traces"
+                )
+        routing_type = type(self.routings[0])
+        if any(type(routing) is not routing_type for routing in self.routings):
+            raise ValueError("a fleet batch replays one routing kind")
         util2d, self.lengths = _padded_utilization(self.traces)
         batch, steps = util2d.shape
-        mass2d = util2d * fleet_size
+        fleet_size = max(self.fleet_sizes)
+        mass2d = util2d * _per_row(self.fleet_sizes, 1)
+        off_power = _per_row(off_powers_w, 2)
+        if min(self.fleet_sizes) < fleet_size:
+            # Pad nodes are off at every step and draw nothing.
+            off_power = np.where(
+                np.arange(fleet_size)[:, np.newaxis]
+                < _per_row(self.fleet_sizes, 2),
+                off_power,
+                0.0,
+            )
         valid2d = (
             np.arange(steps, dtype=np.int64)[np.newaxis, :]
             < self.lengths[:, np.newaxis]
@@ -753,10 +810,12 @@ class FleetReplayBatch:
                     lengths,
                 )
             tops = [
-                fleet_kernel._cap_tops(schedule, table, fleet_size, length)
+                fleet_kernel._cap_tops(schedule, table, size, length)
                 if schedule is not None
                 else None
-                for schedule, length in zip(self.disturbances, lengths)
+                for schedule, size, length in zip(
+                    self.disturbances, self.fleet_sizes, lengths
+                )
             ]
             top3d = None
             if any(block is not None for block in tops):
@@ -778,7 +837,6 @@ class FleetReplayBatch:
         )
         route_active3d = route_state3d != _OFF
 
-        routing_type = type(routing)
         with obs.trace("batch.routing"):
             if routing_type is RoundRobinRouting:
                 target3d = route_active3d
@@ -788,7 +846,13 @@ class FleetReplayBatch:
                 )
             if routing_type is PackRouting:
                 shares3d = fleet_kernel._pack_shares(
-                    routing.fill_fraction, mass2d, target3d, valid2d
+                    _per_row(
+                        [routing.fill_fraction for routing in self.routings],
+                        2,
+                    ),
+                    mass2d,
+                    target3d,
+                    valid2d,
                 )
             elif routing_type is LeastLoadedRouting:
                 # Frequency-coupled: routed step by step during selection.
@@ -854,10 +918,14 @@ class FleetReplayBatch:
             power3d = np.where(
                 serving3d,
                 table.power_w[idx3d],
-                np.where(booting3d, table.power_w[0], off_power_w),
+                np.where(booting3d, table.power_w[0], off_power),
             )
-            wake_energy = (
-                autoscaler.wake_energy_j if autoscaler is not None else 0.0
+            wake_energy = _per_row(
+                [
+                    0.0 if autoscaler is None else autoscaler.wake_energy_j
+                    for autoscaler in self.autoscalers
+                ],
+                2,
             )
             step_seconds = np.array(
                 [trace.step_seconds for trace in self.traces],
@@ -928,29 +996,35 @@ class FleetReplayBatch:
     ) -> List[_RowTimeline]:
         """Every row's power-state timeline, memoized in ``cache``.
 
-        A timeline depends only on (trace, fleet size, autoscaler,
-        disturbances) -- never on governor or routing -- so a runner
-        sweeping governors and routings over one trace set computes each
-        distinct row once.  Traces key by identity, which is far cheaper
+        A timeline depends only on the row's (fleet size, autoscaler,
+        trace, disturbances) -- never on governor or routing -- so a
+        runner sweeping governors and routings over one trace set
+        computes each distinct row once, and each entry is keyed by one
+        row's four.  Traces key by identity, which is far cheaper
         than hashing a long trace by value; each entry holds its trace,
         so the id cannot be reused while the cache lives.  The
         ``batch.timeline_cache_hits`` / ``_misses`` counters count rows.
         """
-        rows = cache.setdefault((self.fleet_size, self.autoscaler), {})
         timelines: List[_RowTimeline] = []
         hits = 0
-        for row, (trace, schedule) in enumerate(
-            zip(self.traces, self.disturbances)
+        for row, (trace, fleet_size, autoscaler, schedule) in enumerate(
+            zip(
+                self.traces,
+                self.fleet_sizes,
+                self.autoscalers,
+                self.disturbances,
+            )
         ):
-            cached = rows.get((id(trace), schedule))
+            key = (fleet_size, autoscaler, id(trace), schedule)
+            cached = cache.get(key)
             if cached is None:
                 timeline = _row_timeline(
                     mass2d[row, : len(trace)].tolist(),
-                    self.fleet_size,
-                    self.autoscaler,
+                    fleet_size,
+                    autoscaler,
                     schedule,
                 )
-                rows[id(trace), schedule] = (trace, timeline)
+                cache[key] = (trace, timeline)
             else:
                 hits += 1
                 timeline = cached[1]
@@ -965,7 +1039,8 @@ class FleetReplayBatch:
     def columns_for(
         self, row: int
     ) -> Tuple[Dict[str, np.ndarray], Dict[int, Dict[str, np.ndarray]]]:
-        """One replay's (fleet, per-node) column dicts, length-sliced."""
+        """One replay's (fleet, per-node) column dicts, sliced to its
+        trace length and its own nodes."""
         trace = self.traces[row]
         length = len(trace)
         fleet: Dict[str, np.ndarray] = {
@@ -979,7 +1054,7 @@ class FleetReplayBatch:
                 name: tensor[row, node, :length]
                 for name, tensor in self.node_columns.items()
             }
-            for node in range(self.fleet_size)
+            for node in range(self.fleet_sizes[row])
         }
         return fleet, nodes
 
@@ -989,14 +1064,14 @@ class FleetReplayBatch:
         schedule = self.disturbances[row]
         fleet, nodes = self.columns_for(row)
         return FleetResult(
-            routing_name=self.routing.name,
+            routing_name=self.routings[row].name,
             governor_name=self.governor.name,
             workload_name=self.workload.name,
             trace_name=trace.name,
-            fleet_size=self.fleet_size,
+            fleet_size=self.fleet_sizes[row],
             step_seconds=trace.step_seconds,
             instructions_per_request=self.workload.instructions_per_request,
-            autoscaled=self.autoscaler is not None,
+            autoscaled=self.autoscalers[row] is not None,
             columns=fleet,
             node_columns=nodes,
             disturbance_events=(
@@ -1006,7 +1081,7 @@ class FleetReplayBatch:
 
     def summaries(self) -> List[Dict[str, object]]:
         """Per-replay scalar summaries, one :func:`fleet_summaries` call
-        per trace-length group."""
+        per (trace length, routing, fleet size, autoscaled) group."""
         return _summaries_by_length(
             fleet_summaries,
             FLEET_SUMMARY_COLUMNS,
@@ -1014,11 +1089,18 @@ class FleetReplayBatch:
             self.lengths,
             [trace.name for trace in self.traces],
             [trace.step_seconds for trace in self.traces],
-            routing=self.routing.name,
+            [
+                (
+                    ("routing", routing.name),
+                    ("fleet_size", fleet_size),
+                    ("autoscaled", autoscaler is not None),
+                )
+                for routing, fleet_size, autoscaler in zip(
+                    self.routings, self.fleet_sizes, self.autoscalers
+                )
+            ],
             governor=self.governor.name,
             workload=self.workload.name,
-            fleet_size=self.fleet_size,
-            autoscaled=self.autoscaler is not None,
             instructions_per_request=self.workload.instructions_per_request,
         )
 
@@ -1028,11 +1110,7 @@ class FleetReplayBatch:
 
 def _spec_identity(position: int, spec: ReplaySpec) -> str:
     """A short human-readable identity for one replay of a batch."""
-    governor = (
-        spec.governor
-        if isinstance(spec.governor, str)
-        else getattr(spec.governor, "name", type(spec.governor).__name__)
-    )
+    governor = getattr(spec.governor, "name", type(spec.governor).__name__)
     detail = f"{spec.workload.name}/{governor}"
     if spec.is_fleet:
         detail += f"/fleet{spec.fleet_size}"
@@ -1152,9 +1230,11 @@ class BatchReplayResult:
 class BatchReplayRunner:
     """Spec list in, columnar per-replay summaries out.
 
-    Groups the specs by shared (workload, governor, routing,
-    autoscaler, fleet) configuration -- disturbed or not -- runs each
-    group as one tensor batch, and falls back to the per-replay
+    Groups single-server specs by (workload, governor) and fleet specs
+    by (workload, governor, routing kind, queueing) -- fleet size,
+    autoscaler, pack fill fraction, off-power and disturbance schedule
+    are per-row inputs of :class:`FleetReplayBatch` -- runs each group
+    as one tensor batch, and falls back to the per-replay
     simulator path only for specs whose exact policy types have no
     kernel (custom subclasses), the same dispatch rule the
     single-replay simulators apply.  A disturbance schedule is checked
@@ -1180,20 +1260,6 @@ class BatchReplayRunner:
 
     def _table(self, workload: WorkloadCharacteristics) -> FrequencyTable:
         return self.context.frequency_table(workload, self.frequencies)
-
-    @staticmethod
-    def _resolve_governor(governor: Union[Governor, str]) -> Governor:
-        if isinstance(governor, str):
-            return governor_by_name(governor)
-        return governor
-
-    @staticmethod
-    def _resolve_routing(
-        routing: Union[RoutingPolicy, str]
-    ) -> RoutingPolicy:
-        if isinstance(routing, str):
-            return router_by_name(routing)
-        return routing
 
     @staticmethod
     def _use_queueing(spec: ReplaySpec) -> bool:
@@ -1246,9 +1312,8 @@ class BatchReplayRunner:
                         "batch.replay",
                         identity=_spec_identity(position, spec),
                     )
-                governor = self._resolve_governor(spec.governor)
+                governor = spec.governor
                 if spec.is_fleet:
-                    routing = self._resolve_routing(spec.routing)
                     schedule = spec.disturbances
                     if schedule is not None:
                         # The checks FleetSimulator.run makes, per spec,
@@ -1260,19 +1325,15 @@ class BatchReplayRunner:
                         schedule.check_caps(
                             self._table(spec.workload).min_frequency_hz
                         )
-                    # A disturbed spec joins its configuration's group:
-                    # each row carries its own crash/restore timeline
-                    # and thermal-cap tops.
+                    # Fleet size, autoscaler, pack fill, off-power and
+                    # disturbances are per-row inputs of the batch.
                     if fleet_kernel.supports(
-                        routing, governor, spec.autoscaler
+                        spec.routing, governor, spec.autoscaler
                     ):
                         key = (
                             spec.workload,
                             governor,
-                            routing,
-                            spec.autoscaler,
-                            spec.fleet_size,
-                            spec.off_power_w,
+                            type(spec.routing),
                             self._use_queueing(spec),
                         )
                         fleet_groups.setdefault(key, []).append(position)
@@ -1321,38 +1382,30 @@ class BatchReplayRunner:
                 continue
             for row, position in enumerate(positions):
                 placements[position] = ("batch", batch, row)
-        for key, positions in fleet_groups.items():
-            (
-                workload,
-                governor,
-                routing,
-                autoscaler,
-                fleet_size,
-                off_power_w,
-                use_queueing,
-            ) = key
+        for (workload, governor, _, use_queueing), positions in (
+            fleet_groups.items()
+        ):
+            members = [specs[position] for position in positions]
             try:
                 fault_point(
                     "batch.group",
                     identity=(
                         f"group ({workload.name}, {governor.name}, "
-                        f"fleet {fleet_size})"
+                        f"{members[0].routing.name})"
                     ),
                 )
                 batch = FleetReplayBatch(
                     self._table(workload),
                     workload,
-                    fleet_size,
                     governor,
-                    routing,
-                    autoscaler,
-                    off_power_w,
-                    [specs[position].trace for position in positions],
                     use_queueing,
+                    [spec.trace for spec in members],
+                    [spec.fleet_size for spec in members],
+                    [spec.routing for spec in members],
+                    [spec.autoscaler for spec in members],
+                    [spec.off_power_w for spec in members],
+                    [spec.disturbances for spec in members],
                     timeline_cache=timeline_cache,
-                    disturbances=[
-                        specs[position].disturbances for position in positions
-                    ],
                 )
             except Exception:
                 if not quarantine:

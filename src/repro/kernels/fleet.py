@@ -525,13 +525,13 @@ def fleet_replay_columns(
     return FleetReplayBatch(
         table,
         workload,
-        fleet_size,
         governor,
-        routing,
-        autoscaler,
-        off_power_w,
-        [trace],
         use_queueing,
-        disturbances=[disturbances],
+        [trace],
+        [fleet_size],
+        [routing],
+        [autoscaler],
+        [off_power_w],
+        [disturbances],
     ).columns_for(0)
 

@@ -74,7 +74,7 @@ class PolicyTuner:
 
     The tuner is a pure driver of the batched replay engine: every
     trial's summary is bit-for-bit what
-    :class:`~repro.fleet.simulation.FleetSimulator` would report for
+    :class:`~repro.fleet.simulator.FleetSimulator` would report for
     the same policy, and every trial's dollars are bit-for-bit what
     :meth:`CostModel.rollup` would compute from that replay.
     ``evaluations`` / ``full_length_evaluations`` / ``duplicate_trials``

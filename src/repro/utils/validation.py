@@ -43,6 +43,19 @@ def check_probability_sum(name: str, values, tolerance: float = 1e-6):
     return values
 
 
+def check_flag(name: str, value: bool) -> bool:
+    """Return ``value`` if it is a ``bool``, otherwise raise ``ValueError``.
+
+    A truthy stand-in would switch the flag on whatever it says:
+    ``queueing="false"`` replays *with* queueing tails.
+    """
+    if not isinstance(value, bool):
+        raise ValueError(
+            f"{name} must be a bool, got {value!r} ({type(value).__name__})"
+        )
+    return value
+
+
 def check_fleet(fleet_size: int, off_power_w: float, autoscaler=None) -> None:
     """Check a fleet's size, parked-server draw and autoscaler floor.
 

@@ -248,6 +248,12 @@ def test_fleet_rejects_bad_construction(default_context):
                 fleet_size=2,
                 off_power_w=off_power_w,
             )
+    # A truthy stand-in such as "false" would replay with queueing tails.
+    for queueing in ("false", 1, None):
+        with pytest.raises(ValueError, match="queueing must be a bool"):
+            FleetSimulator(
+                default_context, WEB_SEARCH, fleet_size=2, queueing=queueing
+            )
 
 
 def test_fleet_energy_column_is_sum_of_node_energies(websearch_fleet, diurnal_trace):

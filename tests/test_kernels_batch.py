@@ -23,6 +23,11 @@ kernel fleet replay is itself a one-row batch, so it is no oracle):
 * single replays (one-row batches) against the object path over drawn
   traces, fleets, autoscaler bands and crash/restore schedules, under
   every routing, which pins the per-row power-state timeline;
+* mixed-configuration fleet batches -- each row its own fleet size,
+  autoscaler, pack fill, off-power and crash/restore/cap schedule, on
+  a node axis padded to the largest fleet -- against the object path
+  byte for byte, and their summaries against a shuffled submission
+  order and against each spec run alone;
 * the synchronized ``least_loaded`` index chain against the batched
   step loop, on one row and on ragged stacks, and ragged batches that
   split rows between the two paths;
@@ -38,6 +43,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.core.config import default_server
 from repro.dvfs import GOVERNORS, GovernorSimulator, LoadTrace
 from repro.dvfs.governors import PerformanceGovernor, governor_by_name
 from repro.fleet import (
@@ -53,6 +59,7 @@ from repro.fleet.node import NodeState
 from repro.fleet.result import FLEET_COLUMNS, NODE_COLUMNS
 from repro.fleet.routing import (
     LeastLoadedRouting,
+    PackRouting,
     RoundRobinRouting,
 )
 from repro.kernels import (
@@ -264,10 +271,12 @@ def test_wide_least_loaded_batch_sums_weights_in_node_order(
     """From eight nodes up NumPy's pairwise ``sum`` rounds differently
     from the object path's running total; the batch must not."""
     traces = [LoadTrace.bursty(steps=60, seed=seed) for seed in (1, 2)]
+    rows = len(traces)
     batch = FleetReplayBatch(
-        default_context.frequency_table(WEB_SEARCH), WEB_SEARCH, fleet_size,
-        governor_by_name(governor), LeastLoadedRouting(), None, 0.0,
-        traces, True, disturbances=[None] * len(traces),
+        default_context.frequency_table(WEB_SEARCH), WEB_SEARCH,
+        governor_by_name(governor), True, traces, [fleet_size] * rows,
+        [LeastLoadedRouting()] * rows, [None] * rows, [0.0] * rows,
+        [None] * rows,
     )
     simulator = FleetSimulator(
         default_context, WEB_SEARCH, fleet_size=fleet_size, governor=governor
@@ -295,10 +304,12 @@ def _zero_capacity_bottom_table():
 def _zero_capacity_batch(traces, disturbances):
     """Two powersave nodes on :func:`_zero_capacity_bottom_table`
     (nominal capacity 1e9 uips), routed ``least_loaded``."""
+    rows = len(traces)
     return FleetReplayBatch(
-        _zero_capacity_bottom_table(), WEB_SEARCH, 2,
-        governor_by_name("powersave"), LeastLoadedRouting(), None, 0.0,
-        traces, False, disturbances=disturbances,
+        _zero_capacity_bottom_table(), WEB_SEARCH,
+        governor_by_name("powersave"), False, traces, [2] * rows,
+        [LeastLoadedRouting()] * rows, [None] * rows, [0.0] * rows,
+        disturbances,
     )
 
 
@@ -335,9 +346,9 @@ def test_fleet_batch_needs_one_schedule_per_trace(default_context):
     traces = [LoadTrace.constant(0.5, steps=4)] * 2
     with pytest.raises(ValueError, match="1 disturbance schedules for 2"):
         FleetReplayBatch(
-            default_context.frequency_table(WEB_SEARCH), WEB_SEARCH, 2,
-            governor_by_name("performance"), RoundRobinRouting(), None, 0.0,
-            traces, True, disturbances=[None],
+            default_context.frequency_table(WEB_SEARCH), WEB_SEARCH,
+            governor_by_name("performance"), True, traces, [2, 2],
+            [RoundRobinRouting()] * 2, [None, None], [0.0, 0.0], [None],
         )
 
 
@@ -460,6 +471,149 @@ def test_row_timeline_equals_the_scalar_state_machine(case, default_context):
             assert kernel == reference, routing
         else:
             _assert_fleet_results_equal(kernel, reference, routing)
+
+
+# -- mixed-configuration batches --------------------------------------------------------
+
+_GRID_HZ = default_server().frequency_grid
+
+
+@st.composite
+def mixed_fleet_cases(draw):
+    """2-6 fleet specs under one workload, governor and routing kind,
+    each with its own trace, fleet size, autoscaler (or none, wake
+    energy included), pack fill, off-power and crash/restore/cap
+    schedule; plus a submission order to shuffle them into."""
+    workload = draw(st.sampled_from([WEB_SEARCH, DATA_SERVING]))
+    governor = draw(st.sampled_from(sorted(GOVERNORS)))
+    routing = draw(st.sampled_from(sorted(ROUTERS)))
+    specs = []
+    for row in range(draw(st.integers(min_value=2, max_value=6))):
+        utilization, fleet_size, autoscaler, schedule = draw(timeline_cases())
+        if autoscaler is not None:
+            autoscaler = dataclasses.replace(
+                autoscaler,
+                wake_energy_j=draw(st.sampled_from([0.0, 250.0, 1000.0])),
+            )
+        events = schedule.events if schedule is not None else ()
+        taken = {(event.node_id, event.step) for event in events}
+        caps = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=fleet_size - 1),
+                    st.integers(min_value=0, max_value=len(utilization) - 1),
+                    st.sampled_from(_GRID_HZ),
+                ),
+                max_size=2,
+                unique_by=lambda cap: cap[:2],
+            )
+        )
+        events = tuple(events) + tuple(
+            thermal_cap(*cap) for cap in caps if cap[:2] not in taken
+        )
+        specs.append(
+            ReplaySpec(
+                workload=workload,
+                trace=make_trace(
+                    utilization,
+                    step_seconds=draw(st.sampled_from([60.0, 300.0])),
+                    name=f"row{row}",
+                ),
+                governor=governor,
+                fleet_size=fleet_size,
+                routing=(
+                    PackRouting(
+                        fill_fraction=draw(
+                            st.floats(min_value=0.05, max_value=1.0)
+                        )
+                    )
+                    if routing == "pack"
+                    else routing
+                ),
+                autoscaler=autoscaler,
+                off_power_w=draw(st.sampled_from([0.0, 4.0, 12.5])),
+                disturbances=DisturbanceSchedule(events) if events else None,
+            )
+        )
+    return specs, draw(st.permutations(range(len(specs))))
+
+
+def _reference_or_error(context, spec):
+    """The object path's replay of ``spec``, or its error message."""
+    try:
+        return FleetSimulator(
+            context,
+            spec.workload,
+            fleet_size=spec.fleet_size,
+            governor=spec.governor,
+            autoscaler=spec.autoscaler,
+            off_power_w=spec.off_power_w,
+        ).run(
+            spec.trace,
+            spec.routing,
+            reference=True,
+            disturbances=spec.disturbances,
+        )
+    except ValueError as error:
+        return str(error)
+
+
+def _assert_same_bits_as(got, reference, label):
+    """Every fleet and node column bit for bit, and the summary."""
+    assert got.node_ids == reference.node_ids, label
+    for name in FLEET_COLUMNS:
+        assert _same_bits(got.column(name), reference.column(name)), (
+            f"{label}: fleet column {name}"
+        )
+    for node in reference.node_ids:
+        for name in NODE_COLUMNS:
+            assert _same_bits(
+                got.node_column(node, name), reference.node_column(node, name)
+            ), f"{label}: node {node} column {name}"
+    assert got.summary() == reference.summary(), label
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=mixed_fleet_cases())
+def test_mixed_configuration_batch_equals_the_object_path(
+    case, default_context
+):
+    """One tensor batch holds fleets of different sizes, autoscalers,
+    pack fills, off-powers and schedules: every row equals its own
+    ``reference=True`` replay bit for bit, a replay that fails there
+    fails alone in the runner with the same message, and the summaries
+    do not depend on submission order or batch composition."""
+    specs, order = case
+    outcomes = [_reference_or_error(default_context, spec) for spec in specs]
+    runner = BatchReplayRunner(default_context)
+    for spec, outcome in zip(specs, outcomes):
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError) as error:
+                runner.run([spec])
+            assert str(error.value) == outcome
+    healthy = [
+        index
+        for index in order
+        if not isinstance(outcomes[index], str)
+    ]
+    if not healthy:
+        return
+    with obs.capture() as window:
+        result = runner.run([specs[index] for index in healthy])
+    assert result.batched_count == len(healthy)
+    # One tensor batch, whatever the sizes and autoscalers.
+    assert sum(span.name == "batch.selection" for span in window.spans) == 1
+    summaries = result.summaries()
+    for position, index in enumerate(healthy):
+        label = f"row {index} at {position}"
+        _assert_same_bits_as(result.result(position), outcomes[index], label)
+        assert summaries[position] == outcomes[index].summary(), label
+        alone = runner.run([specs[index]]).summaries()
+        assert alone == [summaries[position]], label
+    in_order = sorted(healthy)
+    resubmitted = runner.run([specs[index] for index in in_order]).summaries()
+    for position, index in enumerate(in_order):
+        assert resubmitted[position] == summaries[healthy.index(index)]
 
 
 # -- the synchronized least_loaded chain ------------------------------------------------
@@ -861,6 +1015,31 @@ def test_replay_spec_validation():
             routing="pack",
             autoscaler=Autoscaler(min_servers=2),
         )
+    # A truthy stand-in would replay with queueing tails.
+    for queueing in ("false", 1, None):
+        for fleet in ({}, {"fleet_size": 2, "routing": "pack"}):
+            with pytest.raises(
+                SpecError, match="replay spec: queueing must be a bool"
+            ):
+                ReplaySpec(
+                    workload=WEB_SEARCH, trace=trace, queueing=queueing,
+                    **fleet,
+                )
+    # Unknown names fail at construction, not inside the runner.
+    with pytest.raises(SpecError, match="replay spec: unknown governor 'nope'"):
+        ReplaySpec(workload=WEB_SEARCH, trace=trace, governor="nope")
+    with pytest.raises(
+        SpecError, match="replay spec: unknown routing policy 'nope'"
+    ):
+        ReplaySpec(
+            workload=WEB_SEARCH, trace=trace, fleet_size=2, routing="nope"
+        )
+    resolved = ReplaySpec(
+        workload=WEB_SEARCH, trace=trace, governor="ondemand", fleet_size=2,
+        routing="pack",
+    )
+    assert resolved.governor == governor_by_name("ondemand")
+    assert resolved.routing == PackRouting()
     with pytest.raises(TypeError, match="ReplaySpec items"):
         BatchReplayRunner(None).run(["not a spec"])
 

@@ -32,6 +32,7 @@ from repro.fleet import (
 )
 from repro.kernels import BatchReplayRunner, ReplaySpec
 from repro.opt import PolicyConfig, PolicyTuner
+from repro.scenarios import REGISTRY, ScenarioRunner
 from repro.sweep.context import ModelContext
 from repro.technology.a57_model import CortexA57PowerModel, operating_point_memo
 from repro.workloads.banking_vm import VMS_LOW_MEM
@@ -344,6 +345,36 @@ def test_tuner_rung_span_counts_evaluations_and_duplicates(default_context):
     assert span.attributes["configs"] == 2
     assert span.attributes["evaluations"] == 1
     assert span.attributes["duplicates"] == 1
+
+
+@pytest.mark.parametrize(
+    "scenario, per_rung",
+    [
+        ("opt_fleet_diurnal_websearch", [4]),
+        ("opt_autoscaler_bursty", [2, 2, 2]),
+    ],
+)
+def test_tuner_rungs_run_one_fleet_batch_per_governor_and_routing(
+    scenario, per_rung
+):
+    """Fleet size, autoscaler and pack fill are per-row inputs of a
+    fleet batch, so a rung opens one ``batch.selection`` span per
+    (governor, routing kind) among its configs (36 configs, and 28, 10
+    and 4), not one per config."""
+    with obs.capture() as cap:
+        ScenarioRunner().run(REGISTRY.get(scenario))
+    parents = {span.span_id: span for span in cap.spans}
+    rungs = [span for span in cap.spans if span.name == "opt.rung"]
+    counts = dict.fromkeys((rung.span_id for rung in rungs), 0)
+    for span in cap.spans:
+        if span.name != "batch.selection":
+            continue
+        parent = parents.get(span.parent_id)
+        while parent is not None and parent.name != "opt.rung":
+            parent = parents.get(parent.parent_id)
+        if parent is not None:
+            counts[parent.span_id] += 1
+    assert [counts[rung.span_id] for rung in rungs] == per_rung
 
 
 def test_counters_stay_silent_while_disabled(default_context):
