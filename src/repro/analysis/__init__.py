@@ -9,15 +9,22 @@
   the records the test suite checks.
 """
 
-from repro.analysis.figures import (
-    FigureSeries,
-    figure1_series,
-    figure2_series,
-    figure3_series,
-    figure4_series,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "figures": (
+            "FigureSeries",
+            "figure1_series",
+            "figure2_series",
+            "figure3_series",
+            "figure4_series",
+        ),
+        "tables": ("table1_rows", "memory_power_summary"),
+        "validation": ("ClaimCheck", "validate_paper_claims"),
+    },
 )
-from repro.analysis.tables import table1_rows, memory_power_summary
-from repro.analysis.validation import ClaimCheck, validate_paper_claims
 
 __all__ = [
     "FigureSeries",

@@ -27,26 +27,29 @@ The four analyzers are views over one
 the context for annotations only (or inside a function).
 """
 
-from repro.core.config import ServerConfiguration, default_server
-from repro.core.performance import ServerPerformanceModel, PerformancePoint
-from repro.core.efficiency import (
-    EfficiencyAnalyzer,
-    EfficiencyPoint,
-    EfficiencyScope,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": ("ServerConfiguration", "default_server"),
+        "performance": ("ServerPerformanceModel", "PerformancePoint"),
+        "efficiency": ("EfficiencyAnalyzer", "EfficiencyPoint", "EfficiencyScope"),
+        "qos": ("QosAnalyzer", "QosResult", "DegradationResult"),
+        "dse": (
+            "DesignSpaceExplorer",
+            "OperatingPointRecord",
+            "DseSummary",
+            "SweepResult",
+        ),
+        "energy_proportionality": (
+            "EnergyProportionalityAnalyzer",
+            "ProportionalityReport",
+        ),
+        "consolidation": ("ConsolidationAnalyzer", "ConsolidationPlan"),
+        "report": ("render_operating_points", "render_summary"),
+    },
 )
-from repro.core.qos import QosAnalyzer, QosResult, DegradationResult
-from repro.core.dse import (
-    DesignSpaceExplorer,
-    OperatingPointRecord,
-    DseSummary,
-    SweepResult,
-)
-from repro.core.energy_proportionality import (
-    EnergyProportionalityAnalyzer,
-    ProportionalityReport,
-)
-from repro.core.consolidation import ConsolidationAnalyzer, ConsolidationPlan
-from repro.core.report import render_operating_points, render_summary
 
 __all__ = [
     "ServerConfiguration",

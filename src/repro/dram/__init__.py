@@ -15,13 +15,20 @@ Micron DDR4 datasheet.  This package provides the equivalent substrate:
   into energy with the Table I chip profiles.
 """
 
-from repro.dram.timing import DDR4Timing, DDR4_1600_4GBIT
-from repro.dram.commands import DramCommand, MemoryRequest, RequestType
-from repro.dram.address_map import AddressMapping, DecodedAddress
-from repro.dram.bank import Bank, BankState
-from repro.dram.controller import ChannelController, ControllerStats
-from repro.dram.system import MemorySystem, MemorySystemStats
-from repro.dram.power_counters import DramEnergyAccountant, DramEnergyReport
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "timing": ("DDR4Timing", "DDR4_1600_4GBIT"),
+        "commands": ("DramCommand", "MemoryRequest", "RequestType"),
+        "address_map": ("AddressMapping", "DecodedAddress"),
+        "bank": ("Bank", "BankState"),
+        "controller": ("ChannelController", "ControllerStats"),
+        "system": ("MemorySystem", "MemorySystemStats"),
+        "power_counters": ("DramEnergyAccountant", "DramEnergyReport"),
+    },
+)
 
 __all__ = [
     "DDR4Timing",

@@ -26,22 +26,29 @@ holding the QoS bound.
 True
 """
 
-from repro.dvfs.governors import (
-    GOVERNORS,
-    MEMORYLESS_GOVERNORS,
-    ConservativeGovernor,
-    Governor,
-    LoadObservation,
-    OndemandGovernor,
-    PerformanceGovernor,
-    PlatformView,
-    PowersaveGovernor,
-    QosTrackerGovernor,
-    governor_by_name,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "governors": (
+            "GOVERNORS",
+            "MEMORYLESS_GOVERNORS",
+            "ConservativeGovernor",
+            "Governor",
+            "LoadObservation",
+            "OndemandGovernor",
+            "PerformanceGovernor",
+            "PlatformView",
+            "PowersaveGovernor",
+            "QosTrackerGovernor",
+            "governor_by_name",
+        ),
+        "replay": ("REPLAY_COLUMNS", "ReplayResult"),
+        "simulator": ("GovernorSimulator",),
+        "trace": ("LOAD_TRACES", "LoadTrace", "load_trace_by_name"),
+    },
 )
-from repro.dvfs.replay import REPLAY_COLUMNS, ReplayResult
-from repro.dvfs.simulator import GovernorSimulator
-from repro.dvfs.trace import LOAD_TRACES, LoadTrace, load_trace_by_name
 
 __all__ = [
     "GOVERNORS",

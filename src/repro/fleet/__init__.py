@@ -40,31 +40,38 @@ simulates ``N`` servers serving one shared request stream over time:
 True
 """
 
-from repro.fleet.autoscaler import Autoscaler, ScalingDecision
-from repro.fleet.disturbance import (
-    EVENT_KINDS,
-    DisturbanceEvent,
-    DisturbanceSchedule,
-    event_from_tuple,
-    load_surge,
-    node_crash,
-    node_restore,
-    thermal_cap,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "autoscaler": ("Autoscaler", "ScalingDecision"),
+        "disturbance": (
+            "EVENT_KINDS",
+            "DisturbanceEvent",
+            "DisturbanceSchedule",
+            "event_from_tuple",
+            "load_surge",
+            "node_crash",
+            "node_restore",
+            "thermal_cap",
+        ),
+        "economics": ("CostModel",),
+        "node": ("NodeState", "NodeStep", "ServerNode"),
+        "result": ("FLEET_COLUMNS", "NODE_COLUMNS", "FleetResult"),
+        "routing": (
+            "ROUTERS",
+            "LeastLoadedRouting",
+            "NodeView",
+            "PackRouting",
+            "RoundRobinRouting",
+            "RoutingPolicy",
+            "SpreadRouting",
+            "router_by_name",
+        ),
+        "simulator": ("FleetSimulator",),
+    },
 )
-from repro.fleet.economics import CostModel
-from repro.fleet.node import NodeState, NodeStep, ServerNode
-from repro.fleet.result import FLEET_COLUMNS, NODE_COLUMNS, FleetResult
-from repro.fleet.routing import (
-    ROUTERS,
-    LeastLoadedRouting,
-    NodeView,
-    PackRouting,
-    RoundRobinRouting,
-    RoutingPolicy,
-    SpreadRouting,
-    router_by_name,
-)
-from repro.fleet.simulator import FleetSimulator
 
 __all__ = [
     "EVENT_KINDS",

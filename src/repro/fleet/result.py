@@ -2,7 +2,8 @@
 
 One fleet replay produces a fleet-level row per trace step plus one
 per-node table; :class:`FleetResult` stores both as NumPy columns (the
-:class:`~repro.sweep.result.SweepResult` shape).  Its scalar outcomes
+:class:`~repro.sweep.result.SweepResult` shape), the node tables as one
+``(N, T)`` array per node column.  Its scalar outcomes
 -- the per-routing summary the ``fleet_replay`` analysis and the golden
 fixtures pin -- come from :func:`fleet_summaries`, which reduces
 ``(B, L)`` column blocks: :meth:`FleetResult.summary` calls it on one
@@ -214,34 +215,27 @@ class FleetResult:
         instructions_per_request: float,
         autoscaled: bool,
         columns: Dict[str, np.ndarray],
-        node_columns: Dict[int, Dict[str, np.ndarray]],
+        node_columns: Mapping[str, np.ndarray],
         disturbance_events: Tuple["DisturbanceEvent", ...] = (),
     ):
+        """``node_columns`` maps every :data:`NODE_COLUMNS` name to a
+        ``(fleet_size, steps)`` array whose row ``i`` is node ``i``."""
         missing = [name for name in FLEET_COLUMNS if name not in columns]
         if missing:
             raise ValueError(f"missing fleet columns: {missing}")
         lengths = {name: len(columns[name]) for name in FLEET_COLUMNS}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"fleet columns have unequal lengths: {lengths}")
-        if len(node_columns) != fleet_size:
-            raise ValueError(
-                f"expected node tables for {fleet_size} nodes, "
-                f"got {sorted(node_columns)}"
-            )
-        steps = len(columns["step"])
-        for node_id, table in node_columns.items():
-            node_missing = [name for name in NODE_COLUMNS if name not in table]
-            if node_missing:
+        node_missing = [name for name in NODE_COLUMNS if name not in node_columns]
+        if node_missing:
+            raise ValueError(f"missing node columns: {node_missing}")
+        shape = (fleet_size, len(columns["step"]))
+        for name in NODE_COLUMNS:
+            if node_columns[name].shape != shape:
                 raise ValueError(
-                    f"node {node_id}: missing columns {node_missing}"
-                )
-            bad = [
-                name for name in NODE_COLUMNS if len(table[name]) != steps
-            ]
-            if bad:
-                raise ValueError(
-                    f"node {node_id}: columns {bad} do not match "
-                    f"{steps} fleet steps"
+                    f"node column {name!r} has shape "
+                    f"{node_columns[name].shape}, expected {shape} "
+                    f"({fleet_size} nodes x {shape[1]} fleet steps)"
                 )
         self.routing_name = routing_name
         self.governor_name = governor_name
@@ -253,10 +247,7 @@ class FleetResult:
         self.autoscaled = autoscaled
         self.disturbance_events = tuple(disturbance_events)
         self._columns = {name: columns[name] for name in FLEET_COLUMNS}
-        self._node_columns = {
-            node_id: {name: table[name] for name in NODE_COLUMNS}
-            for node_id, table in sorted(node_columns.items())
-        }
+        self._node_columns = {name: node_columns[name] for name in NODE_COLUMNS}
         self._summary: Optional[Dict[str, object]] = None
 
     # -- access -----------------------------------------------------------------------
@@ -271,16 +262,13 @@ class FleetResult:
             ) from None
 
     def node_column(self, node_id: int, name: str) -> np.ndarray:
-        """The backing array of one node's column (zero-copy)."""
-        try:
-            table = self._node_columns[node_id]
-        except KeyError:
+        """One node's row of a node column (a zero-copy view)."""
+        if node_id not in range(self.fleet_size):
             raise KeyError(
-                f"unknown node {node_id}; fleet has nodes "
-                f"{sorted(self._node_columns)}"
-            ) from None
+                f"unknown node {node_id}; fleet has nodes {self.node_ids}"
+            )
         try:
-            return table[name]
+            return self._node_columns[name][node_id]
         except KeyError:
             raise KeyError(
                 f"unknown node column {name!r}; available: {NODE_COLUMNS}"
@@ -289,7 +277,7 @@ class FleetResult:
     @property
     def node_ids(self) -> List[int]:
         """Node identifiers, ascending."""
-        return list(self._node_columns)
+        return list(range(self.fleet_size))
 
     def __len__(self) -> int:
         return len(self._columns["step"])

@@ -285,21 +285,18 @@ class FleetSimulator:
             "demand_met": np.empty(steps, dtype=bool),
             "violation": np.empty(steps, dtype=bool),
         }
-        per_node: Dict[int, Dict[str, np.ndarray]] = {
-            node.node_id: {
-                name: np.empty(
-                    steps,
-                    dtype=(
-                        np.int8
-                        if name == "state"
-                        else bool
-                        if name in ("qos_ok", "demand_met", "violation")
-                        else np.float64
-                    ),
-                )
-                for name in NODE_COLUMNS
-            }
-            for node in nodes
+        per_node: Dict[str, np.ndarray] = {
+            name: np.empty(
+                (self.fleet_size, steps),
+                dtype=(
+                    np.int8
+                    if name == "state"
+                    else bool
+                    if name in ("qos_ok", "demand_met", "violation")
+                    else np.float64
+                ),
+            )
+            for name in NODE_COLUMNS
         }
 
         for index, utilization in enumerate(trace.utilization):
@@ -371,18 +368,18 @@ class FleetSimulator:
                         wake_energy if node.node_id in woken else 0.0
                     ),
                 )
-                table = per_node[node.node_id]
-                table["state"][index] = int(node_step.state)
-                table["frequency_hz"][index] = node_step.frequency_hz
-                table["power_w"][index] = node_step.power_w
-                table["energy_j"][index] = node_step.energy_j
-                table["demand_uips"][index] = node_step.demand_uips
-                table["capacity_uips"][index] = node_step.capacity_uips
-                table["served_uips"][index] = node_step.served_uips
-                table["qos_metric"][index] = node_step.qos_metric
-                table["qos_ok"][index] = node_step.qos_ok
-                table["demand_met"][index] = node_step.demand_met
-                table["violation"][index] = node_step.violation
+                cell = (node.node_id, index)
+                per_node["state"][cell] = int(node_step.state)
+                per_node["frequency_hz"][cell] = node_step.frequency_hz
+                per_node["power_w"][cell] = node_step.power_w
+                per_node["energy_j"][cell] = node_step.energy_j
+                per_node["demand_uips"][cell] = node_step.demand_uips
+                per_node["capacity_uips"][cell] = node_step.capacity_uips
+                per_node["served_uips"][cell] = node_step.served_uips
+                per_node["qos_metric"][cell] = node_step.qos_metric
+                per_node["qos_ok"][cell] = node_step.qos_ok
+                per_node["demand_met"][cell] = node_step.demand_met
+                per_node["violation"][cell] = node_step.violation
 
                 total_power += node_step.power_w
                 total_energy += node_step.energy_j

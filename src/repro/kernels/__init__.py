@@ -29,25 +29,35 @@ bit-for-bit identical (pinned by the equivalence property tests), so
 every golden fixture is byte-stable across the two paths.
 """
 
-from repro.kernels.batch import (
-    BatchReplayResult,
-    BatchReplayRunner,
-    FleetReplayBatch,
-    GovernorReplayBatch,
-    ReplaySpec,
-    unique_specs,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "batch": (
+            "BatchReplayResult",
+            "BatchReplayRunner",
+            "FleetReplayBatch",
+            "GovernorReplayBatch",
+            "ReplaySpec",
+            "unique_specs",
+        ),
+        "fleet": (
+            "fleet_replay_columns",
+            "tail_latencies",
+            "supports as fleet_kernel_supports",
+        ),
+        "governors": (
+            "has_kernel",
+            "is_memoryless_kernel",
+            "select_batch_trace_indices",
+            "select_step_indices",
+            "select_trace_indices",
+        ),
+        "replay": ("governor_replay_columns",),
+        "table": ("FrequencyTable",),
+    },
 )
-from repro.kernels.fleet import fleet_replay_columns, tail_latencies
-from repro.kernels.fleet import supports as fleet_kernel_supports
-from repro.kernels.governors import (
-    has_kernel,
-    is_memoryless_kernel,
-    select_batch_trace_indices,
-    select_step_indices,
-    select_trace_indices,
-)
-from repro.kernels.replay import governor_replay_columns
-from repro.kernels.table import FrequencyTable
 
 __all__ = [
     "BatchReplayResult",

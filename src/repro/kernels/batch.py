@@ -63,19 +63,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import obs
-from repro.resilience import (
-    FailedSummary,
-    SpecError,
-    check_on_error,
-    classify,
-    fault_point,
-)
-from repro.resilience.chaos import active_plan
+from repro.resilience import check_on_error
+from repro.resilience.errors import SpecError, classify
 from repro.dvfs.governors import Governor, governor_by_name
 from repro.dvfs.replay import (
     REPLAY_SUMMARY_COLUMNS,
@@ -112,6 +106,9 @@ from repro.kernels.governors import (
 from repro.kernels.table import FrequencyTable
 from repro.utils.validation import check_flag, check_fleet
 from repro.workloads.base import WorkloadCharacteristics
+
+if TYPE_CHECKING:
+    from repro.resilience.quarantine import FailedSummary
 
 _OFF = int(NodeState.OFF)
 _BOOTING = int(NodeState.BOOTING)
@@ -1038,9 +1035,9 @@ class FleetReplayBatch:
 
     def columns_for(
         self, row: int
-    ) -> Tuple[Dict[str, np.ndarray], Dict[int, Dict[str, np.ndarray]]]:
-        """One replay's (fleet, per-node) column dicts, sliced to its
-        trace length and its own nodes."""
+    ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+        """One replay's fleet ``(T,)`` and node ``(N, T)`` column views,
+        sliced to its trace length and its own nodes."""
         trace = self.traces[row]
         length = len(trace)
         fleet: Dict[str, np.ndarray] = {
@@ -1049,14 +1046,11 @@ class FleetReplayBatch:
         }
         for name, tensor in self.fleet_columns.items():
             fleet[name] = tensor[row, :length]
-        nodes = {
-            node: {
-                name: tensor[row, node, :length]
-                for name, tensor in self.node_columns.items()
-            }
-            for node in range(self.fleet_sizes[row])
+        nodes = self.fleet_sizes[row]
+        return fleet, {
+            name: tensor[row, :nodes, :length]
+            for name, tensor in self.node_columns.items()
         }
-        return fleet, nodes
 
     def result(self, row: int) -> FleetResult:
         """Materialize one replay as a full :class:`FleetResult`."""
@@ -1121,6 +1115,8 @@ def _quarantined_placement(
     position: int, spec: ReplaySpec, error: Exception
 ) -> tuple:
     """A ``"failed"`` placement capturing one isolated replay fault."""
+    from repro.resilience.quarantine import FailedSummary
+
     fault = classify(error, identity=_spec_identity(position, spec))
     return ("failed", FailedSummary.from_fault(fault), fault)
 
@@ -1295,6 +1291,8 @@ class BatchReplayRunner:
         return result
 
     def _run(self, specs: List[ReplaySpec]) -> BatchReplayResult:
+        from repro.resilience.chaos import active_plan, fault_point
+
         quarantine = self.on_error == "quarantine"
         # Building 1000 identity strings just to feed an unarmed chaos
         # hook is measurable on large batches; skip the per-spec

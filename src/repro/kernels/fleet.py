@@ -505,8 +505,9 @@ def fleet_replay_columns(
     trace: LoadTrace,
     use_queueing: bool,
     disturbances: DisturbanceSchedule | None = None,
-) -> Tuple[Dict[str, np.ndarray], Dict[int, Dict[str, np.ndarray]]]:
-    """One routing policy's fleet replay as (fleet, per-node) columns.
+) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+    """One routing policy's fleet replay as fleet ``(T,)`` and node
+    ``(N, T)`` columns.
 
     A single-row :class:`~repro.kernels.batch.FleetReplayBatch`.  The
     caller guarantees :func:`supports` holds for the trio and has

@@ -11,9 +11,16 @@ Provides the latency-side models of the study:
   model for the virtualized workloads (2x / 4x bounds).
 """
 
-from repro.latency.queueing import MM1Queue, MG1Queue
-from repro.latency.tail import TailLatencyModel, LatencyPoint
-from repro.latency.degradation import BatchDegradationModel
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "queueing": ("MM1Queue", "MG1Queue"),
+        "tail": ("TailLatencyModel", "LatencyPoint"),
+        "degradation": ("BatchDegradationModel",),
+    },
+)
 
 __all__ = [
     "MM1Queue",

@@ -7,8 +7,14 @@ performance artifact wrap the work in a capture and freeze it into a
 :class:`RunReport` (strict JSON + CLI tables).  See ``core`` for the
 primitives and ``report`` for the schema; ``python -m repro.obs``
 validates and pretty-prints emitted reports.
+
+``core`` (stdlib only) loads with the package, because every engine
+calls :func:`trace` / :func:`count`; the report names load on first
+access, so a replay process that never freezes a report never compiles
+the schema.
 """
 
+from repro._lazy import lazy_exports
 from repro.obs.core import (
     Capture,
     Span,
@@ -23,11 +29,10 @@ from repro.obs.core import (
     suspended,
     trace,
 )
-from repro.obs.report import (
-    SCHEMA,
-    SCHEMA_VERSION,
-    RunReport,
-    validate_report,
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {"report": ("SCHEMA", "SCHEMA_VERSION", "RunReport", "validate_report")},
 )
 
 __all__ = [

@@ -13,11 +13,18 @@ under a deterministic total order, and the energy-vs-QoS Pareto
 frontier with dominated points dropped.
 """
 
-from repro.opt.objective import is_feasible, objective_value, qos_violations
-from repro.opt.result import OptResult, Trial, pareto_frontier, trial_rank_key
-from repro.opt.space import ParamSpace, PolicyConfig
-from repro.opt.strategies import STRATEGIES, GridSearch, SuccessiveHalving
-from repro.opt.tuner import PolicyTuner
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "objective": ("is_feasible", "objective_value", "qos_violations"),
+        "result": ("OptResult", "Trial", "pareto_frontier", "trial_rank_key"),
+        "space": ("ParamSpace", "PolicyConfig"),
+        "strategies": ("STRATEGIES", "GridSearch", "SuccessiveHalving"),
+        "tuner": ("PolicyTuner",),
+    },
+)
 
 __all__ = [
     "STRATEGIES",

@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.dvfs.trace import LoadTrace
 from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.routing import PackRouting, RoutingPolicy, router_by_name
-from repro.kernels.batch import ReplaySpec
 from repro.workloads.base import WorkloadCharacteristics
+
+if TYPE_CHECKING:
+    from repro.kernels.batch import ReplaySpec
 
 Band = Optional[Tuple[float, float]]
 """An autoscaler utilisation band ``(low, high)``; ``None`` = static fleet."""
@@ -104,6 +106,8 @@ class PolicyConfig:
         self, workload: WorkloadCharacteristics, trace: LoadTrace
     ) -> ReplaySpec:
         """This config as a batched-engine :class:`ReplaySpec`."""
+        from repro.kernels.batch import ReplaySpec
+
         return ReplaySpec(
             workload=workload,
             trace=trace,

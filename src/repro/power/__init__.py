@@ -25,20 +25,27 @@ types used to compute power at each scope:
 * :mod:`repro.power.soc` / :mod:`repro.power.server` -- aggregation.
 """
 
-from repro.power.cache_power import CachePowerModel
-from repro.power.interconnect_power import CrossbarPowerModel
-from repro.power.peripherals import IOPeripheralPowerModel, PeripheralComponent
-from repro.power.dram_power import (
-    DramChipEnergyProfile,
-    DDR4_4GBIT_X8,
-    LPDDR4_4GBIT_X8,
-    MemoryOrganization,
-    MemoryPowerModel,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cache_power": ("CachePowerModel",),
+        "interconnect_power": ("CrossbarPowerModel",),
+        "peripherals": ("IOPeripheralPowerModel", "PeripheralComponent"),
+        "dram_power": (
+            "DramChipEnergyProfile",
+            "DDR4_4GBIT_X8",
+            "LPDDR4_4GBIT_X8",
+            "MemoryOrganization",
+            "MemoryPowerModel",
+        ),
+        "area": ("ChipAreaModel", "ComponentArea"),
+        "uncore": ("UncorePowerModel",),
+        "soc": ("SoCPowerModel", "SoCPowerBreakdown"),
+        "server": ("ServerPowerModel", "ServerPowerBreakdown"),
+    },
 )
-from repro.power.area import ChipAreaModel, ComponentArea
-from repro.power.uncore import UncorePowerModel
-from repro.power.soc import SoCPowerModel, SoCPowerBreakdown
-from repro.power.server import ServerPowerModel, ServerPowerBreakdown
 
 __all__ = [
     "CachePowerModel",

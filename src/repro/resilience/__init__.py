@@ -19,25 +19,32 @@ Everything is opt-in: strict mode (fail fast, no wrapping) stays the
 default everywhere, so existing behaviour and goldens are untouched.
 """
 
-from repro.resilience.chaos import FaultPlan, corrupt, fault_point, inject
-from repro.resilience.checkpoint import (
-    CheckpointStore,
-    atomic_write_text,
-    decode_floats,
-    encode_floats,
-    read_checkpoint,
-    write_checkpoint,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "chaos": ("FaultPlan", "corrupt", "fault_point", "inject"),
+        "checkpoint": (
+            "CheckpointStore",
+            "atomic_write_text",
+            "decode_floats",
+            "encode_floats",
+            "read_checkpoint",
+            "write_checkpoint",
+        ),
+        "errors": (
+            "AnalysisFault",
+            "CheckpointError",
+            "ExecutionFault",
+            "InjectedFault",
+            "ReplayFault",
+            "SpecError",
+            "classify",
+        ),
+        "quarantine": ("FailedSummary",),
+    },
 )
-from repro.resilience.errors import (
-    AnalysisFault,
-    CheckpointError,
-    ExecutionFault,
-    InjectedFault,
-    ReplayFault,
-    SpecError,
-    classify,
-)
-from repro.resilience.quarantine import FailedSummary
 
 ON_ERROR_MODES = ("raise", "quarantine")
 """Valid ``on_error=`` values across the stack: strict (default) or

@@ -27,21 +27,28 @@ The CLI mirrors the API: ``python -m repro.scenarios list`` and
   command-line interface.
 """
 
-from repro.scenarios.analyses import ANALYSES
-from repro.scenarios.registry import (
-    REGISTRY,
-    ScenarioRegistry,
-    get_scenario,
-    scenario_names,
-)
-from repro.scenarios.runner import ScenarioResult, ScenarioRunner
-from repro.scenarios.spec import (
-    ALL_WORKLOADS,
-    SCALE_OUT,
-    VIRTUALIZED,
-    WORKLOAD_SETS,
-    ScenarioSpec,
-    workload_set,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "analyses": ("ANALYSES",),
+        "registry": (
+            "REGISTRY",
+            "ScenarioRegistry",
+            "get_scenario",
+            "scenario_names",
+        ),
+        "runner": ("ScenarioResult", "ScenarioRunner"),
+        "spec": (
+            "ALL_WORKLOADS",
+            "SCALE_OUT",
+            "VIRTUALIZED",
+            "WORKLOAD_SETS",
+            "ScenarioSpec",
+            "workload_set",
+        ),
+    },
 )
 
 __all__ = [

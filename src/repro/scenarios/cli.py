@@ -26,16 +26,16 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.resilience import CheckpointStore, FaultPlan, atomic_write_text
-from repro.resilience import chaos as _chaos
-from repro.resilience.checkpoint import payload_digest
-from repro.resilience.errors import classify
 from repro.scenarios.registry import REGISTRY, ScenarioRegistry
-from repro.scenarios.runner import ScenarioResult, ScenarioRunner, _public_tree
-from repro.sweep.result import COLUMNS
+
+# The runner, checkpointing and the chaos harness load on the ``run``
+# path only, so ``list`` and ``show`` do not compile them.
+if TYPE_CHECKING:
+    from repro.resilience.checkpoint import CheckpointStore
+    from repro.scenarios.runner import ScenarioResult
 
 OUTPUT_LAYOUT = "steps-columnar/json-compact"
 """The rendered output's layout: ``_steps`` tables as columns, compact JSON.
@@ -334,6 +334,7 @@ def _render_opt_trials(extras: dict) -> List[str]:
 
 def _render_table(result: ScenarioResult) -> str:
     from repro.core.report import render_summary
+    from repro.scenarios.runner import _public_tree
 
     lines = [
         f"scenario: {result.spec.name}",
@@ -355,6 +356,8 @@ def _render_table(result: ScenarioResult) -> str:
 
 
 def _render_csv(result: ScenarioResult) -> str:
+    from repro.sweep.result import COLUMNS
+
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=("scenario",) + COLUMNS)
     writer.writeheader()
@@ -460,9 +463,11 @@ def _run_command(args: argparse.Namespace, registry: ScenarioRegistry) -> int:
         )
         return 2
 
+    from repro.resilience import chaos
+
     if args.inject_fault is not None:
         try:
-            _chaos.install(FaultPlan.parse(args.inject_fault))
+            chaos.install(chaos.FaultPlan.parse(args.inject_fault))
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -470,7 +475,7 @@ def _run_command(args: argparse.Namespace, registry: ScenarioRegistry) -> int:
         return _run_scenarios(args, registry, names)
     finally:
         if args.inject_fault is not None:
-            _chaos.install(None)
+            chaos.install(None)
 
 
 def _checkpoint_store(args: argparse.Namespace) -> Optional[CheckpointStore]:
@@ -483,6 +488,8 @@ def _checkpoint_store(args: argparse.Namespace) -> Optional[CheckpointStore]:
     """
     if args.checkpoint_dir is None:
         return None
+    from repro.resilience.checkpoint import CheckpointStore, payload_digest
+
     fingerprint = payload_digest(
         {
             "format": args.format,
@@ -497,6 +504,10 @@ def _checkpoint_store(args: argparse.Namespace) -> Optional[CheckpointStore]:
 def _run_scenarios(
     args: argparse.Namespace, registry: ScenarioRegistry, names: List[str]
 ) -> int:
+    from repro.resilience.checkpoint import atomic_write_text
+    from repro.resilience.errors import classify
+    from repro.scenarios.runner import ScenarioRunner
+
     runner = ScenarioRunner(registry=registry)
     extension = {"table": "txt", "csv": "csv", "json": "json"}[args.format]
     want_report = args.profile or args.report_out is not None
@@ -602,6 +613,8 @@ def _emit(
     args: argparse.Namespace, name: str, rendered: str, extension: str
 ) -> None:
     """Deliver one scenario's rendered output (stdout or atomic file)."""
+    from repro.resilience.checkpoint import atomic_write_text
+
     if args.output is not None:
         atomic_write_text(args.output, rendered + "\n")
         print(f"wrote {args.output}")

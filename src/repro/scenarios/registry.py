@@ -7,11 +7,17 @@ frozen :class:`~repro.scenarios.spec.ScenarioSpec`.  Examples, figure
 builders, benchmarks and the CLI all resolve experiments from here, so
 "Figure 3" means the same sweep everywhere and the golden-regression
 tests can pin every registered scenario's numbers.
+
+The built-in specs are built, and so checked, on the registry's first
+read rather than at import: their checks import the optimizer's space
+and strategies and the analysis registry, which a process that only
+names :data:`REGISTRY` (a replay harness importing the scenarios
+package) never needs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.scenarios.spec import (
     ALL_WORKLOADS,
@@ -22,10 +28,33 @@ from repro.scenarios.spec import (
 
 
 class ScenarioRegistry:
-    """Ordered name -> :class:`ScenarioSpec` mapping with precise errors."""
+    """Ordered name -> :class:`ScenarioSpec` mapping with precise errors.
 
-    def __init__(self) -> None:
-        self._specs: Dict[str, ScenarioSpec] = {}
+    ``builtins``, when given, returns the specs registered first; it is
+    called on the first read or registration, and called again on the
+    next one if it raised, so every spec check runs before any spec is
+    returned.
+    """
+
+    def __init__(
+        self, builtins: Optional[Callable[[], Iterable[ScenarioSpec]]] = None
+    ) -> None:
+        self._builtins = builtins
+        self._by_name: Dict[str, ScenarioSpec] = {}
+
+    @property
+    def _specs(self) -> Dict[str, ScenarioSpec]:
+        """The name -> spec mapping, with the built-ins registered."""
+        if self._builtins is not None:
+            # Cleared first: register() reads this property.
+            builtins, self._builtins = self._builtins, None
+            try:
+                for spec in builtins():
+                    self.register(spec)
+            except BaseException:
+                self._builtins, self._by_name = builtins, {}
+                raise
+        return self._by_name
 
     def register(self, spec: ScenarioSpec) -> ScenarioSpec:
         """Add a spec; duplicate names are rejected."""
@@ -407,12 +436,8 @@ def _builtin_specs() -> List[ScenarioSpec]:
     ]
 
 
-REGISTRY = ScenarioRegistry()
-"""The default registry, pre-populated with the built-in scenarios."""
-
-for _spec in _builtin_specs():
-    REGISTRY.register(_spec)
-del _spec
+REGISTRY = ScenarioRegistry(_builtin_specs)
+"""The default registry: the built-in scenarios, built on first read."""
 
 
 def get_scenario(name: str) -> ScenarioSpec:

@@ -14,21 +14,16 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import TYPE_CHECKING, Dict, List, Mapping
 
 from repro import obs
-from repro.resilience import (
-    FailedSummary,
-    check_on_error,
-    classify,
-    fault_point,
-)
-from repro.scenarios.analyses import ANALYSES
 from repro.scenarios.registry import REGISTRY, ScenarioRegistry
 from repro.scenarios.spec import ScenarioSpec
 from repro.sweep.context import ModelContext
 from repro.sweep.result import DseSummary, SweepResult
-from repro.sweep.runner import SweepRunner
+
+if TYPE_CHECKING:
+    from repro.resilience.quarantine import FailedSummary
 
 
 def _round(value: float | None) -> float | None:
@@ -198,6 +193,12 @@ class ScenarioRunner:
         exactly once on a shared :class:`ModelContext`; summaries and
         analyses are reductions over the same columnar table.
         """
+        # The sweep runner, analyses and fault hooks load on the first
+        # run, so importing the package (``list``, ``show``, a replay
+        # harness naming the registry) does not compile them.
+        from repro.resilience.chaos import fault_point
+        from repro.sweep.runner import SweepRunner
+
         spec = self.resolve(scenario)
         fault_point("scenario.run", identity=f"scenario {spec.name!r}")
         with obs.trace("scenario.run", scenario=spec.name):
@@ -240,6 +241,9 @@ class ScenarioRunner:
 
     def _run_analysis(self, spec, context, sweep, analysis: str):
         """One analysis behind its ``scenario.analysis`` fault point."""
+        from repro.resilience.chaos import fault_point
+        from repro.scenarios.analyses import ANALYSES
+
         fault_point(
             "scenario.analysis",
             identity=f"scenario {spec.name!r} analysis {analysis!r}",
@@ -258,6 +262,9 @@ class ScenarioRunner:
         every other scenario's result is untouched, and each isolation
         counts against ``resilience.quarantined``.
         """
+        from repro.resilience import check_on_error, classify
+        from repro.resilience.quarantine import FailedSummary
+
         check_on_error(on_error)
         results: Dict[str, "ScenarioResult | FailedSummary"] = {}
         for spec in self.registry:

@@ -15,15 +15,18 @@ equivalent machinery for the synthetic workloads:
   9-cluster, 36-core chip.
 """
 
-from repro.sim.engine import Event, EventQueue, Simulator
-from repro.sim.statistics import (
-    SampleStatistics,
-    UipsMeasurement,
-    confidence_interval,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "engine": ("Event", "EventQueue", "Simulator"),
+        "statistics": ("SampleStatistics", "UipsMeasurement", "confidence_interval"),
+        "sampling": ("SmartsSampler", "SamplingResult"),
+        "cluster": ("ClusterSimulator", "ClusterSimConfig", "ClusterSimResult"),
+        "chip": ("ChipSimulator", "ChipSimResult"),
+    },
 )
-from repro.sim.sampling import SmartsSampler, SamplingResult
-from repro.sim.cluster import ClusterSimulator, ClusterSimConfig, ClusterSimResult
-from repro.sim.chip import ChipSimulator, ChipSimResult
 
 __all__ = [
     "Event",

@@ -20,9 +20,16 @@ batch replay runner and the policy tuner all take a
 single evaluation path and memo.
 """
 
-from repro.sweep.context import ModelContext
-from repro.sweep.result import DseSummary, OperatingPointRecord, SweepResult
-from repro.sweep.runner import SweepRunner
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "context": ("ModelContext",),
+        "result": ("DseSummary", "OperatingPointRecord", "SweepResult"),
+        "runner": ("SweepRunner",),
+    },
+)
 
 __all__ = [
     "ModelContext",

@@ -21,28 +21,31 @@ This package implements the technology-level substrate of the paper:
   power/performance model used to reproduce Figure 1.
 """
 
-from repro.technology.process import (
-    ProcessTechnology,
-    BULK_28NM,
-    FDSOI_28NM,
-    FDSOI_28NM_FBB,
-    TECHNOLOGIES,
-    technology_by_name,
-)
-from repro.technology.vf_curve import TransregionalVFModel
-from repro.technology.body_bias import BodyBiasModel
-from repro.technology.leakage import LeakageModel
-from repro.technology.dynamic_power import DynamicPowerModel
-from repro.technology.scaling import (
-    CoreGenerationScaling,
-    EXYNOS_5433_DVFS_TABLE,
-    DVFSAnchor,
-)
-from repro.technology.a57_model import (
-    CortexA57PowerModel,
-    CoreOperatingPoint,
-    BodyBiasPolicy,
-    default_flavour_models,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "process": (
+            "ProcessTechnology",
+            "BULK_28NM",
+            "FDSOI_28NM",
+            "FDSOI_28NM_FBB",
+            "TECHNOLOGIES",
+            "technology_by_name",
+        ),
+        "vf_curve": ("TransregionalVFModel",),
+        "body_bias": ("BodyBiasModel",),
+        "leakage": ("LeakageModel",),
+        "dynamic_power": ("DynamicPowerModel",),
+        "scaling": ("CoreGenerationScaling", "EXYNOS_5433_DVFS_TABLE", "DVFSAnchor"),
+        "a57_model": (
+            "CortexA57PowerModel",
+            "CoreOperatingPoint",
+            "BodyBiasPolicy",
+            "default_flavour_models",
+        ),
+    },
 )
 
 __all__ = [

@@ -21,17 +21,19 @@ and DRAM.  This package provides the equivalent building blocks:
   and memory-system latencies.
 """
 
-from repro.uarch.cache import CacheConfig, CacheStats, SetAssociativeCache
-from repro.uarch.hierarchy import ClusterCacheHierarchy, HierarchyConfig, AccessResult
-from repro.uarch.coherence import CoherenceDirectory, CoherenceStats, LineState
-from repro.uarch.interconnect import CrossbarModel
-from repro.uarch.branch import BranchPredictorModel
-from repro.uarch.rob import ReorderBufferModel
-from repro.uarch.core_model import (
-    CoreConfig,
-    CpiStack,
-    IntervalCoreModel,
-    UncoreLatencies,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cache": ("CacheConfig", "CacheStats", "SetAssociativeCache"),
+        "hierarchy": ("ClusterCacheHierarchy", "HierarchyConfig", "AccessResult"),
+        "coherence": ("CoherenceDirectory", "CoherenceStats", "LineState"),
+        "interconnect": ("CrossbarModel",),
+        "branch": ("BranchPredictorModel",),
+        "rob": ("ReorderBufferModel",),
+        "core_model": ("CoreConfig", "CpiStack", "IntervalCoreModel", "UncoreLatencies"),
+    },
 )
 
 __all__ = [

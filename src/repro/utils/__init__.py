@@ -13,33 +13,40 @@ library:
   benchmark harnesses and report generation.
 """
 
-from repro.utils.units import (
-    GHZ,
-    HZ_PER_GHZ,
-    HZ_PER_MHZ,
-    KB,
-    MB,
-    GB,
-    MHZ,
-    ghz,
-    mhz,
-    to_ghz,
-    to_mhz,
-    joules_per_op_to_nj,
-    nj,
-    mw,
-    uw,
-    seconds_to_ms,
-    ms_to_seconds,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "units": (
+            "GHZ",
+            "HZ_PER_GHZ",
+            "HZ_PER_MHZ",
+            "KB",
+            "MB",
+            "GB",
+            "MHZ",
+            "ghz",
+            "mhz",
+            "to_ghz",
+            "to_mhz",
+            "joules_per_op_to_nj",
+            "nj",
+            "mw",
+            "uw",
+            "seconds_to_ms",
+            "ms_to_seconds",
+        ),
+        "validation": (
+            "check_positive",
+            "check_non_negative",
+            "check_in_range",
+            "check_fraction",
+        ),
+        "interpolation": ("PiecewiseLinear", "monotone_increasing"),
+        "tables": ("format_table",),
+    },
 )
-from repro.utils.validation import (
-    check_positive,
-    check_non_negative,
-    check_in_range,
-    check_fraction,
-)
-from repro.utils.interpolation import PiecewiseLinear, monotone_increasing
-from repro.utils.tables import format_table
 
 __all__ = [
     "GHZ",

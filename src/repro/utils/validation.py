@@ -17,8 +17,12 @@ def check_positive(name: str, value: float) -> float:
 
 
 def check_non_negative(name: str, value: float) -> float:
-    """Return ``value`` if >= 0, otherwise raise ``ValueError``."""
-    if value < 0.0:
+    """Return ``value`` if >= 0, otherwise raise ``ValueError``.
+
+    NaN is rejected (it compares false with everything); +inf passes,
+    as it does :func:`check_positive`.
+    """
+    if not value >= 0.0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 
@@ -72,8 +76,8 @@ def check_fleet(fleet_size: int, off_power_w: float, autoscaler=None) -> None:
         )
     if fleet_size < 1:
         raise ValueError(f"fleet_size must be >= 1, got {fleet_size}")
-    # NaN slips through the < 0 check, and a NaN or inf draw would
-    # poison every replay's energy columns.
+    # An inf draw passes the >= 0 check, and would poison every
+    # replay's energy columns.
     if not math.isfinite(off_power_w):
         raise ValueError(f"off_power_w must be finite, got {off_power_w}")
     check_non_negative("off_power_w", off_power_w)

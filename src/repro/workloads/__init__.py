@@ -18,23 +18,30 @@ consumes, plus synthetic trace generators that exercise the detailed
 cache/DRAM simulators with matching behaviour.
 """
 
-from repro.workloads.base import WorkloadCharacteristics, WorkloadClass
-from repro.workloads.cloudsuite import (
-    DATA_SERVING,
-    WEB_SEARCH,
-    WEB_SERVING,
-    MEDIA_STREAMING,
-    scale_out_workloads,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": ("WorkloadCharacteristics", "WorkloadClass"),
+        "cloudsuite": (
+            "DATA_SERVING",
+            "WEB_SEARCH",
+            "WEB_SERVING",
+            "MEDIA_STREAMING",
+            "scale_out_workloads",
+        ),
+        "banking_vm": (
+            "VMS_LOW_MEM",
+            "VMS_HIGH_MEM",
+            "virtualized_workloads",
+            "BankingVmGenerator",
+        ),
+        "bitbrains": ("BitbrainsTraceModel", "VmTraceSample"),
+        "request_model": ("RequestServiceModel",),
+        "trace_gen": ("SyntheticTraceGenerator", "TraceRecord"),
+    },
 )
-from repro.workloads.banking_vm import (
-    VMS_LOW_MEM,
-    VMS_HIGH_MEM,
-    virtualized_workloads,
-    BankingVmGenerator,
-)
-from repro.workloads.bitbrains import BitbrainsTraceModel, VmTraceSample
-from repro.workloads.request_model import RequestServiceModel
-from repro.workloads.trace_gen import SyntheticTraceGenerator, TraceRecord
 
 __all__ = [
     "WorkloadCharacteristics",

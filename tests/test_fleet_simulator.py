@@ -9,6 +9,7 @@ import pytest
 from repro.dvfs import LoadTrace, governor_by_name
 from repro.fleet import (
     FLEET_COLUMNS,
+    NODE_COLUMNS,
     Autoscaler,
     CostModel,
     FleetResult,
@@ -411,13 +412,8 @@ def test_result_accessors_and_errors(websearch_fleet, diurnal_trace):
 def test_result_validates_column_shapes(websearch_fleet, diurnal_trace):
     result = websearch_fleet.run(diurnal_trace, "pack")
     columns = {name: result.column(name) for name in result._columns}
-    nodes = {
-        node_id: {
-            name: result.node_column(node_id, name)
-            for name in result._node_columns[node_id]
-        }
-        for node_id in result.node_ids
-    }
+    nodes = dict(result._node_columns)
+    assert all(nodes[name].shape == (4, len(diurnal_trace)) for name in NODE_COLUMNS)
 
     def build(columns=columns, nodes=nodes, fleet_size=4):
         return FleetResult(
@@ -437,18 +433,35 @@ def test_result_validates_column_shapes(websearch_fleet, diurnal_trace):
         build(columns={k: v for k, v in columns.items() if k != "energy_j"})
     with pytest.raises(ValueError, match="unequal lengths"):
         build(columns={**columns, "energy_j": columns["energy_j"][:-1]})
-    with pytest.raises(ValueError, match="node tables for 5 nodes"):
+    steps = len(diurnal_trace)
+    with pytest.raises(
+        ValueError, match=rf"'state' has shape \(4, {steps}\), expected \(5, {steps}\)"
+    ):
         build(fleet_size=5)
-    with pytest.raises(ValueError, match="missing columns"):
-        build(
-            nodes={
-                **nodes,
-                0: {k: v for k, v in nodes[0].items() if k != "power_w"},
-            }
-        )
-    with pytest.raises(ValueError, match="do not match"):
-        build(
-            nodes={**nodes, 0: {**nodes[0], "power_w": nodes[0]["power_w"][:-1]}}
+    with pytest.raises(ValueError, match=r"missing node columns: \['power_w'\]"):
+        build(nodes={k: v for k, v in nodes.items() if k != "power_w"})
+
+
+@pytest.mark.parametrize("name", NODE_COLUMNS)
+@pytest.mark.parametrize("cut", ["step", "node"])
+def test_result_names_a_wrong_shaped_node_column(
+    websearch_fleet, diurnal_trace, name, cut
+):
+    result = websearch_fleet.run(diurnal_trace, "pack")
+    nodes = dict(result._node_columns)
+    nodes[name] = nodes[name][:, :-1] if cut == "step" else nodes[name][:-1]
+    with pytest.raises(ValueError, match=f"node column {name!r} has shape"):
+        FleetResult(
+            routing_name="pack",
+            governor_name="qos_tracker",
+            workload_name="Web Search",
+            trace_name="diurnal",
+            fleet_size=4,
+            step_seconds=1800.0,
+            instructions_per_request=WEB_SEARCH.instructions_per_request,
+            autoscaled=False,
+            columns={name: result.column(name) for name in result._columns},
+            node_columns=nodes,
         )
 
 

@@ -259,8 +259,8 @@ def test_least_loaded_zero_capacity_falls_back_to_even_split():
         use_queueing=False,
     )
     # Even split of the mass at every step, fallback steps included.
-    np.testing.assert_array_equal(node_columns[0]["demand_uips"],
-                                  node_columns[1]["demand_uips"])
+    np.testing.assert_array_equal(node_columns["demand_uips"][0],
+                                  node_columns["demand_uips"][1])
     # Nothing can be served at the zero-capacity point; the routed
     # load is dropped and recorded as a violation.
     assert np.all(fleet_columns["served_uips"] == 0.0)
@@ -303,8 +303,10 @@ def test_least_loaded_zero_capacity_fallback_on_the_step_loop():
     counters = window.counter_deltas()
     assert counters["fleet.selection_step_rows"] == 1
     assert "fleet.selection_chain_rows" not in counters
-    assert node_columns[0]["demand_uips"].tolist() == [0.0, 0.5e9, 0.5e9]
-    assert node_columns[1]["demand_uips"].tolist() == [1.0e9, 0.5e9, 0.5e9]
+    assert node_columns["demand_uips"].tolist() == [
+        [0.0, 0.5e9, 0.5e9],
+        [1.0e9, 0.5e9, 0.5e9],
+    ]
     assert np.all(fleet_columns["served_uips"] == 0.0)
 
 

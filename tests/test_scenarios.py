@@ -19,6 +19,7 @@ from repro.scenarios import (
     ALL_WORKLOADS,
     ANALYSES,
     REGISTRY,
+    ScenarioRegistry,
     ScenarioRunner,
     ScenarioSpec,
     get_scenario,
@@ -126,6 +127,28 @@ def test_every_scenario_analysis_is_registered():
     for spec in REGISTRY:
         for analysis in spec.analyses:
             assert analysis in ANALYSES
+
+
+def test_registry_builds_its_builtins_on_first_read_and_retries_a_failure():
+    calls = []
+
+    def builtins():
+        calls.append(len(calls))
+        if len(calls) == 1:
+            ScenarioSpec(name="broken", title="t", analyses=("no_such",))
+        return [ScenarioSpec(name="a", title="t")]
+
+    registry = ScenarioRegistry(builtins)
+    assert calls == []
+    with pytest.raises(ValueError, match="'broken': unknown analyses"):
+        registry.names()
+    assert registry.names() == ("a",)
+    # A registration reads the registry too: built-ins come first.
+    registry.register(ScenarioSpec(name="b", title="t"))
+    assert [spec.name for spec in registry] == ["a", "b"]
+    with pytest.raises(ValueError, match="'a' is already registered"):
+        registry.register(ScenarioSpec(name="a", title="t"))
+    assert calls == [0, 1]
 
 
 # -- runner ----------------------------------------------------------------------------

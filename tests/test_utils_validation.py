@@ -1,5 +1,7 @@
 """Tests for argument validation helpers."""
 
+import math
+
 import pytest
 
 from repro.utils.validation import (
@@ -32,6 +34,21 @@ def test_check_non_negative_accepts_zero():
 def test_check_non_negative_rejects_negative():
     with pytest.raises(ValueError):
         check_non_negative("x", -0.001)
+
+
+def test_check_non_negative_rejects_nan():
+    with pytest.raises(ValueError, match="x must be >= 0, got nan"):
+        check_non_negative("x", math.nan)
+
+
+def test_check_non_negative_accepts_infinity_like_check_positive():
+    assert check_non_negative("x", math.inf) == math.inf
+    assert check_positive("x", math.inf) == math.inf
+
+
+def test_check_positive_rejects_nan():
+    with pytest.raises(ValueError, match="x must be > 0, got nan"):
+        check_positive("x", math.nan)
 
 
 def test_check_in_range_bounds_inclusive():

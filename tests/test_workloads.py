@@ -1,5 +1,7 @@
 """Tests for workload characterisations, generators and trace synthesis."""
 
+import dataclasses
+
 import pytest
 
 from repro.utils.units import MB
@@ -117,6 +119,23 @@ def test_scale_out_requires_qos():
             activity_factor=0.8,
             write_fraction=0.3,
         )
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "l1_mpki",
+        "llc_mpki",
+        "instructions_per_request",
+        "minimum_latency_99th_seconds",
+        "qos_limit_seconds",
+    ],
+)
+def test_nan_counts_and_latencies_rejected_by_name(field):
+    # NaN compares false with everything, so a bare ``< 0`` check lets
+    # it through to fail (or silently pass) deep inside a replay.
+    with pytest.raises(ValueError, match=f"^{field} must be >= 0, got nan$"):
+        dataclasses.replace(WEB_SEARCH, **{field: float("nan")})
 
 
 # -- banking VM generator -----------------------------------------------------------
