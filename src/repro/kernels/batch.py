@@ -30,11 +30,20 @@ the trace axis; this module adds the batch axis:
   *within* a replay but run on whole ``(B, N)`` step slices *across*
   the batch; queueing ``tails`` through the deduplicating closed-form
   :func:`~repro.kernels.fleet.tail_latencies` kernel once for the
-  whole batch; and the column gathers and fleet sums (``reduce``).
+  whole batch; and the node tables and fleet sums (``reduce``).
   Disturbed and undisturbed replays share one batch, and a single
   fleet replay -- ``FleetSimulator.run`` through
   :func:`~repro.kernels.fleet.fleet_replay_columns` -- is a batch of
   one row.
+* **What a fleet batch keeps** -- its ``(B, T)`` fleet columns and its
+  per-node decisions (power state, wake flag, grid index in the
+  smallest integer dtype that holds the grid, routed share): 11 bytes
+  per node-step, where the 11 node tables took 60.
+  :func:`_node_tables` builds the tables from the decisions:
+  ``reduce`` over the whole batch, transiently, for the fleet sums, and
+  ``columns_for`` / ``result`` for one row, on request.  A one-row
+  batch -- every single replay -- keeps the tables its reduce built,
+  so it builds them once.
 * **Summaries** -- one :func:`~repro.dvfs.replay.replay_summaries` call
   per trace length, or one :func:`~repro.fleet.result.fleet_summaries`
   call per (trace length, routing, fleet size, autoscaled) group, over
@@ -692,6 +701,76 @@ def _per_row(values: Sequence, trailing: int):
     return np.array(values, dtype=np.float64).reshape((-1,) + (1,) * trailing)
 
 
+def _wake_energy_j(autoscaler: Optional[Autoscaler]) -> float:
+    """The energy a wake adds to its node-step; 0.0 without an autoscaler."""
+    return 0.0 if autoscaler is None else autoscaler.wake_energy_j
+
+
+def _node_tables(
+    table: FrequencyTable,
+    decisions: Dict[str, np.ndarray],
+    off_power,
+    wake_energy,
+    step_seconds: np.ndarray,
+    sums_only: bool = False,
+) -> Dict[str, np.ndarray]:
+    """The node tables of ``(B, N, T)`` decisions, one per node column.
+
+    ``decisions`` maps ``state``, ``wake``, ``index`` and ``share`` to
+    each (node, step)'s power state, wake flag, grid index and routed
+    share of the offered mass.  Every table is an element-wise gather
+    or select on them, so the tables of a slice of rows are those rows'
+    tables of the whole batch, bit for bit.  ``off_power`` and
+    ``wake_energy`` are per-row values (see :func:`_per_row`) and
+    ``step_seconds`` holds one step length per row.  ``sums_only``
+    skips the ``frequency_hz`` and ``qos_metric`` gathers, which no
+    fleet sum reads; otherwise the rows count as
+    ``batch.node_table_rows``.
+    """
+    state3d = decisions["state"]
+    # One cast up front: a gather converts a narrow index on every call.
+    idx3d = decisions["index"].astype(np.intp, copy=False)
+    serving3d = state3d == _SERVING
+    demand3d = decisions["share"] * table.nominal_capacity_uips
+    power3d = np.where(
+        serving3d,
+        table.power_w[idx3d],
+        np.where(state3d == _BOOTING, table.power_w[0], off_power),
+    )
+    capacity3d = np.where(serving3d, table.capacity_uips[idx3d], 0.0)
+    qos_ok3d = np.where(serving3d, table.qos_ok[idx3d], True)
+    demand_met3d = np.where(
+        serving3d,
+        table.covers_capacity_uips[idx3d] >= demand3d,
+        demand3d <= 0.0,
+    )
+    tables = {
+        "state": state3d,
+        "power_w": power3d,
+        "energy_j": (
+            power3d * step_seconds[:, np.newaxis, np.newaxis]
+            + np.where(decisions["wake"], wake_energy, 0.0)
+        ),
+        "demand_uips": demand3d,
+        "capacity_uips": capacity3d,
+        "served_uips": np.where(
+            serving3d, np.minimum(demand3d, capacity3d), 0.0
+        ),
+        "qos_ok": qos_ok3d,
+        "demand_met": demand_met3d,
+        "violation": ~(qos_ok3d & demand_met3d),
+    }
+    if not sums_only:
+        obs.count("batch.node_table_rows", len(state3d))
+        tables["frequency_hz"] = np.where(
+            serving3d, table.frequencies_hz[idx3d], np.nan
+        )
+        tables["qos_metric"] = np.where(
+            serving3d, table.qos_metric[idx3d], np.nan
+        )
+    return tables
+
+
 class FleetReplayBatch:
     """B fleet replays of one (governor, routing kind) stacked into (B, N, T).
 
@@ -710,6 +789,13 @@ class FleetReplayBatch:
     caller has validated against the fleet, trace and grid.  A one-row
     batch is the single-replay kernel,
     :func:`~repro.kernels.fleet.fleet_replay_columns`.
+
+    After construction the batch holds ``fleet_columns`` and
+    ``decisions`` -- the ``(B, N, T)`` arrays ``state``, ``wake``,
+    ``index`` and ``share`` that every node column derives from -- but
+    never a multi-row batch's node tables: :meth:`columns_for` builds
+    one row's on each call.  A one-row batch also keeps the node tables
+    its reduce stage built.
     """
 
     def __init__(
@@ -733,12 +819,13 @@ class FleetReplayBatch:
         self.fleet_sizes = list(fleet_sizes)
         self.routings = list(routings)
         self.autoscalers = list(autoscalers)
+        self.off_powers_w = list(off_powers_w)
         self.disturbances = list(disturbances)
         for count, what in (
             (len(self.fleet_sizes), "fleet sizes"),
             (len(self.routings), "routings"),
             (len(self.autoscalers), "autoscalers"),
-            (len(off_powers_w), "off-powers"),
+            (len(self.off_powers_w), "off-powers"),
             (len(self.disturbances), "disturbance schedules"),
         ):
             if count != len(self.traces):
@@ -752,7 +839,7 @@ class FleetReplayBatch:
         batch, steps = util2d.shape
         fleet_size = max(self.fleet_sizes)
         mass2d = util2d * _per_row(self.fleet_sizes, 1)
-        off_power = _per_row(off_powers_w, 2)
+        off_power = _per_row(self.off_powers_w, 2)
         if min(self.fleet_sizes) < fleet_size:
             # Pad nodes are off at every step and draw nothing.
             off_power = np.where(
@@ -908,57 +995,33 @@ class FleetReplayBatch:
                 queue_ok2d = np.ones((batch, steps), dtype=bool)
 
         with obs.trace("batch.reduce"):
-            demand3d = shares3d * nominal_capacity
-            frequency3d = np.where(
-                serving3d, table.frequencies_hz[idx3d], np.nan
+            decisions = {
+                "state": state3d,
+                "wake": wake3d,
+                "index": idx3d,
+                "share": shares3d,
+            }
+            nodes = _node_tables(
+                table,
+                decisions,
+                off_power,
+                _per_row([_wake_energy_j(a) for a in self.autoscalers], 2),
+                np.array(
+                    [trace.step_seconds for trace in self.traces],
+                    dtype=np.float64,
+                ),
+                sums_only=batch > 1,
             )
-            power3d = np.where(
-                serving3d,
-                table.power_w[idx3d],
-                np.where(booting3d, table.power_w[0], off_power),
-            )
-            wake_energy = _per_row(
-                [
-                    0.0 if autoscaler is None else autoscaler.wake_energy_j
-                    for autoscaler in self.autoscalers
-                ],
-                2,
-            )
-            step_seconds = np.array(
-                [trace.step_seconds for trace in self.traces],
-                dtype=np.float64,
-            )
-            wake_extra3d = np.where(wake3d, wake_energy, 0.0)
-            energy3d = (
-                power3d * step_seconds[:, np.newaxis, np.newaxis]
-                + wake_extra3d
-            )
-            capacity3d = np.where(
-                serving3d, table.capacity_uips[idx3d], 0.0
-            )
-            served3d = np.where(
-                serving3d, np.minimum(demand3d, capacity3d), 0.0
-            )
-            qos_metric3d = np.where(
-                serving3d, table.qos_metric[idx3d], np.nan
-            )
-            qos_ok3d = np.where(serving3d, table.qos_ok[idx3d], True)
-            demand_met3d = np.where(
-                serving3d,
-                table.covers_capacity_uips[idx3d] >= demand3d,
-                demand3d <= 0.0,
-            )
-            violation3d = ~(qos_ok3d & demand_met3d)
             serving_counts2d = serving3d.sum(axis=1)
             booting_counts2d = booting3d.sum(axis=1)
-            node_violations2d = violation3d.sum(axis=1)
+            node_violations2d = nodes["violation"].sum(axis=1)
 
             self.fleet_columns: Dict[str, np.ndarray] = {
                 "utilization": util2d,
                 "offered_uips": mass2d * nominal_capacity,
-                "served_uips": fleet_kernel._rowsum(served3d),
-                "total_power_w": fleet_kernel._rowsum(power3d),
-                "energy_j": fleet_kernel._rowsum(energy3d),
+                "served_uips": fleet_kernel._rowsum(nodes["served_uips"]),
+                "total_power_w": fleet_kernel._rowsum(nodes["power_w"]),
+                "energy_j": fleet_kernel._rowsum(nodes["energy_j"]),
                 "tail_latency_s": tails2d,
                 "active_servers": (
                     serving_counts2d + booting_counts2d
@@ -971,22 +1034,18 @@ class FleetReplayBatch:
                 "wake_events": wake3d.sum(axis=1).astype(np.int64),
                 "node_violations": node_violations2d.astype(np.int64),
                 "queue_ok": queue_ok2d,
-                "demand_met": demand_met3d.all(axis=1),
+                "demand_met": nodes["demand_met"].all(axis=1),
                 "violation": node_violations2d > 0,
             }
-            self.node_columns: Dict[str, np.ndarray] = {
-                "state": state3d,
-                "frequency_hz": frequency3d,
-                "power_w": power3d,
-                "energy_j": energy3d,
-                "demand_uips": demand3d,
-                "capacity_uips": capacity3d,
-                "served_uips": served3d,
-                "qos_metric": qos_metric3d,
-                "qos_ok": qos_ok3d,
-                "demand_met": demand_met3d,
-                "violation": violation3d,
-            }
+            # The batch's record: its decisions, with the grid index in
+            # the smallest integer dtype that holds the grid.  A one-row
+            # batch also keeps the node tables just built -- they are
+            # its only row's -- so a single replay builds them once.
+            decisions["index"] = idx3d.astype(
+                np.min_scalar_type(len(table) - 1)
+            )
+            self.decisions: Dict[str, np.ndarray] = decisions
+            self._tables = nodes if batch == 1 else None
 
     def _row_timelines(
         self, mass2d: np.ndarray, cache: dict
@@ -1036,8 +1095,13 @@ class FleetReplayBatch:
     def columns_for(
         self, row: int
     ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-        """One replay's fleet ``(T,)`` and node ``(N, T)`` column views,
-        sliced to its trace length and its own nodes."""
+        """One replay's fleet ``(T,)`` and node ``(N, T)`` columns,
+        sliced to its trace length and its own nodes.
+
+        A one-row batch returns views of the node tables its reduce
+        stage kept; a multi-row batch builds the row's tables from its
+        decisions on every call.  Either way the tables hold one row.
+        """
         trace = self.traces[row]
         length = len(trace)
         fleet: Dict[str, np.ndarray] = {
@@ -1047,9 +1111,20 @@ class FleetReplayBatch:
         for name, tensor in self.fleet_columns.items():
             fleet[name] = tensor[row, :length]
         nodes = self.fleet_sizes[row]
+        tables = self._tables
+        if tables is None:
+            tables = _node_tables(
+                self.table,
+                {
+                    name: array[row : row + 1, :nodes, :length]
+                    for name, array in self.decisions.items()
+                },
+                self.off_powers_w[row],
+                _wake_energy_j(self.autoscalers[row]),
+                np.array([trace.step_seconds], dtype=np.float64),
+            )
         return fleet, {
-            name: tensor[row, :nodes, :length]
-            for name, tensor in self.node_columns.items()
+            name: tensor[0, :nodes, :length] for name, tensor in tables.items()
         }
 
     def result(self, row: int) -> FleetResult:

@@ -35,7 +35,6 @@ from repro.core.performance import PerformancePoint, ServerPerformanceModel
 from repro.latency.degradation import BatchDegradationModel
 from repro.latency.tail import TailLatencyModel
 from repro.power.server import ServerPowerModel
-from repro.power.soc import SoCPowerModel
 from repro.sweep.result import OperatingPointRecord
 from repro.technology.a57_model import (
     CoreOperatingPoint,
@@ -97,11 +96,6 @@ class ModelContext:
     def core_power_model(self) -> CortexA57PowerModel:
         """The per-core technology/power model, built once."""
         return self.configuration.core_power_model()
-
-    @cached_property
-    def soc_power_model(self) -> SoCPowerModel:
-        """The SoC power model, built once."""
-        return self.configuration.soc_power_model()
 
     @cached_property
     def server_power_model(self) -> ServerPowerModel:
@@ -222,14 +216,7 @@ class ModelContext:
         traffic = self.performance_model.traffic(workload, point)
 
         core_power = operating_point.total_power * self.configuration.core_count
-        soc_power = self.soc_power_model.total_power(
-            frequency_hz,
-            workload.activity_factor,
-            llc_accesses_per_second=traffic.llc_accesses_per_second_per_cluster,
-            crossbar_bytes_per_second=traffic.crossbar_bytes_per_second_per_cluster,
-            operating_point=operating_point,
-        )
-        server_power = self.server_power_model.total_power(
+        power = self.server_power_model.breakdown(
             frequency_hz,
             workload.activity_factor,
             memory_read_bandwidth=traffic.read_bandwidth,
@@ -263,8 +250,8 @@ class ModelContext:
             uipc=point.uipc,
             chip_uips=point.chip_uips,
             core_power=core_power,
-            soc_power=soc_power,
-            server_power=server_power,
+            soc_power=power.soc.total,
+            server_power=power.total,
             memory_read_bandwidth=traffic.read_bandwidth,
             memory_write_bandwidth=traffic.write_bandwidth,
             latency_seconds=latency_seconds,

@@ -32,10 +32,16 @@ kernel fleet replay is itself a one-row batch, so it is no oracle):
   step loop, on one row and on ragged stacks, and ragged batches that
   split rows between the two paths;
 * specs whose policy types have no kernel fall back to the per-replay
-  simulator path inside the same batch.
+  simulator path inside the same batch;
+* what a fleet batch keeps: a multi-row batch holds no ``(B, N, T)``
+  array but its four decisions and builds node tables per row on
+  request, and a held 96-replay result retains at most 32 bytes per
+  node-step while its rows still equal the object path.
 """
 
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,8 +325,8 @@ def test_least_loaded_batch_zero_capacity_falls_back_to_even_split():
     mass evenly at every step (ragged rows included)."""
     traces = [LoadTrace.constant(0.5, steps=3), LoadTrace.constant(0.3, steps=5)]
     batch = _zero_capacity_batch(traces, [None, None])
-    demand = batch.node_columns["demand_uips"]
-    assert demand[0, :, :3].tolist() == [[0.5e9] * 3] * 2
+    demand = [batch.columns_for(row)[1]["demand_uips"] for row in (0, 1)]
+    assert demand[0].tolist() == [[0.5e9] * 3] * 2
     assert demand[1].tolist() == [[0.3e9] * 5] * 2
 
 
@@ -334,11 +340,11 @@ def test_least_loaded_batch_zero_capacity_fallback_on_the_step_loop():
         batch = _zero_capacity_batch(traces, [capped, None])
     assert window.counter_deltas()["fleet.selection_step_rows"] == 1
     assert window.counter_deltas()["fleet.selection_chain_rows"] == 1
-    demand = batch.node_columns["demand_uips"]
+    demand = [batch.columns_for(row)[1]["demand_uips"] for row in (0, 1)]
     # Step 0 weighs the capped node at zero; from step 1 both weights
     # are zero and the mass splits evenly.
-    assert demand[0, :, 0].tolist() == [0.0, 1.0e9]
-    assert demand[0, :, 1:3].tolist() == [[0.5e9, 0.5e9], [0.5e9, 0.5e9]]
+    assert demand[0][:, 0].tolist() == [0.0, 1.0e9]
+    assert demand[0][:, 1:3].tolist() == [[0.5e9, 0.5e9], [0.5e9, 0.5e9]]
     assert demand[1].tolist() == [[0.3e9] * 5] * 2
 
 
@@ -614,6 +620,108 @@ def test_mixed_configuration_batch_equals_the_object_path(
     resubmitted = runner.run([specs[index] for index in in_order]).summaries()
     for position, index in enumerate(in_order):
         assert resubmitted[position] == summaries[healthy.index(index)]
+
+
+# -- what a fleet batch keeps -----------------------------------------------------------
+
+
+def _held_arrays(value):
+    """Every array reachable from ``value`` through dicts, lists and
+    tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [array for item in value for array in _held_arrays(item)]
+    return []
+
+
+def _pack_batch(table, rows):
+    """The first ``rows`` (1 or 2) of two conservative pack replays: 4
+    and 3 nodes, static and autoscaled, on ragged traces."""
+    traces = [LoadTrace.diurnal(steps=48, seed=1), LoadTrace.bursty(steps=30)]
+    return FleetReplayBatch(
+        table, WEB_SEARCH, governor_by_name("conservative"), True,
+        traces[:rows], [4, 3][:rows], [PackRouting(), PackRouting(0.5)][:rows],
+        [None, Autoscaler()][:rows], [5.0, 0.0][:rows], [None, None][:rows],
+    )
+
+
+def test_a_multi_row_fleet_batch_holds_only_its_decisions(default_context):
+    """After construction a multi-row batch holds no ``(B, N, T)`` array
+    but its four decisions -- power state, wake flag, grid index and
+    routed share -- and builds a row's node tables on each request; a
+    one-row batch keeps the tables its reduce stage built."""
+    table = default_context.frequency_table(WEB_SEARCH)
+    with obs.capture() as window:
+        batch = _pack_batch(table, rows=2)
+    assert "batch.node_table_rows" not in window.counter_deltas()
+    assert sorted(batch.decisions) == ["index", "share", "state", "wake"]
+    held = [array for array in _held_arrays(vars(batch)) if array.ndim == 3]
+    assert sorted(map(id, held)) == sorted(map(id, batch.decisions.values()))
+    assert batch.decisions["index"].dtype == np.min_scalar_type(len(table) - 1)
+    with obs.capture() as window:
+        first = batch.columns_for(1)[1]
+        again = batch.columns_for(1)[1]
+    assert window.counter_deltas()["batch.node_table_rows"] == 2
+    assert sorted(first) == sorted(NODE_COLUMNS)
+    assert_columns_equal(again, first, "row 1, built twice")
+
+    with obs.capture() as window:
+        single = _pack_batch(table, rows=1)
+        single.columns_for(0)
+        single.columns_for(0)
+    assert window.counter_deltas()["batch.node_table_rows"] == 1
+
+
+def test_a_held_summaries_only_result_retains_decisions_not_node_tables(
+    default_context,
+):
+    """A held 96-replay result (2 routings x 2 governors x autoscaler
+    on/off x 12 traces, N=8, T=288) retains at most 32 bytes per
+    node-step -- keeping every batch's 11 node tables took ~72 -- and
+    its summaries, and its results requested in shuffled order, still
+    equal the object path bit for bit."""
+    traces = [
+        LoadTrace.diurnal(steps=288, seed=seed)
+        if seed % 2
+        else LoadTrace.bursty(steps=288, seed=seed)
+        for seed in range(12)
+    ]
+    specs = [
+        ReplaySpec(
+            workload=WEB_SEARCH, trace=trace, governor=governor,
+            fleet_size=8, routing=routing, autoscaler=autoscaler,
+        )
+        for routing in ("pack", "least_loaded")
+        for governor in ("qos_tracker", "conservative")
+        for autoscaler in (None, Autoscaler())
+        for trace in traces
+    ]
+    runner = BatchReplayRunner(default_context)
+    runner.run(specs)  # warms the context's table and the kernel caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = runner.run(specs)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    node_steps = sum(spec.fleet_size * len(spec.trace) for spec in specs)
+    assert result.batched_count == len(specs) == 96
+    assert retained / node_steps <= 32.0, retained / node_steps
+
+    references = [_reference_or_error(default_context, spec) for spec in specs]
+    assert result.summaries() == [
+        reference.summary() for reference in references
+    ]
+    for index in np.random.default_rng(7).permutation(len(specs)).tolist():
+        _assert_same_bits_as(
+            result.result(index), references[index], f"replay {index}"
+        )
 
 
 # -- the synchronized least_loaded chain ------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import default_server
 from repro.core.dse import DesignSpaceExplorer
 from repro.core.efficiency import EfficiencyScope
+from repro.power.soc import SoCPowerModel
 from repro.sweep import ModelContext, SweepResult, SweepRunner
 from repro.utils.units import ghz, mhz
 from repro.workloads.banking_vm import virtualized_workloads
@@ -151,11 +152,32 @@ def test_summarize_matches_per_workload_summaries():
 def test_context_caches_operating_points_and_models():
     context = ModelContext(default_server())
     assert context.performance_model is context.performance_model
-    assert context.soc_power_model is context.soc_power_model
+    assert context.server_power_model is context.server_power_model
     first = context.operating_point(ghz(1.0), 0.7)
     assert context.operating_point(ghz(1.0), 0.7) is first
     assert context.is_reachable(ghz(1.0))
     assert not context.is_reachable(ghz(10.0))
+
+
+def test_context_resolves_one_soc_breakdown_per_evaluated_record(monkeypatch):
+    """A record's SoC and server powers come from one SoC breakdown."""
+    calls = []
+    breakdown = SoCPowerModel.breakdown
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return breakdown(self, *args, **kwargs)
+
+    monkeypatch.setattr(SoCPowerModel, "breakdown", counted)
+    context = ModelContext(default_server())
+    workloads = list(scale_out_workloads().values()) + list(
+        virtualized_workloads().values()
+    )
+    for workload in workloads:
+        context.evaluate_workload(workload)
+        context.evaluate_workload(workload)  # memo hits solve nothing
+    assert context.evaluated_points > 0
+    assert len(calls) == context.evaluated_points
 
 
 def test_context_reachable_frequencies_preserve_order():
