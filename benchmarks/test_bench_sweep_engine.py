@@ -15,6 +15,7 @@ import statistics
 from repro.core.performance import ServerPerformanceModel
 from repro.latency.tail import TailLatencyModel
 from repro.sweep import SweepRunner
+from repro.sweep.context import record_memo
 from repro.technology.a57_model import operating_point_memo
 from repro.utils.tables import format_table
 from repro.workloads.cloudsuite import scale_out_workloads
@@ -82,9 +83,10 @@ def _legacy_sweep(configuration, workloads, frequencies):
 
 
 def _batched_sweep(configuration, workloads, frequencies):
-    # Solve cold, as the legacy side does: the process-wide
-    # operating-point memo would otherwise serve every solve after the
+    # Solve cold, as the legacy side does: the process-wide record and
+    # operating-point memos would otherwise serve every point after the
     # first repeat.
+    record_memo.cache_clear()
     operating_point_memo.cache_clear()
     return SweepRunner.for_configuration(configuration).run(workloads, frequencies)
 

@@ -335,9 +335,7 @@ class LoadTrace:
         """
         if model is None:
             model = BitbrainsTraceModel(seed=seed)
-        cpu = np.array(
-            [sample.cpu_utilization for sample in model.samples()], dtype=np.float64
-        )
+        cpu = np.asarray(model.cpu_utilization(), dtype=np.float64)
         rng = np.random.default_rng(seed)
         draws = rng.integers(0, len(cpu), size=(steps, vms_per_step))
         chunk_means = cpu[draws].mean(axis=1)
@@ -350,7 +348,7 @@ class LoadTrace:
                 "LoadTrace.from_bitbrains: the sampled VM population is "
                 "all-idle (mean CPU utilisation is 0), so the trace cannot "
                 f"be rescaled to target_mean={target_mean}; use a model "
-                "whose samples carry nonzero cpu_utilization"
+                "whose cpu_utilization() is nonzero for some VM"
             )
         values = np.clip(raw * (target_mean / raw_mean), 0.0, 1.0)
         return cls(

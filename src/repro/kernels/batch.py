@@ -40,8 +40,9 @@ the trace axis; this module adds the batch axis:
   smallest integer dtype that holds the grid, routed share): 11 bytes
   per node-step, where the 11 node tables took 60.
   :func:`_node_tables` builds the tables from the decisions:
-  ``reduce`` over the whole batch, transiently, for the fleet sums, and
-  ``columns_for`` / ``result`` for one row, on request.  A one-row
+  ``reduce`` over the whole batch, transiently, for the fleet sums;
+  ``columns_for`` / ``result`` for one row, on request; and
+  ``results()`` over the whole batch, once for all its rows.  A one-row
   batch -- every single replay -- keeps the tables its reduce built,
   so it builds them once.
 * **Summaries** -- one :func:`~repro.dvfs.replay.replay_summaries` call
@@ -349,6 +350,10 @@ class GovernorReplayBatch:
             instructions_per_request=self.workload.instructions_per_request,
             columns=self.columns_for(row),
         )
+
+    def results(self) -> List[ReplayResult]:
+        """Every row's :meth:`result`, in row order."""
+        return [self.result(row) for row in range(len(self))]
 
     def summaries(self) -> List[Dict[str, object]]:
         """Per-replay scalar summaries, one :func:`replay_summaries` call
@@ -1001,16 +1006,8 @@ class FleetReplayBatch:
                 "index": idx3d,
                 "share": shares3d,
             }
-            nodes = _node_tables(
-                table,
-                decisions,
-                off_power,
-                _per_row([_wake_energy_j(a) for a in self.autoscalers], 2),
-                np.array(
-                    [trace.step_seconds for trace in self.traces],
-                    dtype=np.float64,
-                ),
-                sums_only=batch > 1,
+            nodes = self._batch_tables(
+                decisions, off_power, sums_only=batch > 1
             )
             serving_counts2d = serving3d.sum(axis=1)
             booting_counts2d = booting3d.sum(axis=1)
@@ -1092,15 +1089,36 @@ class FleetReplayBatch:
     def __len__(self) -> int:
         return len(self.traces)
 
+    def _batch_tables(
+        self,
+        decisions: Dict[str, np.ndarray],
+        off_power,
+        sums_only: bool = False,
+    ) -> Dict[str, np.ndarray]:
+        """:func:`_node_tables` of every row, with ``off_power`` as given."""
+        return _node_tables(
+            self.table,
+            decisions,
+            off_power,
+            _per_row([_wake_energy_j(a) for a in self.autoscalers], 2),
+            np.array(
+                [trace.step_seconds for trace in self.traces],
+                dtype=np.float64,
+            ),
+            sums_only,
+        )
+
     def columns_for(
-        self, row: int
+        self, row: int, tables: Optional[Dict[str, np.ndarray]] = None
     ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
         """One replay's fleet ``(T,)`` and node ``(N, T)`` columns,
         sliced to its trace length and its own nodes.
 
         A one-row batch returns views of the node tables its reduce
-        stage kept; a multi-row batch builds the row's tables from its
-        decisions on every call.  Either way the tables hold one row.
+        stage kept.  A multi-row batch slices the row from ``tables``,
+        the whole batch's node tables that :meth:`results` builds, or
+        without them builds the row's tables from its decisions on
+        every call.
         """
         trace = self.traces[row]
         length = len(trace)
@@ -1111,7 +1129,8 @@ class FleetReplayBatch:
         for name, tensor in self.fleet_columns.items():
             fleet[name] = tensor[row, :length]
         nodes = self.fleet_sizes[row]
-        tables = self._tables
+        if tables is None:
+            tables = self._tables
         if tables is None:
             tables = _node_tables(
                 self.table,
@@ -1123,15 +1142,20 @@ class FleetReplayBatch:
                 _wake_energy_j(self.autoscalers[row]),
                 np.array([trace.step_seconds], dtype=np.float64),
             )
+            row = 0  # the tables hold this row alone
         return fleet, {
-            name: tensor[0, :nodes, :length] for name, tensor in tables.items()
+            name: tensor[row, :nodes, :length]
+            for name, tensor in tables.items()
         }
 
-    def result(self, row: int) -> FleetResult:
-        """Materialize one replay as a full :class:`FleetResult`."""
+    def result(
+        self, row: int, tables: Optional[Dict[str, np.ndarray]] = None
+    ) -> FleetResult:
+        """Materialize one replay as a full :class:`FleetResult`; see
+        :meth:`columns_for` for ``tables``."""
         trace = self.traces[row]
         schedule = self.disturbances[row]
-        fleet, nodes = self.columns_for(row)
+        fleet, nodes = self.columns_for(row, tables)
         return FleetResult(
             routing_name=self.routings[row].name,
             governor_name=self.governor.name,
@@ -1147,6 +1171,23 @@ class FleetReplayBatch:
                 schedule.events if schedule is not None else ()
             ),
         )
+
+    def results(self) -> List[FleetResult]:
+        """Every row's :meth:`result`, in row order.
+
+        A multi-row batch builds the node tables of all its rows in one
+        :func:`_node_tables` call, not once per row, and does not keep
+        them: only the results' column views do.  A row's slice equals
+        its own build bit for bit.
+        """
+        tables = self._tables
+        if tables is None:
+            # Pad nodes' off-power is never read: each row is sliced to
+            # its own nodes.
+            tables = self._batch_tables(
+                self.decisions, _per_row(self.off_powers_w, 2)
+            )
+        return [self.result(row, tables) for row in range(len(self))]
 
     def summaries(self) -> List[Dict[str, object]]:
         """Per-replay scalar summaries, one :func:`fleet_summaries` call
@@ -1269,8 +1310,26 @@ class BatchReplayResult:
         return payload
 
     def results(self) -> List[object]:
-        """Every replay materialized, in submission order."""
-        return [self.result(index) for index in range(len(self))]
+        """Every replay materialized, in submission order.
+
+        Each tensor batch materializes all its rows in one ``results()``
+        call, so a multi-row fleet batch builds its node tables once,
+        not once per row.  A quarantined replay re-raises its fault, as
+        in :meth:`result`.
+        """
+        per_batch: Dict[int, List[object]] = {}
+        results = []
+        for kind, payload, extra in self._placements:
+            if kind == "batch":
+                key = id(payload)
+                if key not in per_batch:
+                    per_batch[key] = payload.results()
+                results.append(per_batch[key][extra])
+            elif kind == "failed":
+                raise extra
+            else:
+                results.append(payload)
+        return results
 
     def summaries(self) -> List[Dict[str, object]]:
         """Per-replay scalar summaries, in submission order.

@@ -10,13 +10,19 @@ memoizes the quantities that are shared across the sweep:
   operating-point records;
 * the reachable subset of each frequency grid.
 
+Two memos outlive a context.  Records are memoized per (configuration,
+degradation bound) *value* for the whole process, in
+:func:`record_memo`: every context on an equal configuration and bound
+reads the records another context resolved, so each (workload,
+frequency) point of a configuration is resolved once per process.
 Core operating points (the body-bias scan behind vdd and the core power
-breakdown) are memoized per core-model *value* for the whole process,
-in :func:`~repro.technology.a57_model.operating_point_memo`: every
-context whose configuration builds an equal core model shares them, so
-each (model, frequency, activity) point is solved once per process.
+breakdown) are memoized per core-model value, in
+:func:`~repro.technology.a57_model.operating_point_memo`, so
+configurations that build an equal core model share their solves.
 Reachability is one comparison against the model's maximum frequency
-and solves nothing.  Records and frequency tables stay per context.
+and solves nothing.  Each context still keeps its own view of the
+records it requested (:attr:`ModelContext.evaluated_points`, the
+``context.memo_*`` counters) and its own frequency tables.
 
 Every cached value is produced by the same frozen model objects the
 per-point path uses, so the records are numerically identical to the
@@ -26,7 +32,7 @@ legacy evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, Iterable, Sequence, Tuple
 
 from repro import obs
@@ -43,6 +49,26 @@ from repro.technology.a57_model import (
 )
 from repro.workloads.banking_vm import DEGRADATION_LIMIT_RELAXED
 from repro.workloads.base import WorkloadCharacteristics
+
+
+@lru_cache(maxsize=64)
+def record_memo(
+    configuration: ServerConfiguration, degradation_bound: float
+) -> Dict[Tuple[WorkloadCharacteristics, float], OperatingPointRecord]:
+    """The process-wide ``(workload, frequency_hz) -> record`` memo of
+    one (configuration, degradation bound) value.
+
+    A record is a pure function of the four: the performance, power and
+    core models are built from the frozen configuration, the latency and
+    degradation models from the frozen workload, and the bound sets only
+    a virtualized workload's ``meets_qos``.  So every context on an
+    equal pair shares one memo, and a point is resolved once per
+    process, however many contexts ask for it.  The memo is filled by
+    :meth:`ModelContext.evaluate` with an unlocked check-then-set, so
+    two threads may both resolve a missing point, and both store equal
+    values.  Bounded to the 64 most recently used pairs.
+    """
+    return {}
 
 
 @dataclass(eq=False)
@@ -64,6 +90,9 @@ class ModelContext:
         self._records: Dict[
             Tuple[WorkloadCharacteristics, float], OperatingPointRecord
         ] = {}
+        self._shared_records = record_memo(
+            self.configuration, self.degradation_bound
+        )
         self._latency_models: Dict[WorkloadCharacteristics, TailLatencyModel] = {}
         self._degradation_models: Dict[
             WorkloadCharacteristics, BatchDegradationModel
@@ -75,10 +104,12 @@ class ModelContext:
 
     @property
     def evaluated_points(self) -> int:
-        """Number of distinct design points resolved so far.
+        """Number of distinct design points this context requested.
 
-        Derived from the record cache's size, so it stays correct under
-        the kernels' bulk table builds: :meth:`frequency_table` resolves
+        A point counts whether this context resolved it or read it from
+        the process-wide :func:`record_memo`.  Derived from the
+        context's own record cache, so it stays correct under the
+        kernels' bulk table builds: :meth:`frequency_table` resolves
         every grid point through :meth:`evaluate` and memoizes the
         finished table, so each point is counted exactly once no matter
         how many tables, replays or fleets consume it.
@@ -197,9 +228,13 @@ class ModelContext:
     ) -> OperatingPointRecord:
         """Fully resolve one (workload, frequency) design point.
 
-        Identical in value to the legacy per-point path; every shared
-        intermediate (operating point, CPI stack, traffic) is computed
-        at most once per context.
+        Identical in value to the legacy per-point path.  A point this
+        context has not requested yet is read from the process-wide
+        :func:`record_memo`; only a point no context on an equal
+        configuration and bound has resolved runs the model stack
+        (``context.record_solves``), and every shared intermediate of
+        it (operating point, CPI stack, traffic) is computed at most
+        once per context.
         """
         key = (workload, frequency_hz)
         record = self._records.get(key)
@@ -207,7 +242,18 @@ class ModelContext:
             obs.count("context.memo_hits")
             return record
         obs.count("context.memo_misses")
+        record = self._shared_records.get(key)
+        if record is None:
+            obs.count("context.record_solves")
+            record = self._resolve(workload, frequency_hz)
+            self._shared_records[key] = record
+        self._records[key] = record
+        return record
 
+    def _resolve(
+        self, workload: WorkloadCharacteristics, frequency_hz: float
+    ) -> OperatingPointRecord:
+        """Run the model stack for one design point."""
         operating_point = self.operating_point(
             frequency_hz, workload.activity_factor
         )
@@ -242,7 +288,7 @@ class ModelContext:
             )
             meets_qos = degradation <= self.degradation_bound + 1e-9
 
-        record = OperatingPointRecord(
+        return OperatingPointRecord(
             workload_name=workload.name,
             workload_class=workload.workload_class.value,
             frequency_hz=frequency_hz,
@@ -259,8 +305,6 @@ class ModelContext:
             degradation=degradation,
             meets_qos=meets_qos,
         )
-        self._records[key] = record
-        return record
 
     def evaluate_workload(
         self,

@@ -17,7 +17,7 @@ provisioning levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -60,11 +60,21 @@ class BitbrainsTraceModel:
         check_positive("vm_count", self.vm_count)
         check_positive("log_sigma", self.log_sigma)
 
-    def samples(self) -> List[VmTraceSample]:
-        """Generate the synthetic VM population."""
+    def _draws(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every VM's memory usage (MB) and clipped CPU utilisation,
+        drawn in that order from the seeded generator."""
         rng = np.random.default_rng(self.seed)
         memory_mb = rng.lognormal(self.log_mean, self.log_sigma, self.vm_count)
-        cpu = np.clip(rng.beta(2.0, 5.0, self.vm_count), 0.01, 1.0)
+        return memory_mb, np.clip(rng.beta(2.0, 5.0, self.vm_count), 0.01, 1.0)
+
+    def cpu_utilization(self) -> np.ndarray:
+        """Every VM's CPU utilisation, in ``vm_id`` order: the samples'
+        ``cpu_utilization`` values as one array, without the samples."""
+        return self._draws()[1]
+
+    def samples(self) -> List[VmTraceSample]:
+        """Generate the synthetic VM population."""
+        memory_mb, cpu = self._draws()
         return [
             VmTraceSample(
                 vm_id=index,

@@ -163,8 +163,8 @@ def test_composed_traces_are_deterministic_in_the_seed():
 
 def test_bitbrains_all_idle_population_raises_a_precise_error():
     class AllIdleModel:
-        def samples(self):
-            return [type("VM", (), {"cpu_utilization": 0.0})()] * 16
+        def cpu_utilization(self):
+            return np.zeros(16)
 
     with pytest.raises(ValueError, match="all-idle"):
         LoadTrace.from_bitbrains(steps=4, model=AllIdleModel(), seed=1)

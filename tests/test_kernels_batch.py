@@ -36,7 +36,9 @@ kernel fleet replay is itself a one-row batch, so it is no oracle):
 * what a fleet batch keeps: a multi-row batch holds no ``(B, N, T)``
   array but its four decisions and builds node tables per row on
   request, and a held 96-replay result retains at most 32 bytes per
-  node-step while its rows still equal the object path.
+  node-step while its rows still equal the object path;
+* ``results()`` over a mixed population builds each fleet batch's node
+  tables once and equals every ``result(i)`` bit for bit.
 """
 
 import dataclasses
@@ -52,6 +54,7 @@ from repro import obs
 from repro.core.config import default_server
 from repro.dvfs import GOVERNORS, GovernorSimulator, LoadTrace
 from repro.dvfs.governors import PerformanceGovernor, governor_by_name
+from repro.dvfs.replay import REPLAY_COLUMNS, ReplayResult
 from repro.fleet import (
     ROUTERS,
     Autoscaler,
@@ -75,6 +78,7 @@ from repro.kernels import (
     ReplaySpec,
     governor_replay_columns,
 )
+from repro.kernels import batch as batch_module
 from repro.kernels.batch import _batched_sequential_selection, _row_timeline
 from repro.kernels.fleet import (
     _least_loaded_chain,
@@ -721,6 +725,109 @@ def test_a_held_summaries_only_result_retains_decisions_not_node_tables(
     for index in np.random.default_rng(7).permutation(len(specs)).tolist():
         _assert_same_bits_as(
             result.result(index), references[index], f"replay {index}"
+        )
+
+
+def _assert_identical_results(got, expected, label):
+    """Same kind, labels and summary, and every column's dtype and bytes."""
+    assert type(got) is type(expected), label
+    if isinstance(expected, ReplayResult):
+        for name in REPLAY_COLUMNS:
+            assert _same_bits(got.column(name), expected.column(name)), (
+                f"{label}: column {name}"
+            )
+        assert got.summary() == expected.summary(), label
+        return
+    for name in (
+        "routing_name", "governor_name", "workload_name", "trace_name",
+        "fleet_size", "step_seconds", "autoscaled", "disturbance_events",
+    ):
+        assert getattr(got, name) == getattr(expected, name), (label, name)
+    _assert_same_bits_as(got, expected, label)
+
+
+def test_results_build_each_fleet_batch_once_and_equal_each_result(
+    default_context, monkeypatch
+):
+    """``BatchReplayResult.results()`` materializes a mixed population --
+    multi-row governor and fleet batches on ragged traces with mixed
+    fleet sizes, autoscalers, off-powers and schedules, a one-row fleet
+    batch and a fallback replay -- with one node-table build per
+    multi-row fleet batch, each fleet row built once, and equals
+    ``result(i)`` for every ``i``, requested in shuffled order, bit for
+    bit and with dtypes."""
+
+    @dataclasses.dataclass(frozen=True)
+    class FloorGovernor(PerformanceGovernor):
+        def select(self, observation, platform):
+            return platform.frequencies[0]
+
+    traces = [
+        LoadTrace.bursty(steps=30, seed=2),
+        LoadTrace.diurnal(steps=48, seed=3),
+        LoadTrace.bursty(steps=41, seed=5),
+    ]
+    grid = default_context.frequency_table(WEB_SEARCH).frequencies_hz
+    schedules = [
+        None,
+        DisturbanceSchedule((node_crash(1, 4), node_restore(1, 12))),
+        DisturbanceSchedule((thermal_cap(0, 3, grid[5]),)),
+    ]
+    specs = [
+        ReplaySpec(workload=WEB_SEARCH, trace=trace, governor=governor)
+        for governor in ("ondemand", "conservative")
+        for trace in traces
+    ]
+    specs += [
+        ReplaySpec(
+            workload=WEB_SEARCH,
+            trace=trace,
+            governor=governor,
+            fleet_size=size,
+            routing=routing,
+            autoscaler=autoscaler,
+            off_power_w=off_power,
+            disturbances=schedule if autoscaler is None else None,
+        )
+        for routing in (PackRouting(0.6), "least_loaded")
+        for governor in ("conservative", "qos_tracker")
+        for trace, size, autoscaler, off_power, schedule in zip(
+            traces, (3, 5, 4), (None, Autoscaler(), None), (0.0, 5.0, 12.5),
+            schedules,
+        )
+    ]
+    specs.append(
+        ReplaySpec(
+            workload=WEB_SEARCH, trace=traces[0], governor="ondemand",
+            fleet_size=2, routing="round_robin",
+        )
+    )
+    specs.append(
+        ReplaySpec(workload=WEB_SEARCH, trace=traces[1], governor=FloorGovernor())
+    )
+    fleet_rows = sum(spec.is_fleet for spec in specs)
+    with obs.capture() as window:
+        result = BatchReplayRunner(default_context).run(specs)
+        builds = []
+        node_tables = batch_module._node_tables
+
+        def counted(*args, **kwargs):
+            builds.append(len(args[1]["state"]))
+            return node_tables(*args, **kwargs)
+
+        monkeypatch.setattr(batch_module, "_node_tables", counted)
+        results = result.results()
+        monkeypatch.undo()
+    assert result.batched_count == len(specs) - 1
+    assert result.fallback_count == 1
+    # Four 3-row fleet batches, (routing, governor); the one-row batch
+    # kept the tables its reduce stage built.
+    assert builds == [3, 3, 3, 3]
+    assert window.counter_deltas()["batch.node_table_rows"] == fleet_rows
+    assert len(results) == len(specs)
+    for index in np.random.default_rng(3).permutation(len(specs)).tolist():
+        _assert_identical_results(
+            results[index], result.result(index), f"replay {index}"
         )
 
 

@@ -4,10 +4,11 @@ The instrumentation is only useful if its numbers are exact, so each
 test pins a counter against an independently observable quantity: the
 context's memoisation counters against ``evaluated_points`` (every
 distinct design point is a miss exactly once, every repeat a hit), the
-batch engine's batched/fallback split against a batch with a known
-mix, the operating-point solve/hit split against the solver's own
-calls, and the replay/tuner counters against the work the call visibly
-performed.
+record-memo solves against the contexts that share a configuration and
+bound, the batch engine's batched/fallback split against a batch with
+a known mix, the operating-point solve/hit split against the solver's
+own calls, and the replay/tuner counters against the work the call
+visibly performed.
 """
 
 import dataclasses
@@ -32,10 +33,16 @@ from repro.fleet import (
 )
 from repro.kernels import BatchReplayRunner, ReplaySpec
 from repro.opt import PolicyConfig, PolicyTuner
+from repro.power.dram_power import LPDDR4_4GBIT_X8
 from repro.scenarios import REGISTRY, ScenarioRunner
-from repro.sweep.context import ModelContext
+from repro.sweep.context import ModelContext, record_memo
 from repro.technology.a57_model import CortexA57PowerModel, operating_point_memo
-from repro.workloads.banking_vm import VMS_LOW_MEM
+from repro.technology.process import BULK_28NM
+from repro.workloads.banking_vm import (
+    DEGRADATION_LIMIT_RELAXED,
+    DEGRADATION_LIMIT_STRICT,
+    VMS_LOW_MEM,
+)
 from repro.workloads.cloudsuite import WEB_SEARCH
 
 
@@ -94,6 +101,87 @@ def test_frequency_table_built_once_then_cache_hits():
     )
 
 
+# -- record memo -----------------------------------------------------------------------
+
+
+def test_records_resolved_once_then_read_by_a_fresh_context():
+    """Two fresh contexts on one configuration share the process record
+    memo: each requests every grid point as a miss of its own, only the
+    first runs the model stack, and both hold the same record objects."""
+    record_memo.cache_clear()
+    configuration = default_server()
+    contexts, deltas = [], []
+    for _ in range(2):
+        context = ModelContext(configuration)
+        grid = context.reachable_frequencies()
+        with obs.capture() as cap:
+            for frequency_hz in grid:
+                context.evaluate(WEB_SEARCH, frequency_hz)
+        contexts.append(context)
+        deltas.append(cap.counter_deltas())
+    first, second = deltas
+    assert first["context.memo_misses"] == len(grid)
+    assert second["context.memo_misses"] == len(grid)
+    assert first["context.record_solves"] == len(grid)
+    assert "context.record_solves" not in second
+    earlier, later = contexts
+    assert later.evaluated_points == len(grid)
+    for frequency_hz in grid:
+        record = earlier.evaluate(WEB_SEARCH, frequency_hz)
+        assert later.evaluate(WEB_SEARCH, frequency_hz) is record
+
+
+def test_record_memo_keeps_flavours_chips_and_bounds_apart():
+    """A context that differs in technology flavour, DRAM chip or
+    degradation bound -- and in nothing else, not even its name --
+    solves its own records; flavour and chip change their values."""
+    record_memo.cache_clear()
+    base = default_server()
+    workloads = (WEB_SEARCH, VMS_LOW_MEM)
+    frequency_hz = base.frequency_grid[9]  # 1 GHz, reachable everywhere
+    shared = ModelContext(base)
+    base_records = [shared.evaluate(w, frequency_hz) for w in workloads]
+    variants = {
+        "technology": (dataclasses.replace(base, technology=BULK_28NM), None),
+        "memory chip": (
+            dataclasses.replace(base, memory_chip=LPDDR4_4GBIT_X8),
+            None,
+        ),
+        "bound": (base, DEGRADATION_LIMIT_STRICT),
+    }
+    for label, (configuration, bound) in variants.items():
+        context = ModelContext(
+            configuration,
+            shared.degradation_bound if bound is None else bound,
+        )
+        with obs.capture() as cap:
+            records = [context.evaluate(w, frequency_hz) for w in workloads]
+        assert cap.counter_deltas()["context.record_solves"] == 2, label
+        for record, base_record in zip(records, base_records):
+            assert record is not base_record, label
+            if bound is None:
+                assert record != base_record, label
+
+
+def test_a_bound_filled_record_memo_leaves_another_bounds_qos_verdict():
+    """After the relaxed bound filled the memo, a strict-bound context
+    still fails a virtualized workload at each frequency whose
+    degradation lies between the two bounds."""
+    record_memo.cache_clear()
+    relaxed = ModelContext(default_server(), DEGRADATION_LIMIT_RELAXED)
+    between = [
+        record
+        for record in relaxed.evaluate_workload(VMS_LOW_MEM)
+        if DEGRADATION_LIMIT_STRICT < record.degradation <= DEGRADATION_LIMIT_RELAXED
+    ]
+    assert between
+    strict = ModelContext(default_server(), DEGRADATION_LIMIT_STRICT)
+    for record in between:
+        other = strict.evaluate(VMS_LOW_MEM, record.frequency_hz)
+        assert other.degradation == record.degradation
+        assert record.meets_qos and not other.meets_qos
+
+
 # -- operating-point memo --------------------------------------------------------------
 
 
@@ -101,7 +189,9 @@ def test_operating_point_solved_once_per_key_then_hit_by_a_fresh_context(
     monkeypatch,
 ):
     """Two fresh contexts on one configuration share the process memo:
-    the first solves each distinct key once, the second only hits."""
+    the first solves each distinct key once, the second only hits.
+    The record memo is cleared before each context, so both reach the
+    solve memo."""
     operating_point_memo.cache_clear()
     solver_calls = []
     solve = CortexA57PowerModel.operating_point
@@ -115,6 +205,7 @@ def test_operating_point_solved_once_per_key_then_hit_by_a_fresh_context(
     workloads = (WEB_SEARCH, VMS_LOW_MEM)
     deltas = []
     for _ in range(2):
+        record_memo.cache_clear()
         context = ModelContext(configuration)
         grid = context.reachable_frequencies()
         with obs.capture() as cap:

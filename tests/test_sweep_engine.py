@@ -16,6 +16,7 @@ from repro.core.dse import DesignSpaceExplorer
 from repro.core.efficiency import EfficiencyScope
 from repro.power.soc import SoCPowerModel
 from repro.sweep import ModelContext, SweepResult, SweepRunner
+from repro.sweep.context import record_memo
 from repro.utils.units import ghz, mhz
 from repro.workloads.banking_vm import virtualized_workloads
 from repro.workloads.base import WorkloadCharacteristics, WorkloadClass
@@ -161,6 +162,7 @@ def test_context_caches_operating_points_and_models():
 
 def test_context_resolves_one_soc_breakdown_per_evaluated_record(monkeypatch):
     """A record's SoC and server powers come from one SoC breakdown."""
+    record_memo.cache_clear()  # earlier tests resolved these records
     calls = []
     breakdown = SoCPowerModel.breakdown
 
