@@ -45,6 +45,13 @@ REPLAY_SUMMARY_COLUMNS = (
 """The replay columns :func:`replay_summaries` reads."""
 
 
+def row_means(block: np.ndarray) -> np.ndarray:
+    """``block.mean(axis=1)`` of a float64, integer or bool ``(B, L)``
+    block, bit for bit, without the method's Python wrapper: NumPy's
+    mean is this float64 ``add.reduce`` and a divide by the count."""
+    return np.add.reduce(block, axis=1, dtype=np.float64) / block.shape[1]
+
+
 def replay_summaries(
     blocks: Mapping[str, np.ndarray],
     traces: Sequence[str],
@@ -68,8 +75,8 @@ def replay_summaries(
     frequency = blocks["frequency_hz"]
     length = frequency.shape[1]
     energy_sum = blocks["energy_j"].sum(axis=1).tolist()
-    power_mean = blocks["power_w"].mean(axis=1).tolist()
-    frequency_mean = frequency.mean(axis=1).tolist()
+    power_mean = row_means(blocks["power_w"]).tolist()
+    frequency_mean = row_means(frequency).tolist()
     # Distinct frequencies: one plus the number of value changes along
     # each sorted row.
     changes = (np.diff(np.sort(frequency, axis=1), axis=1) != 0).sum(axis=1)

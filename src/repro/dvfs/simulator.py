@@ -222,7 +222,7 @@ class GovernorSimulator:
             columns={
                 "step": np.arange(steps, dtype=np.int64),
                 "time_s": trace.times(),
-                "utilization": np.asarray(trace.utilization, dtype=np.float64),
+                "utilization": trace.utilization_array.copy(),
                 "frequency_hz": frequency,
                 "power_w": power,
                 "energy_j": power * trace.step_seconds,

@@ -16,6 +16,7 @@ are bit-for-bit reproducible and can be pinned by golden fixtures.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -98,15 +99,24 @@ class LoadTrace:
         """Start time of every step, in seconds."""
         return np.arange(len(self.utilization), dtype=np.float64) * self.step_seconds
 
+    @functools.cached_property
+    def utilization_array(self) -> np.ndarray:
+        """The utilisation as a read-only float64 array, converted once.
+        Not a field, so ``==``, ``hash`` and ``repr`` see only the tuple;
+        a result column exposing the utilisation copies it."""
+        array = np.array(self.utilization, dtype=np.float64)
+        array.setflags(write=False)
+        return array
+
     @property
     def mean_utilization(self) -> float:
         """Average offered load over the trace."""
-        return float(np.mean(self.utilization))
+        return float(np.mean(self.utilization_array))
 
     @property
     def peak_utilization(self) -> float:
         """Highest offered load in the trace."""
-        return float(np.max(self.utilization))
+        return float(np.max(self.utilization_array))
 
     def head(self, steps: int) -> "LoadTrace":
         """The first ``steps`` steps as a new trace."""

@@ -37,6 +37,8 @@ from typing import (
 
 import numpy as np
 
+from repro.dvfs.replay import row_means
+
 if TYPE_CHECKING:
     from repro.fleet.disturbance import DisturbanceEvent
 
@@ -125,12 +127,12 @@ def fleet_summaries(
     """
     length = blocks["energy_j"].shape[1]
     energy_sum = blocks["energy_j"].sum(axis=1).tolist()
-    power_mean = blocks["total_power_w"].mean(axis=1).tolist()
-    active_mean = blocks["active_servers"].mean(axis=1).tolist()
+    power_mean = row_means(blocks["total_power_w"]).tolist()
+    active_mean = row_means(blocks["active_servers"]).tolist()
     serving = blocks["serving_servers"]
-    serving_mean = serving.mean(axis=1).tolist()
+    serving_mean = row_means(serving).tolist()
     peak_serving = serving.max(axis=1).tolist()
-    used_mean = blocks["used_servers"].mean(axis=1).tolist()
+    used_mean = row_means(blocks["used_servers"]).tolist()
     wake_sum = blocks["wake_events"].sum(axis=1).tolist()
     served_sum = blocks["served_uips"].sum(axis=1).tolist()
     offered_sum = blocks["offered_uips"].sum(axis=1).tolist()

@@ -269,7 +269,7 @@ class FleetSimulator:
         fleet: Dict[str, np.ndarray] = {
             "step": np.arange(steps, dtype=np.int64),
             "time_s": trace.times(),
-            "utilization": np.asarray(trace.utilization, dtype=np.float64),
+            "utilization": trace.utilization_array.copy(),
             "offered_uips": np.empty(steps, dtype=np.float64),
             "served_uips": np.empty(steps, dtype=np.float64),
             "total_power_w": np.empty(steps, dtype=np.float64),

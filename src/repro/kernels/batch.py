@@ -28,7 +28,7 @@ the trace axis; this module adds the batch axis:
   :mod:`repro.kernels.fleet` in one pass, while the other
   ``least_loaded`` rows and ``conservative`` stay step-sequential
   *within* a replay but run on whole ``(B, N)`` step slices *across*
-  the batch; queueing ``tails`` through the deduplicating closed-form
+  the batch; queueing ``tails`` through the closed-form
   :func:`~repro.kernels.fleet.tail_latencies` kernel once for the
   whole batch; and the node tables and fleet sums (``reduce``).
   Disturbed and undisturbed replays share one batch, and a single
@@ -70,6 +70,7 @@ path, exactly like the single-replay dispatch.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -238,9 +239,7 @@ def _padded_utilization(
     lengths = np.array([len(trace) for trace in traces], dtype=np.int64)
     util2d = np.zeros((len(traces), int(lengths.max())), dtype=np.float64)
     for row, trace in enumerate(traces):
-        util2d[row, : lengths[row]] = np.asarray(
-            trace.utilization, dtype=np.float64
-        )
+        util2d[row, : lengths[row]] = trace.utilization_array
     return util2d, lengths
 
 
@@ -733,22 +732,17 @@ def _node_tables(
     ``batch.node_table_rows``.
     """
     state3d = decisions["state"]
-    # One cast up front: a gather converts a narrow index on every call.
-    idx3d = decisions["index"].astype(np.intp, copy=False)
     serving3d = state3d == _SERVING
+    # One intp key per node-step, the grid index while serving, else
+    # len(table): a gather converts a narrow index on every call.
+    key3d = np.where(serving3d, decisions["index"], np.intp(len(table)))
+    columns = _not_serving_columns(table)
     demand3d = decisions["share"] * table.nominal_capacity_uips
-    power3d = np.where(
-        serving3d,
-        table.power_w[idx3d],
-        np.where(state3d == _BOOTING, table.power_w[0], off_power),
-    )
-    capacity3d = np.where(serving3d, table.capacity_uips[idx3d], 0.0)
-    qos_ok3d = np.where(serving3d, table.qos_ok[idx3d], True)
-    demand_met3d = np.where(
-        serving3d,
-        table.covers_capacity_uips[idx3d] >= demand3d,
-        demand3d <= 0.0,
-    )
+    power3d = np.where(state3d == _OFF, off_power, columns["power_w"][key3d])
+    capacity3d = columns["capacity_uips"][key3d]
+    qos_ok3d = columns["qos_ok"][key3d]
+    # Not serving, this reads demand <= 0.0.
+    demand_met3d = columns["covers_capacity_uips"][key3d] >= demand3d
     tables = {
         "state": state3d,
         "power_w": power3d,
@@ -767,13 +761,27 @@ def _node_tables(
     }
     if not sums_only:
         obs.count("batch.node_table_rows", len(state3d))
-        tables["frequency_hz"] = np.where(
-            serving3d, table.frequencies_hz[idx3d], np.nan
-        )
-        tables["qos_metric"] = np.where(
-            serving3d, table.qos_metric[idx3d], np.nan
-        )
+        tables["frequency_hz"] = columns["frequencies_hz"][key3d]
+        tables["qos_metric"] = columns["qos_metric"][key3d]
     return tables
+
+
+@functools.lru_cache(maxsize=32)
+def _not_serving_columns(table: FrequencyTable) -> Dict[str, np.ndarray]:
+    """The node tables' lookup columns, each extended at ``len(table)``
+    by what a node that is not serving reads: a booting node's power,
+    0.0 capacity and coverage, QoS met, NaN frequency and QoS metric."""
+    return {
+        name: np.append(getattr(table, name), extra)
+        for name, extra in (
+            ("power_w", table.power_w[0]),
+            ("capacity_uips", 0.0),
+            ("qos_ok", True),
+            ("covers_capacity_uips", 0.0),
+            ("frequencies_hz", np.nan),
+            ("qos_metric", np.nan),
+        )
+    }
 
 
 class FleetReplayBatch:

@@ -29,14 +29,12 @@ axis:
 
 Queueing tails are evaluated by :func:`tail_latencies`, a closed-form
 vectorized twin of the scalar
-:class:`~repro.latency.queueing.MM1Queue` / :class:`MG1Queue` math:
-the (grid index, demand) pairs it is handed are deduplicated by two
-real-valued ``np.unique`` passes (demand rank, then
-``rank * grid_size + index``) and each unique pair is solved once with
-the exact float expressions the scalar queue models use (the one
-``math.log`` per unique pair included, because ``np.log`` is not
-bit-identical to ``math.log`` on every platform).  :func:`_worst_tails`
-hands it only the first node of each run of neighbours loaded with one
+:class:`~repro.latency.queueing.MM1Queue` / :class:`MG1Queue` math: it
+solves every (grid index, demand) pair it is handed with the exact
+float expressions the scalar queue models use (one ``math.log`` per
+waiting pair, because ``np.log`` is not bit-identical to ``math.log``
+on every platform).  :func:`_worst_tails` keeps the pairs few: it hands
+over only the first node of each run of neighbours loaded with one
 step's same (grid index, share), since the rest share its tail.
 """
 
@@ -359,45 +357,31 @@ def tail_latencies(
     guards in the same order (NaN base latency, non-positive capacity,
     saturation at ``1 - _STABILITY_EPSILON``), then the M/M/1 or
     Marchal-corrected M/G/1 percentile with the scalar models'
-    expressions term for term.  The pairs are deduplicated so each
-    distinct operating point is solved once.  The one transcendental
-    term, ``log(rho / tail_probability)``, is evaluated with
-    ``math.log`` per *unique* pair because ``np.log`` is not
-    bit-identical to ``math.log`` everywhere.
+    expressions term for term.  Every handed pair is solved where it
+    stands, repeats included.  The one transcendental term,
+    ``log(rho / tail_probability)``, is evaluated with ``math.log`` per
+    waiting pair because ``np.log`` is not bit-identical to
+    ``math.log`` everywhere.
     """
     indices = np.asarray(indices, dtype=np.int64)
     demand = np.asarray(demand_uips, dtype=np.float64)
     if indices.size == 0:
         return np.empty(0, dtype=np.float64)
-    # Two real-valued dedups instead of one over (index, demand) rows:
-    # rank the distinct demands, then dedup the injective integer key
-    # rank * grid_size + index.  A float and an int sort are far cheaper
-    # than a complex or void-dtype one, and the distinct keys are
-    # exactly the distinct pairs.  (+0.0/-0.0 demands share a rank, but
-    # both produce bit-identical tails through every branch below.)
-    grid_size = len(table)
-    demand_values, demand_rank = np.unique(demand, return_inverse=True)
-    keys, inverse = np.unique(
-        demand_rank * grid_size + indices, return_inverse=True
-    )
     obs.count("fleet.tail_pairs", int(indices.size))
-    obs.count("fleet.tail_unique_pairs", int(keys.size))
-    grid = keys % grid_size
-    unique_demand = demand_values[keys // grid_size]
 
-    base = table.latency_seconds[grid]
-    capacity = table.capacity_uips[grid]
+    base = table.latency_seconds[indices]
+    capacity = table.capacity_uips[indices]
     positive = capacity > 0.0
     utilization = np.where(
-        positive, unique_demand / np.where(positive, capacity, 1.0), np.inf
+        positive, demand / np.where(positive, capacity, 1.0), np.inf
     )
     nan_base = np.isnan(base)
     stable = positive & (utilization < 1.0 - _STABILITY_EPSILON) & ~nan_base
 
-    out = np.full(len(keys), np.inf, dtype=np.float64)
+    out = np.full(len(indices), np.inf, dtype=np.float64)
     if np.any(stable):
         s_capacity = capacity[stable]
-        s_demand = unique_demand[stable]
+        s_demand = demand[stable]
         instructions = workload.instructions_per_request
         service_time = instructions / s_capacity
         arrival_rate = s_demand / instructions
@@ -434,7 +418,7 @@ def tail_latencies(
             0.0, response_p99 - service_time
         )
     out[nan_base] = np.nan
-    return out[inverse]
+    return out
 
 
 def _worst_tails(
@@ -446,13 +430,13 @@ def _worst_tails(
 ) -> np.ndarray:
     """Per step: the worst loaded node's tail, NaN when none is loaded.
 
-    Reduces the node axis of ``(N, T)`` or ``(B, N, T)`` inputs.
-    Matches the reference loop's running-max semantics: NaN tails never
-    displace a finite worst, and a step with no loaded serving node (or
-    only NaN tails) stays NaN.  A node loaded with the previous node's
-    (grid index, share) at the same step would repeat that node's tail
-    bit for bit, so it is left out: the step's max, NaN and inf
-    included, is unchanged.
+    Reduces the node axis of ``(N, T)`` or ``(B, N, T)`` inputs with
+    ``np.fmax``, which matches the reference loop's running-max
+    semantics: NaN tails never displace a finite worst, and a step with
+    no loaded serving node (or only NaN tails) stays NaN.  A node
+    loaded with the previous node's (grid index, share) at the same
+    step would repeat that node's tail bit for bit, so it is left out:
+    the step's max, NaN and inf included, is unchanged.
     """
     loaded = serving & (shares > 0.0)
     evaluate = loaded.copy()
@@ -468,11 +452,7 @@ def _worst_tails(
         idx[evaluate],
         shares[evaluate] * table.nominal_capacity_uips,
     )
-    defined = ~np.isnan(tails)
-    candidates = np.where(defined, tails, -np.inf)
-    return np.where(
-        defined.any(axis=-2), candidates.max(axis=-2), np.nan
-    )
+    return np.fmax.reduce(tails, axis=-2)
 
 
 # -- exact reductions -------------------------------------------------------------------

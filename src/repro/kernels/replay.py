@@ -26,7 +26,7 @@ def governor_replay_columns(
 ) -> Dict[str, np.ndarray]:
     """The full per-step replay table of one governor over one trace."""
     steps = len(trace)
-    utilization = np.asarray(trace.utilization, dtype=np.float64)
+    utilization = trace.utilization_array
     demand = utilization * table.nominal_capacity_uips
     indices = select_trace_indices(governor, table, utilization)
 
@@ -37,7 +37,7 @@ def governor_replay_columns(
     return {
         "step": np.arange(steps, dtype=np.int64),
         "time_s": trace.times(),
-        "utilization": utilization,
+        "utilization": utilization.copy(),
         "frequency_hz": table.frequencies_hz[indices],
         "power_w": power,
         "energy_j": power * trace.step_seconds,

@@ -32,7 +32,7 @@ from repro.obs.core import (
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
-    {"report": ("SCHEMA", "SCHEMA_VERSION", "RunReport", "validate_report")},
+    {"report": ("SCHEMA", "SCHEMA_VERSION", "RunReport", "environment", "validate_report")},
 )
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "counters_snapshot",
     "disable",
     "enable",
+    "environment",
     "is_enabled",
     "reset",
     "suspended",

@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import platform
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 SCHEMA = "repro.obs/run-report"
@@ -284,6 +288,41 @@ class RunReport:
                 )
             )
         return "\n".join(lines)
+
+
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def environment() -> Dict[str, object]:
+    """The run environment a report keeps under ``meta["env"]``; the
+    commit is read from the current directory's ``.git`` without a
+    subprocess, and is ``None`` without one."""
+    import numpy
+
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "nproc": os.cpu_count(),
+        "git_sha": _git_sha(Path(".git")),
+        "argv": list(sys.argv),
+        "threads": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
+    }
+
+
+def _git_sha(git: Path) -> Optional[str]:
+    try:
+        head = (git / "HEAD").read_text(encoding="utf-8").strip()
+        if not head.startswith("ref: "):
+            return head  # a detached HEAD holds the commit itself
+        ref = head[len("ref: "):]
+        if (git / ref).is_file():
+            return (git / ref).read_text(encoding="utf-8").strip()
+        # A packed ref is a "<sha> <ref>" line of packed-refs.
+        packed = (git / "packed-refs").read_text(encoding="utf-8").split()
+        return packed[packed.index(ref) - 1]
+    except (OSError, ValueError):
+        return None
 
 
 # -- validation ------------------------------------------------------------------------

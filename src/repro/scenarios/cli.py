@@ -587,7 +587,7 @@ def _run_scenarios(
     if args.report_out is not None:
         if reports:
             merged = obs.RunReport.merge(
-                reports, meta={"scenarios": [name for name in names]}
+                reports, meta={"scenarios": list(names), "env": obs.environment()}
             )
             atomic_write_text(args.report_out, merged.to_json() + "\n")
             print(f"wrote {args.report_out}")

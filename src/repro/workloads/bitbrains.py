@@ -72,15 +72,17 @@ class BitbrainsTraceModel:
         ``cpu_utilization`` values as one array, without the samples."""
         return self._draws()[1]
 
+    def memory_bytes(self) -> np.ndarray:
+        """Every VM's memory usage in bytes, in ``vm_id`` order: the
+        samples' ``memory_bytes`` (the same products) as one array."""
+        return self._draws()[0] * MB
+
     def samples(self) -> List[VmTraceSample]:
         """Generate the synthetic VM population."""
-        memory_mb, cpu = self._draws()
+        memory = self.memory_bytes().tolist()
+        cpu = self.cpu_utilization().tolist()
         return [
-            VmTraceSample(
-                vm_id=index,
-                memory_bytes=float(memory_mb[index]) * MB,
-                cpu_utilization=float(cpu[index]),
-            )
+            VmTraceSample(index, memory[index], cpu[index])
             for index in range(self.vm_count)
         ]
 
@@ -88,8 +90,7 @@ class BitbrainsTraceModel:
         """Memory usage (bytes) at the given percentile of the population."""
         if not (0.0 <= percentile <= 100.0):
             raise ValueError(f"percentile must be in [0, 100], got {percentile}")
-        values = np.array([sample.memory_bytes for sample in self.samples()])
-        return float(np.percentile(values, percentile))
+        return float(np.percentile(self.memory_bytes(), percentile))
 
     def representative_classes(self) -> dict:
         """Low-memory / high-memory provisioning levels (bytes).
@@ -107,6 +108,6 @@ class BitbrainsTraceModel:
     def class_populations(self, threshold_bytes: float = 300 * MB) -> dict:
         """Number of VMs below/above a provisioning threshold."""
         check_positive("threshold_bytes", threshold_bytes)
-        samples = self.samples()
-        low = sum(1 for sample in samples if sample.memory_bytes <= threshold_bytes)
-        return {"low-mem": low, "high-mem": len(samples) - low}
+        memory = self.memory_bytes()
+        low = int(np.count_nonzero(memory <= threshold_bytes))
+        return {"low-mem": low, "high-mem": len(memory) - low}

@@ -1,10 +1,20 @@
 """Tests for the load-trace abstraction and its generators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.dvfs import LOAD_TRACES, LoadTrace, load_trace_by_name
+from repro.dvfs import (
+    LOAD_TRACES,
+    GovernorSimulator,
+    LoadTrace,
+    load_trace_by_name,
+)
+from repro.fleet import Autoscaler, FleetSimulator
+from repro.kernels import BatchReplayRunner, ReplaySpec
 from repro.workloads.bitbrains import BitbrainsTraceModel
+from repro.workloads.cloudsuite import WEB_SEARCH
 
 
 # -- validation / failure modes --------------------------------------------------------
@@ -220,3 +230,64 @@ def test_bitbrains_trace_follows_population_seed():
         steps=24, model=BitbrainsTraceModel(vm_count=200, seed=12), seed=5
     )
     assert left != other_population
+
+
+# -- the cached utilisation array --------------------------------------------------------
+
+
+def test_utilization_array_is_one_read_only_float64_copy():
+    trace = LoadTrace(name="t", step_seconds=60, utilization=(0.25, 1, 0.5))
+    array = trace.utilization_array
+    assert array.dtype == np.float64
+    assert array.tolist() == [0.25, 1.0, 0.5]
+    assert not array.flags.writeable
+    assert trace.utilization_array is array
+    with pytest.raises(ValueError):
+        array[0] = 0.0
+
+
+def test_utilization_array_leaves_value_semantics_unchanged():
+    read = LoadTrace.bursty(steps=30, seed=4)
+    fresh = LoadTrace.bursty(steps=30, seed=4)
+    text, digest = repr(read), hash(read)
+    assert read.utilization_array.size == 30
+    assert read == fresh
+    assert hash(read) == hash(fresh) == digest
+    assert repr(read) == repr(fresh) == text
+    assert "utilization_array" not in {
+        field.name for field in dataclasses.fields(LoadTrace)
+    }
+    replaced = dataclasses.replace(read, name="renamed")
+    assert replaced == dataclasses.replace(fresh, name="renamed")
+    assert replaced.utilization_array is not read.utilization_array
+
+
+def test_no_result_column_aliases_the_cached_array(default_context):
+    trace = LoadTrace.bursty(steps=24, seed=9)
+    cached = trace.utilization_array
+    single = GovernorSimulator(default_context, WEB_SEARCH)
+    fleet = FleetSimulator(
+        default_context, WEB_SEARCH, fleet_size=3, autoscaler=Autoscaler()
+    )
+    batch = BatchReplayRunner(default_context).run(
+        [
+            ReplaySpec(workload=WEB_SEARCH, trace=trace),
+            ReplaySpec(
+                workload=WEB_SEARCH, trace=trace, fleet_size=2, routing="pack"
+            ),
+            ReplaySpec(
+                workload=WEB_SEARCH, trace=trace, fleet_size=3, routing="pack"
+            ),
+        ]
+    )
+    results = [
+        single.replay(trace, "ondemand"),
+        single.replay(trace, "ondemand", reference=True),
+        fleet.run(trace, "spread"),
+        fleet.run(trace, "spread", reference=True),
+        *batch.results(),
+    ]
+    for result in results:
+        column = result.column("utilization")
+        assert column.tolist() == list(trace.utilization)
+        assert not np.shares_memory(column, cached), type(result).__name__

@@ -9,6 +9,7 @@ the raw arrays; no tolerances.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -591,13 +592,12 @@ def test_tail_guards_nan_base_and_zero_capacity():
     _assert_tails_exactly_equal(table, WEB_SEARCH, indices, demand)
 
 
-def test_tail_deduplication_preserves_order_and_values(default_context):
-    """Repeated (index, demand) pairs scatter back to their positions.
+def test_tail_latencies_solve_every_pair_in_place(default_context):
+    """Each handed (index, demand) pair is solved at its own position.
 
     One demand recurs at several indices and one index at several
-    demands, so a dedup key that merged distinct pairs would solve too
-    few of them: the unique-pair counter must equal the number of
-    distinct (index, demand) pairs.
+    demands: identical pairs must give identical tails and distinct
+    pairs distinct ones, and every pair counts once, repeats included.
     """
     table = default_context.frequency_table(WEB_SEARCH)
     top = table.nominal_index
@@ -606,16 +606,15 @@ def test_tail_deduplication_preserves_order_and_values(default_context):
     demand = capacity * np.array([0.4, 0.4, 0.4, 0.3, 0.7, 0.4, 0.3])
     with obs.capture() as capture:
         tails = tail_latencies(table, WEB_SEARCH, indices, demand)
-    assert tails[0] == tails[2]  # identical pairs, identical tails
-    assert tails[0] != tails[4]  # same index, different demand
-    assert tails[0] != tails[1]  # same demand, different index
-    assert tails[1] != tails[3]  # same index, different demand
-    counters = capture.counter_deltas()
-    assert counters["fleet.tail_pairs"] == len(indices)
-    assert counters["fleet.tail_unique_pairs"] == len(
-        set(zip(indices.tolist(), demand.tolist()))
-    ) == 6
+    pairs = list(zip(indices.tolist(), demand.tolist()))
+    assert len(set(pairs)) == 6
+    for first, second in itertools.combinations(range(len(pairs)), 2):
+        same_pair = pairs[first] == pairs[second]
+        assert bool(tails[first] == tails[second]) is same_pair, (first, second)
     _assert_tails_exactly_equal(table, WEB_SEARCH, indices, demand)
+    counters = capture.counter_deltas()
+    assert counters["fleet.tail_pairs"] == 7
+    assert "fleet.tail_unique_pairs" not in counters
     assert tail_latencies(table, WEB_SEARCH, [], []).size == 0
 
 

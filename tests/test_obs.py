@@ -297,6 +297,35 @@ def test_to_json_is_strict_about_non_finite_values():
         report.to_json()
 
 
+# -- the run environment ---------------------------------------------------------------
+
+_SHA = "0123456789abcdef0123456789abcdef01234567"
+
+
+@pytest.mark.parametrize("layout", ["loose", "packed", "detached"])
+def test_environment_reads_the_checked_out_commit(tmp_path, monkeypatch, layout):
+    """The commit of the current directory's ``.git``, however it is stored."""
+    git = tmp_path / ".git"
+    git.mkdir()
+    if layout == "detached":
+        (git / "HEAD").write_text(_SHA + "\n")
+    else:
+        (git / "HEAD").write_text("ref: refs/heads/main\n")
+    if layout == "loose":
+        (git / "refs" / "heads").mkdir(parents=True)
+        (git / "refs" / "heads" / "main").write_text(_SHA + "\n")
+    elif layout == "packed":
+        (git / "packed-refs").write_text(
+            "# pack-refs with: peeled fully-peeled sorted\n"
+            f"{'f' * 40} refs/heads/feature\n"
+            f"{_SHA} refs/heads/main\n"
+        )
+    monkeypatch.chdir(tmp_path)
+    assert obs.environment()["git_sha"] == _SHA
+    monkeypatch.chdir(git)  # no .git here
+    assert obs.environment()["git_sha"] is None
+
+
 # -- the artifact CLI ------------------------------------------------------------------
 
 

@@ -31,6 +31,7 @@ from repro.fleet import (
     FleetSimulator,
     thermal_cap,
 )
+from repro.fleet.node import NodeState
 from repro.kernels import BatchReplayRunner, ReplaySpec
 from repro.opt import PolicyConfig, PolicyTuner
 from repro.power.dram_power import LPDDR4_4GBIT_X8
@@ -363,15 +364,24 @@ def test_dvfs_counters_distinguish_kernel_and_reference(default_context):
     assert all(s.attributes["governor"] == "ondemand" for s in spans)
 
 
-def test_fleet_replay_span_and_tail_dedup_counters(default_context):
+def test_fleet_replay_span_and_tail_pair_counter(default_context):
     simulator = FleetSimulator(default_context, WEB_SEARCH, fleet_size=2)
     trace = LoadTrace.bursty(steps=20, seed=4)
     with obs.capture() as cap:
-        simulator.run(trace, "pack")
+        result = simulator.run(trace, "pack")
     deltas = cap.counter_deltas()
     assert deltas["fleet.kernel_replays"] == 1
-    # The queueing-tail dedup only ever shrinks the pair set.
-    assert deltas["fleet.tail_pairs"] >= deltas["fleet.tail_unique_pairs"] > 0
+    # Only loaded serving node-steps hand the tail kernel a pair.
+    loaded = sum(
+        int(
+            (
+                (result.node_column(node, "state") == NodeState.SERVING)
+                & (result.node_column(node, "demand_uips") > 0.0)
+            ).sum()
+        )
+        for node in result.node_ids
+    )
+    assert 0 < deltas["fleet.tail_pairs"] <= loaded
     (span,) = [s for s in cap.spans if s.name == "fleet.replay"]
     assert span.attributes["routing"] == "pack"
     assert span.attributes["fleet_size"] == 2

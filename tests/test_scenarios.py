@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import platform
+import sys
 
 import pytest
 
@@ -557,6 +559,31 @@ def test_cli_report_out_merges_multiple_scenarios(tmp_path, capsys):
         for span in report.spans_named("scenario.run")
     ]
     assert scenarios == ["table1_ddr4", "fig2_qos"]
+
+
+def test_cli_report_meta_carries_the_run_environment(
+    tmp_path, monkeypatch, capsys
+):
+    """Run from a directory with no ``.git``: the commit is unknown."""
+    monkeypatch.chdir(tmp_path)
+    output = tmp_path / "report.json"
+    assert (
+        cli_main(["run", "table1_ddr4", "--report-out", str(output)]) == 0
+    )
+    data = json.loads(output.read_text())
+    obs.validate_report(data)
+    env = data["meta"]["env"]
+    assert set(env) == {"python", "numpy", "nproc", "git_sha", "argv", "threads"}
+    assert env["git_sha"] is None
+    assert env["python"] == platform.python_version()
+    assert env["argv"] == sys.argv
+    assert set(env["threads"]) == {
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+        "VECLIB_MAXIMUM_THREADS",
+    }
 
 
 def test_cli_run_leaves_instrumentation_off(tmp_path):

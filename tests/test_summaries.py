@@ -20,7 +20,11 @@ the batch engine's per-length grouping equals one call per row.
 
 import numpy as np
 
-from repro.dvfs.replay import REPLAY_SUMMARY_COLUMNS, replay_summaries
+from repro.dvfs.replay import (
+    REPLAY_SUMMARY_COLUMNS,
+    replay_summaries,
+    row_means,
+)
 from repro.fleet.result import FLEET_SUMMARY_COLUMNS, fleet_summaries
 from repro.kernels.batch import _summaries_by_length
 
@@ -312,3 +316,20 @@ def test_replay_summaries_ragged_call_equals_per_row_calls():
     )
     for row, summary in enumerate(ragged):
         _assert_identical(summary, REPLAY_EXPECTED[row])
+
+
+def test_row_means_equal_ndarray_mean_byte_for_byte():
+    """The means helper is ``ndarray.mean(axis=1)`` minus its wrapper."""
+    rng = np.random.default_rng(5)
+    blocks = [
+        rng.uniform(0.0, 300.0, size=(3, 288)),
+        rng.uniform(-1.0, 1.0, size=(2, 1)),  # one-step rows
+        rng.integers(0, 9, size=(4, 2016)),
+        rng.integers(0, 9, size=(1, 1)),
+        rng.random(size=(3, 48)) < 0.3,
+        np.array([[True], [False]]),
+    ]
+    for block in blocks:
+        means = row_means(block)
+        assert means.dtype == np.float64, block.dtype
+        assert means.tobytes() == block.mean(axis=1).tobytes(), block.dtype

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.utils.units import MB
@@ -262,3 +263,24 @@ def test_request_percentile_bounds_checked():
     model = RequestServiceModel(DATA_SERVING)
     with pytest.raises(ValueError):
         model.percentile_service_time(1e9, 100.0)
+
+
+@pytest.mark.parametrize("seed", [2016, 7])
+def test_bitbrains_memory_array_matches_the_samples(seed):
+    """Percentiles and class counts read one array, not 1750 samples."""
+    model = BitbrainsTraceModel(seed=seed)
+    from_samples = [sample.memory_bytes for sample in model.samples()]
+    memory = model.memory_bytes()
+    # The same IEEE products as one scalar multiply per VM.
+    assert from_samples == [float(mb) * MB for mb in model._draws()[0]]
+    assert memory.tolist() == from_samples
+    for percentile in (0.0, 10.0, 50.0, 90.0, 100.0):
+        assert model.memory_percentile(percentile) == float(
+            np.percentile(np.array(from_samples), percentile)
+        )
+    for threshold in (100 * MB, 300 * MB, 700 * MB):
+        low = sum(1 for value in from_samples if value <= threshold)
+        assert model.class_populations(threshold) == {
+            "low-mem": low,
+            "high-mem": len(from_samples) - low,
+        }
