@@ -1,14 +1,14 @@
 """Guarded-path overhead on a fault-free thousand-replay batch.
 
-The resilience layer must be effectively free when nothing fails: the
+Batch quarantine must be effectively free when nothing fails: the
 quarantine-mode :class:`~repro.kernels.batch.BatchReplayRunner` pays
-one no-plan chaos check and one ``try`` frame per replay, and on the
-same thousand-replay fleet sweep as ``test_bench_batch_replay`` that
-must stay **under 3%** of the plain runner's wall time -- after first
-cross-checking that both modes produce bit-identical summaries.  The
-gate is the median of per-pair ratios (the ``paired_walls`` fixture):
-each pair times the two modes back to back, so a host whose speed
-drifts between pairs scales both walls of a pair alike.
+one ``try`` frame per replay, and on the same thousand-replay fleet
+sweep as ``test_bench_batch_replay`` that must stay **under 3%** of
+the plain runner's wall time -- after first cross-checking that both
+modes produce bit-identical summaries.  The gate is the median of
+per-pair ratios (the ``paired_walls`` fixture): each pair times the
+two modes back to back, so a host whose speed drifts between pairs
+scales both walls of a pair alike.
 
 Emits a machine-readable ``BENCH_resilience.json`` artifact (set
 ``BENCH_RESILIENCE_JSON`` to redirect it).

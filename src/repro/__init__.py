@@ -39,9 +39,9 @@ Importing a package loads none of its modules: every package
 :func:`repro._lazy.lazy_exports`), so a name imports its submodule on
 first access and is cached there.  A process compiles only what it
 uses: the replay benchmark's imports (``perfbench/suite.py``) load 67
-of the 115 ``repro`` modules and ``python -m repro.scenarios list``
-62, and neither loads the tuner, checkpointing, the report schema or
-the detailed cache/DRAM simulators.
+of the 114 ``repro`` modules and ``python -m repro.scenarios list``
+62, and neither loads the tuner, the report schema or the detailed
+cache/DRAM simulators.
 """
 
 __version__ = "1.0.0"

@@ -392,7 +392,7 @@ class _RowTimeline:
 
 
 def _row_timeline(
-    mass: List[float],
+    mass: np.ndarray,
     fleet_size: int,
     autoscaler: Optional[Autoscaler],
     disturbances: Optional[DisturbanceSchedule],
@@ -405,7 +405,9 @@ def _row_timeline(
     sets what routing sees, and crashes land after routing.  It counts the
     serving and booting nodes instead of rebuilding id lists, and
     snapshots the states only at steps where they change.  A static
-    fleet without crashes never changes: one constant fill, no loop.
+    fleet without crashes never changes: one constant fill, no loop, and
+    ``mass`` (the row's float64 routed mass) is read only for its
+    length; the loop walks it as Python floats.
     """
     steps = len(mass)
     crashes: Dict[int, List[int]] = {}
@@ -420,10 +422,11 @@ def _row_timeline(
         state = np.full((fleet_size, steps), _SERVING, dtype=np.int8)
         return _RowTimeline(state, state, None, None)
 
+    loads = mass.tolist()
     if autoscaler is None:
         serving = fleet_size
     else:
-        serving = autoscaler.desired_active(mass[0], fleet_size)
+        serving = autoscaler.desired_active(loads[0], fleet_size)
         low, high = autoscaler.low, autoscaler.high
     booting = 0
     states = bytearray([_SERVING] * serving + [_OFF] * (fleet_size - serving))
@@ -434,7 +437,7 @@ def _row_timeline(
     wakes: Tuple[List[int], List[int]] = ([], [])
     restarts: Tuple[List[int], List[int]] = ([], [])
     changed = True
-    for step, load in enumerate(mass):
+    for step, load in enumerate(loads):
         if booting:
             for node in range(fleet_size):
                 if states[node] == _BOOTING:
@@ -1080,7 +1083,7 @@ class FleetReplayBatch:
             cached = cache.get(key)
             if cached is None:
                 timeline = _row_timeline(
-                    mass2d[row, : len(trace)].tolist(),
+                    mass2d[row, : len(trace)],
                     fleet_size,
                     autoscaler,
                     schedule,
@@ -1385,8 +1388,8 @@ class BatchReplayRunner:
     :class:`~repro.resilience.FailedSummary` slot in the result, a
     failing *group* build degrades to the per-member simulator path
     (which is bit-identical, so nothing is lost), and the rest of the
-    batch completes untouched -- per-row bit parity with the
-    fault-free run is pinned by the chaos property tests.
+    batch completes untouched, each surviving row bit for bit what a
+    clean run produces.
     """
 
     def __init__(self, context, frequencies=None, on_error="raise"):
@@ -1433,13 +1436,7 @@ class BatchReplayRunner:
         return result
 
     def _run(self, specs: List[ReplaySpec]) -> BatchReplayResult:
-        from repro.resilience.chaos import active_plan, fault_point
-
         quarantine = self.on_error == "quarantine"
-        # Building 1000 identity strings just to feed an unarmed chaos
-        # hook is measurable on large batches; skip the per-spec
-        # fault_point entirely unless a plan is installed.
-        chaos_armed = active_plan() is not None
         placements: List[Optional[tuple]] = [None] * len(specs)
         single_groups: Dict[tuple, List[int]] = {}
         fleet_groups: Dict[tuple, List[int]] = {}
@@ -1447,11 +1444,6 @@ class BatchReplayRunner:
         timeline_cache: dict = {}
         for position, spec in enumerate(specs):
             try:
-                if chaos_armed:
-                    fault_point(
-                        "batch.replay",
-                        identity=_spec_identity(position, spec),
-                    )
                 governor = spec.governor
                 if spec.is_fleet:
                     schedule = spec.disturbances
@@ -1501,10 +1493,6 @@ class BatchReplayRunner:
                 )
         for (workload, governor), positions in single_groups.items():
             try:
-                fault_point(
-                    "batch.group",
-                    identity=f"group ({workload.name}, {governor.name})",
-                )
                 batch = GovernorReplayBatch(
                     self._table(workload),
                     governor,
@@ -1527,13 +1515,6 @@ class BatchReplayRunner:
         ):
             members = [specs[position] for position in positions]
             try:
-                fault_point(
-                    "batch.group",
-                    identity=(
-                        f"group ({workload.name}, {governor.name}, "
-                        f"{members[0].routing.name})"
-                    ),
-                )
                 batch = FleetReplayBatch(
                     self._table(workload),
                     workload,

@@ -126,7 +126,6 @@ class OptResult:
         full_length_evaluations: int,
         duplicate_trials: int = 0,
         wall_s: float = 0.0,
-        quarantined: Sequence[Dict[str, object]] = (),
     ):
         if not trials:
             raise ValueError("cannot build an OptResult from zero trials")
@@ -138,7 +137,6 @@ class OptResult:
         self.full_length_evaluations = int(full_length_evaluations)
         self.duplicate_trials = int(duplicate_trials)
         self.wall_s = float(wall_s)
-        self.quarantined: Tuple[Dict[str, object], ...] = tuple(quarantined)
         final_rung = max(trial.rung for trial in self.trials)
         self.final_indices: Tuple[int, ...] = tuple(
             index
@@ -266,7 +264,7 @@ class OptResult:
         :attr:`wall_s`).
         """
         best = self.best_trial
-        out: Dict[str, object] = {
+        return {
             "strategy": self.strategy,
             "space": self.space.summary(),
             "full_steps": self.full_steps,
@@ -297,8 +295,3 @@ class OptResult:
             "frontier_metric": self.frontier_metric,
             "frontier": self.frontier(),
         }
-        # Only quarantine-mode runs with actual losses carry the key,
-        # so strict-mode golden fixtures stay byte-identical.
-        if self.quarantined:
-            out["quarantined"] = [dict(record) for record in self.quarantined]
-        return out

@@ -129,25 +129,6 @@ class PolicyConfig:
             "degradation_bound": self.degradation_bound,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PolicyConfig":
-        """Inverse of :meth:`as_dict` (checkpoint decode).
-
-        Exact: every field survives the JSON round trip bit-for-bit
-        (floats serialise via shortest repr), so a config decoded from
-        a checkpoint compares equal to the one that was encoded.
-        """
-        band = data.get("band")
-        return cls(
-            governor=str(data["governor"]),
-            routing=str(data["routing"]),
-            fleet_size=int(data["fleet_size"]),  # type: ignore[arg-type]
-            fill_fraction=data.get("fill_fraction"),  # type: ignore[arg-type]
-            band=None if band is None else (band[0], band[1]),  # type: ignore[index]
-            wake_steps=data.get("wake_steps"),  # type: ignore[arg-type]
-            degradation_bound=data.get("degradation_bound"),  # type: ignore[arg-type]
-        )
-
 
 def _check_dimension_not_empty(name: str, values: tuple) -> None:
     if not values:

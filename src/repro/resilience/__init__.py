@@ -1,22 +1,17 @@
-"""Fault-isolated, resumable execution for the replay/opt stack.
+"""Batch quarantine: isolate the replays a bad input breaks.
 
-Four pieces, used together by :class:`~repro.kernels.batch.BatchReplayRunner`,
-:class:`~repro.opt.tuner.PolicyTuner`,
-:class:`~repro.scenarios.runner.ScenarioRunner` and the scenarios CLI:
+:class:`~repro.kernels.batch.BatchReplayRunner` accepts
+``on_error="quarantine"``: a replay whose disturbance schedule does not
+fit its fleet, takes every node down at once, or caps below the
+frequency grid fails alone, and every other replay of the batch stays
+bit for bit what a clean run produces.  Two pieces serve it:
 
 * :mod:`~repro.resilience.errors` -- a structured fault taxonomy
-  (every fault knows *which item* failed and *at which stage*);
+  (every fault knows *which replay* failed and *at which stage*);
 * :mod:`~repro.resilience.quarantine` -- :class:`FailedSummary`
-  placeholders so ``on_error="quarantine"`` mode isolates failures and
-  finishes the rest of the batch;
-* :mod:`~repro.resilience.checkpoint` -- atomic, digest-validated
-  strict-JSON checkpoints for bit-identical resume;
-* :mod:`~repro.resilience.chaos` -- a seeded fault injector
-  (:class:`FaultPlan`) that the property tests use to prove graceful
-  degradation.
+  placeholders that hold a failed replay's slot in the results.
 
-Everything is opt-in: strict mode (fail fast, no wrapping) stays the
-default everywhere, so existing behaviour and goldens are untouched.
+Strict mode (fail fast, no wrapping) stays the default.
 """
 
 from repro._lazy import lazy_exports
@@ -24,31 +19,13 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "chaos": ("FaultPlan", "corrupt", "fault_point", "inject"),
-        "checkpoint": (
-            "CheckpointStore",
-            "atomic_write_text",
-            "decode_floats",
-            "encode_floats",
-            "read_checkpoint",
-            "write_checkpoint",
-        ),
-        "errors": (
-            "AnalysisFault",
-            "CheckpointError",
-            "ExecutionFault",
-            "InjectedFault",
-            "ReplayFault",
-            "SpecError",
-            "classify",
-        ),
+        "errors": ("ExecutionFault", "ReplayFault", "SpecError", "classify"),
         "quarantine": ("FailedSummary",),
     },
 )
 
 ON_ERROR_MODES = ("raise", "quarantine")
-"""Valid ``on_error=`` values across the stack: strict (default) or
-quarantine."""
+"""Valid ``on_error=`` values: strict (default) or quarantine."""
 
 
 def check_on_error(mode: str) -> str:
@@ -62,24 +39,11 @@ def check_on_error(mode: str) -> str:
 
 
 __all__ = [
-    "AnalysisFault",
-    "CheckpointError",
-    "CheckpointStore",
     "ExecutionFault",
     "FailedSummary",
-    "FaultPlan",
-    "InjectedFault",
     "ON_ERROR_MODES",
     "ReplayFault",
     "SpecError",
-    "atomic_write_text",
     "check_on_error",
     "classify",
-    "corrupt",
-    "decode_floats",
-    "encode_floats",
-    "fault_point",
-    "inject",
-    "read_checkpoint",
-    "write_checkpoint",
 ]

@@ -1,15 +1,15 @@
 """Quarantine records: what failed, where, and why -- not whole batches.
 
 ``on_error="quarantine"`` mode (opt-in on
-:class:`~repro.kernels.batch.BatchReplayRunner`,
-:class:`~repro.opt.tuner.PolicyTuner` and
-:class:`~repro.scenarios.runner.ScenarioRunner`) replaces "first bad
-item kills the run" with "bad items are isolated, everything else
-completes".  The isolated items are reported as
+:class:`~repro.kernels.batch.BatchReplayRunner`) replaces "first bad
+replay kills the batch" with "bad replays are isolated, everything
+else completes".  A real input trips it: a disturbance schedule that
+does not fit its fleet, a total outage, or a thermal cap below the
+frequency grid.  The isolated replays are reported as
 :class:`FailedSummary` placeholders: frozen, JSON-able records of the
-failing item's identity and fault, which take the failed item's slot in
-results so positions stay stable and callers can tell exactly which
-items were lost.
+failing replay's identity and fault, which take the failed replay's
+slot in results so positions stay stable and callers can tell exactly
+which replays were lost.
 """
 
 from __future__ import annotations
@@ -47,19 +47,13 @@ class FailedSummary:
 
     @classmethod
     def from_exception(
-        cls,
-        error: BaseException,
-        *,
-        identity: str = "",
-        stage: str = "replay",
+        cls, error: BaseException, *, identity: str = ""
     ) -> "FailedSummary":
         """Classify an arbitrary exception and record it."""
-        return cls.from_fault(
-            classify(error, identity=identity, stage=stage)
-        )
+        return cls.from_fault(classify(error, identity=identity))
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-able record (reports, checkpoints, CLI rendering)."""
+        """JSON-able record (reports, logs)."""
         return {
             "failed": True,
             "identity": self.identity,

@@ -14,7 +14,8 @@ Commands
     (compact strict JSON: summaries + key scalars + analyses, per-step
     tables as columns; ``--sweep`` adds the full table).  ``--output
     FILE`` writes a single scenario's output to a file; ``--outdir
-    DIR`` writes one file per scenario.
+    DIR`` writes one file per scenario.  Every name is resolved before
+    any scenario runs, so an unknown one exits 2 with nothing written.
 """
 
 from __future__ import annotations
@@ -31,19 +32,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.scenarios.registry import REGISTRY, ScenarioRegistry
 
-# The runner, checkpointing and the chaos harness load on the ``run``
-# path only, so ``list`` and ``show`` do not compile them.
+# The runner loads on the ``run`` path only, so ``list`` and ``show``
+# do not compile it.
 if TYPE_CHECKING:
-    from repro.resilience.checkpoint import CheckpointStore
     from repro.scenarios.runner import ScenarioResult
-
-OUTPUT_LAYOUT = "steps-columnar/json-compact"
-"""The rendered output's layout: ``_steps`` tables as columns, compact JSON.
-
-Part of the checkpoint fingerprint, so a ``--checkpoint-dir`` written
-under another layout is rebuilt instead of resumed into a mixed run.
-Change it whenever the same flags start rendering different bytes.
-"""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,34 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--outdir", type=Path, help="write one output file per scenario to DIR"
-    )
-    run_parser.add_argument(
-        "--keep-going",
-        action="store_true",
-        help=(
-            "quarantine failing scenarios instead of aborting the run; "
-            "exit 3 when anything was quarantined, 2 when nothing "
-            "succeeded"
-        ),
-    )
-    run_parser.add_argument(
-        "--checkpoint-dir",
-        type=Path,
-        metavar="DIR",
-        help=(
-            "checkpoint each completed scenario's output to DIR "
-            "(atomic, digest-validated); a re-run resumes completed "
-            "scenarios instead of re-executing them"
-        ),
-    )
-    run_parser.add_argument(
-        "--inject-fault",
-        metavar="SITE:N:ACTION",
-        help=(
-            "chaos harness: fire ACTION (raise|nan) at the Nth "
-            "call of SITE (e.g. scenario.analysis:1:raise); for "
-            "resilience testing"
-        ),
     )
     return parser
 
@@ -462,51 +426,16 @@ def _run_command(args: argparse.Namespace, registry: ScenarioRegistry) -> int:
             file=sys.stderr,
         )
         return 2
-
-    from repro.resilience import chaos
-
-    if args.inject_fault is not None:
-        try:
-            chaos.install(chaos.FaultPlan.parse(args.inject_fault))
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+    # Resolve every name before running any, so an unknown one fails
+    # the invocation with nothing emitted.
     try:
-        return _run_scenarios(args, registry, names)
-    finally:
-        if args.inject_fault is not None:
-            chaos.install(None)
+        specs = [registry.get(name) for name in names]
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
-
-def _checkpoint_store(args: argparse.Namespace) -> Optional[CheckpointStore]:
-    """The per-scenario output checkpoint store, when ``--checkpoint-dir``.
-
-    The fingerprint binds checkpoints to the flags that shape the
-    rendered output and to :data:`OUTPUT_LAYOUT`, so a re-run with a
-    different format, or by a version that renders another layout,
-    rebuilds instead of resuming stale bytes.
-    """
-    if args.checkpoint_dir is None:
-        return None
-    from repro.resilience.checkpoint import CheckpointStore, payload_digest
-
-    fingerprint = payload_digest(
-        {
-            "format": args.format,
-            "sweep": bool(args.sweep),
-            "timing": bool(args.timing),
-            "layout": OUTPUT_LAYOUT,
-        }
-    )
-    return CheckpointStore(args.checkpoint_dir, fingerprint=fingerprint)
-
-
-def _run_scenarios(
-    args: argparse.Namespace, registry: ScenarioRegistry, names: List[str]
-) -> int:
-    from repro.resilience.checkpoint import atomic_write_text
-    from repro.resilience.errors import classify
     from repro.scenarios.runner import ScenarioRunner
+    from repro.utils.files import atomic_write_text
 
     runner = ScenarioRunner(registry=registry)
     extension = {"table": "txt", "csv": "csv", "json": "json"}[args.format]
@@ -514,19 +443,7 @@ def _run_scenarios(
     timing_rows: List[Tuple[str, Dict[str, object]]] = []
     reports: List[obs.RunReport] = []
     instrument = args.timing or want_report
-    store = _checkpoint_store(args)
-    quarantined: List[str] = []
-    completed = 0
-    for name in names:
-        if store is not None:
-            cached = store.load_valid(name)
-            if cached is not None and cached.get("scenario") == name:
-                print(
-                    f"note: {name} resumed from checkpoint", file=sys.stderr
-                )
-                _emit(args, name, str(cached["rendered"]), extension)
-                completed += 1
-                continue
+    for spec in specs:
         # One capture per scenario: --timing reads its wall clock and
         # batch.run spans, --profile/--report-out freeze it whole.
         # Without any of those flags instrumentation stays off (the
@@ -535,24 +452,12 @@ def _run_scenarios(
         try:
             if instrument:
                 with capture:
-                    result = runner.run(name)
+                    result = runner.run(spec)
             else:
-                result = runner.run(name)
-        except Exception as error:
-            if args.keep_going:
-                fault = classify(
-                    error, identity=f"scenario {name!r}", stage="scenario"
-                )
-                print(
-                    f"error (quarantined): {fault.describe()}",
-                    file=sys.stderr,
-                )
-                quarantined.append(name)
-                continue
-            if isinstance(error, ValueError):
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            raise
+                result = runner.run(spec)
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         report: Optional[obs.RunReport] = None
         if want_report:
             report = capture.report(
@@ -573,10 +478,7 @@ def _run_scenarios(
                 timing.update(batch_info)
             timing_rows.append((result.spec.name, timing))
         rendered = _render(result, args.format, args.sweep, timing)
-        if store is not None:
-            store.save(name, {"scenario": name, "rendered": rendered})
         _emit(args, result.spec.name, rendered, extension)
-        completed += 1
         if args.profile and report is not None:
             print()
             print(f"profile: {result.spec.name}")
@@ -585,27 +487,11 @@ def _run_scenarios(
         print()
         print(_render_timing_summary(timing_rows))
     if args.report_out is not None:
-        if reports:
-            merged = obs.RunReport.merge(
-                reports, meta={"scenarios": list(names), "env": obs.environment()}
-            )
-            atomic_write_text(args.report_out, merged.to_json() + "\n")
-            print(f"wrote {args.report_out}")
-        else:
-            # Every scenario was resumed or quarantined: nothing was
-            # instrumented, so there is no report to overwrite.
-            print(
-                f"note: no scenarios executed; {args.report_out} not "
-                "written",
-                file=sys.stderr,
-            )
-    if quarantined:
-        print(
-            f"quarantined {len(quarantined)} of {len(names)} scenarios: "
-            + ", ".join(quarantined),
-            file=sys.stderr,
+        merged = obs.RunReport.merge(
+            reports, meta={"scenarios": list(names), "env": obs.environment()}
         )
-        return 3 if completed else 2
+        atomic_write_text(args.report_out, merged.to_json() + "\n")
+        print(f"wrote {args.report_out}")
     return 0
 
 
@@ -613,7 +499,7 @@ def _emit(
     args: argparse.Namespace, name: str, rendered: str, extension: str
 ) -> None:
     """Deliver one scenario's rendered output (stdout or atomic file)."""
-    from repro.resilience.checkpoint import atomic_write_text
+    from repro.utils.files import atomic_write_text
 
     if args.output is not None:
         atomic_write_text(args.output, rendered + "\n")

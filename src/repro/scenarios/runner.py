@@ -14,16 +14,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping
+from typing import Dict, List
 
 from repro import obs
 from repro.scenarios.registry import REGISTRY, ScenarioRegistry
 from repro.scenarios.spec import ScenarioSpec
 from repro.sweep.context import ModelContext
 from repro.sweep.result import DseSummary, SweepResult
-
-if TYPE_CHECKING:
-    from repro.resilience.quarantine import FailedSummary
 
 
 def _round(value: float | None) -> float | None:
@@ -193,14 +190,13 @@ class ScenarioRunner:
         exactly once on a shared :class:`ModelContext`; summaries and
         analyses are reductions over the same columnar table.
         """
-        # The sweep runner, analyses and fault hooks load on the first
-        # run, so importing the package (``list``, ``show``, a replay
-        # harness naming the registry) does not compile them.
-        from repro.resilience.chaos import fault_point
+        # The sweep runner and analyses load on the first run, so
+        # importing the package (``list``, ``show``, a replay harness
+        # naming the registry) does not compile them.
+        from repro.scenarios.analyses import ANALYSES
         from repro.sweep.runner import SweepRunner
 
         spec = self.resolve(scenario)
-        fault_point("scenario.run", identity=f"scenario {spec.name!r}")
         with obs.trace("scenario.run", scenario=spec.name):
             with obs.trace("scenario.context_build", scenario=spec.name):
                 configuration = spec.configuration()
@@ -228,9 +224,7 @@ class ScenarioRunner:
             extras = {}
             for analysis in spec.analyses:
                 with obs.trace("scenario.analysis", analysis=analysis):
-                    extras[analysis] = self._run_analysis(
-                        spec, context, sweep, analysis
-                    )
+                    extras[analysis] = ANALYSES[analysis](spec, context, sweep)
         return ScenarioResult(
             spec=spec,
             sweep=sweep,
@@ -238,46 +232,3 @@ class ScenarioRunner:
             extras=extras,
             context=context,
         )
-
-    def _run_analysis(self, spec, context, sweep, analysis: str):
-        """One analysis behind its ``scenario.analysis`` fault point."""
-        from repro.resilience.chaos import fault_point
-        from repro.scenarios.analyses import ANALYSES
-
-        fault_point(
-            "scenario.analysis",
-            identity=f"scenario {spec.name!r} analysis {analysis!r}",
-        )
-        return ANALYSES[analysis](spec, context, sweep)
-
-    def run_all(
-        self, on_error: str = "raise"
-    ) -> Mapping[str, "ScenarioResult | FailedSummary"]:
-        """Run every registered scenario, keyed by name.
-
-        ``on_error="raise"`` (the default) propagates the first
-        failure, exactly as before.  ``on_error="quarantine"`` isolates
-        failing scenarios instead: their slot in the mapping holds a
-        :class:`~repro.resilience.FailedSummary` describing the fault,
-        every other scenario's result is untouched, and each isolation
-        counts against ``resilience.quarantined``.
-        """
-        from repro.resilience import check_on_error, classify
-        from repro.resilience.quarantine import FailedSummary
-
-        check_on_error(on_error)
-        results: Dict[str, "ScenarioResult | FailedSummary"] = {}
-        for spec in self.registry:
-            try:
-                results[spec.name] = self.run(spec)
-            except Exception as error:
-                if on_error != "quarantine":
-                    raise
-                fault = classify(
-                    error,
-                    identity=f"scenario {spec.name!r}",
-                    stage="scenario",
-                )
-                results[spec.name] = FailedSummary.from_fault(fault)
-                obs.count("resilience.quarantined")
-        return results

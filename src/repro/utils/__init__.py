@@ -11,6 +11,7 @@ library:
   consistent, descriptive exceptions.
 * :mod:`repro.utils.tables` -- minimal plain-text table rendering used by
   benchmark harnesses and report generation.
+* :mod:`repro.utils.files` -- atomic file writes for run artifacts.
 """
 
 from repro._lazy import lazy_exports
@@ -45,6 +46,7 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "interpolation": ("PiecewiseLinear", "monotone_increasing"),
         "tables": ("format_table",),
+        "files": ("atomic_write_text",),
     },
 )
 
@@ -73,4 +75,5 @@ __all__ = [
     "PiecewiseLinear",
     "monotone_increasing",
     "format_table",
+    "atomic_write_text",
 ]

@@ -168,8 +168,6 @@ def test_replay_harness_imports_leave_rare_modules_unloaded():
         exact=(
             "repro.scenarios.analyses",
             "repro.sweep.runner",
-            "repro.resilience.checkpoint",
-            "repro.resilience.chaos",
             "repro.resilience.quarantine",
             "repro.obs.report",
             "repro.core.dse",
@@ -193,8 +191,6 @@ def test_scenario_list_leaves_the_engines_unloaded():
         packages=("repro.kernels", "repro.analysis", "repro.dram", "repro.sim"),
         exact=(
             "repro.opt.tuner",
-            "repro.resilience.checkpoint",
-            "repro.resilience.chaos",
             "repro.obs.report",
             "repro.fleet.simulator",
             "repro.fleet.economics",

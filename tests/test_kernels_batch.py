@@ -876,7 +876,7 @@ def synchronized_rows(draw, fleet_size):
     if autoscaler is not None:
         utilization = sorted(utilization, reverse=True)
     schedule = draw(crash_schedules(fleet_size, len(utilization)))
-    mass = (np.asarray(utilization) * fleet_size).tolist()
+    mass = np.asarray(utilization) * fleet_size
     timeline = _row_timeline(mass, fleet_size, autoscaler, schedule)
     assume(timeline.wake is None and timeline.restart is None)
     return utilization, autoscaler, schedule
@@ -900,9 +900,7 @@ def _assert_chain_equals_step_loops(table, governor, fleet_size, rows):
     for utilization, autoscaler, schedule in rows:
         mass = np.asarray(utilization, dtype=np.float64) * fleet_size
         masses.append(mass)
-        timelines.append(
-            _row_timeline(mass.tolist(), fleet_size, autoscaler, schedule)
-        )
+        timelines.append(_row_timeline(mass, fleet_size, autoscaler, schedule))
     for mass, timeline in zip(masses, timelines):
         _assert_chain_equals_step_loop(
             table, governor, fleet_size, [mass], [timeline]

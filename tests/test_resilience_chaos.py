@@ -1,24 +1,35 @@
-"""Chaos properties: injected faults isolate exactly what they hit.
+"""Quarantine properties on real bad inputs.
 
-The contract these property tests pin, sweeping seeded
-:class:`FaultPlan` instances: for ANY single injected fault, a
-quarantine-mode run equals the fault-free run minus exactly the
-quarantined item -- every surviving replay, trial, or scenario is bit
-for bit what the undisturbed run produced, and exactly one slot is a
-:class:`FailedSummary` naming the fault.
+A fleet spec whose disturbance schedule cannot run -- a crash on a node
+outside its fleet, every node down at once, or a thermal cap below the
+frequency grid -- is the input batch quarantine exists for.  Wherever
+such a spec sits in a batch, a quarantine-mode run equals the clean run
+minus exactly that slot: every surviving replay is bit for bit what the
+clean batch produced, the slot is a :class:`FailedSummary` naming a
+:class:`SpecError`, and strict mode raises ``FleetSimulator.run``'s own
+message instead.
 """
+
+import dataclasses
+import random
 
 import pytest
 
 from repro import obs
 from repro.dvfs import LoadTrace
+from repro.fleet import (
+    DisturbanceSchedule,
+    FleetSimulator,
+    node_crash,
+    thermal_cap,
+)
 from repro.kernels import BatchReplayRunner, ReplaySpec
-from repro.opt import GridSearch, ParamSpace, PolicyTuner
-from repro.resilience import FailedSummary, FaultPlan, InjectedFault, inject
-from repro.scenarios.registry import REGISTRY, ScenarioRegistry
-from repro.scenarios.runner import ScenarioRunner
+from repro.kernels import batch as batch_module
+from repro.resilience import FailedSummary, SpecError
 from repro.workloads.banking_vm import VMS_LOW_MEM
 from repro.workloads.cloudsuite import WEB_SEARCH
+
+BAD_CASES = ("node_out_of_range", "total_outage", "below_grid_cap")
 
 
 def make_specs():
@@ -48,14 +59,33 @@ def make_specs():
     return specs
 
 
-SPACE = ParamSpace(
-    fleet_sizes=(2, 3),
-    governors=("qos_tracker", "ondemand"),
-    routings=("round_robin",),
-    fill_fractions=(0.75,),
-    bands=(None,),
-    wake_steps=(1,),
-)
+def with_bad_schedule(case, context, spec):
+    """``spec`` with a disturbance schedule its fleet cannot run."""
+    bottom = context.frequency_table(spec.workload).min_frequency_hz
+    events = {
+        "node_out_of_range": (node_crash(spec.fleet_size + 1, 2),),
+        "total_outage": tuple(
+            node_crash(node, 2 + node) for node in range(spec.fleet_size)
+        ),
+        "below_grid_cap": (thermal_cap(0, 3, bottom / 2),),
+    }[case]
+    return dataclasses.replace(
+        spec, disturbances=DisturbanceSchedule(events=events)
+    )
+
+
+def simulator_message(context, spec):
+    """What ``FleetSimulator.run`` says about ``spec``'s schedule."""
+    simulator = FleetSimulator(
+        context,
+        spec.workload,
+        fleet_size=spec.fleet_size,
+        governor=spec.governor,
+        autoscaler=spec.autoscaler,
+    )
+    with pytest.raises(ValueError) as raised:
+        simulator.run(spec.trace, spec.routing, disturbances=spec.disturbances)
+    return str(raised.value)
 
 
 @pytest.fixture(scope="module")
@@ -64,56 +94,64 @@ def batch_baseline(default_context):
     return specs, BatchReplayRunner(default_context).run(specs).summaries()
 
 
-@pytest.fixture(scope="module")
-def tuner_trace():
-    return LoadTrace.bursty(steps=10, seed=3)
-
-
-@pytest.fixture(scope="module")
-def tuner_baseline(default_context, tuner_trace):
-    tuner = PolicyTuner(default_context, WEB_SEARCH, tuner_trace)
-    return tuner.tune(SPACE, GridSearch())
-
-
 # -- batch quarantine ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("position", range(len(make_specs()) + 1))
 def test_single_fault_batch_equals_baseline_minus_quarantined(
-    seed, default_context, batch_baseline
+    position, default_context, batch_baseline
 ):
-    """The quarantine-equivalence property over seeded fault plans."""
-    specs, baseline = batch_baseline
-    plan = FaultPlan.seeded(
-        seed,
-        sites=("batch.replay",),
-        max_call=len(specs),
-        actions=("raise", "nan"),
+    """A bad spec at any position isolates exactly its own slot; the
+    kind of bad schedule rotates with the position."""
+    clean, baseline = batch_baseline
+    bad = with_bad_schedule(
+        BAD_CASES[position % len(BAD_CASES)], default_context, clean[4]
     )
+    specs = clean[:position] + [bad] + clean[position:]
+    message = simulator_message(default_context, bad)
+
     runner = BatchReplayRunner(default_context, on_error="quarantine")
-    with inject(plan), obs.capture() as cap:
+    with obs.capture() as cap:
         result = runner.run(specs)
-    # ``batch.replay`` fires once per spec in submission order, so the
-    # plan's Nth call is exactly spec N-1 -- and nothing else.
-    failed_index = plan.at_call - 1
     summaries = result.summaries()
     assert result.quarantined_count == 1
+    assert result.fallback_count == 0
     assert cap.counter_deltas()["resilience.quarantined"] == 1
-    for index, summary in enumerate(summaries):
-        if index == failed_index:
-            assert isinstance(summary, FailedSummary)
-            assert summary.error_type == "InjectedFault"
-            assert f"replay {index}" in summary.identity
-        else:
-            assert summary == baseline[index], f"row {index} disturbed"
-    (quarantined,) = result.quarantined()
-    assert quarantined[0] == failed_index
-    with pytest.raises(InjectedFault):
-        result.result(failed_index)
+    assert summaries[:position] + summaries[position + 1 :] == baseline
+    failed = summaries[position]
+    assert isinstance(failed, FailedSummary)
+    assert failed.error_type == "SpecError"
+    assert failed.stage == "spec"
+    assert f"replay {position}" in failed.identity
+    assert failed.message == message
+    assert result.quarantined() == [(position, failed)]
+    with pytest.raises(SpecError):
+        result.result(position)
+
+    with pytest.raises(ValueError) as raised:
+        BatchReplayRunner(default_context).run(specs)
+    assert str(raised.value) == message
+
+
+def test_strict_mode_propagates_the_injected_fault(
+    default_context, batch_baseline
+):
+    """Strict mode rejects each kind of bad schedule with the
+    simulator's message while checking specs, before any batch stage
+    runs -- even when the bad spec comes last."""
+    clean, _ = batch_baseline
+    for case in BAD_CASES:
+        bad = with_bad_schedule(case, default_context, clean[4])
+        with obs.capture() as cap:
+            with pytest.raises(ValueError) as raised:
+                BatchReplayRunner(default_context).run(clean + [bad])
+        assert str(raised.value) == simulator_message(default_context, bad)
+        assert [span.name for span in cap.spans] == ["batch.run"], case
 
 
 def test_seeded_fault_in_a_thousand_replay_batch(default_context):
-    """The equivalence property at benchmark scale: 1000 fleet replays."""
+    """The same property at benchmark scale: one bad spec, at a seeded
+    position, among 1000 fleet replays."""
     from repro.dvfs import GOVERNORS
     from repro.fleet import Autoscaler
 
@@ -133,102 +171,45 @@ def test_seeded_fault_in_a_thousand_replay_batch(default_context):
     ]
     assert len(specs) == 1000
     baseline = BatchReplayRunner(default_context).run(specs).summaries()
-    plan = FaultPlan.seeded(
-        321, sites=("batch.replay",), max_call=len(specs)
+    rng = random.Random(321)
+    position = rng.randrange(len(specs))
+    specs[position] = with_bad_schedule(
+        rng.choice(BAD_CASES), default_context, specs[position]
     )
-    runner = BatchReplayRunner(default_context, on_error="quarantine")
-    with inject(plan):
-        result = runner.run(specs)
+    message = simulator_message(default_context, specs[position])
+
+    result = BatchReplayRunner(default_context, on_error="quarantine").run(
+        specs
+    )
     summaries = result.summaries()
-    failed_index = plan.at_call - 1
-    assert isinstance(summaries[failed_index], FailedSummary)
     assert result.quarantined_count == 1
-    assert summaries[:failed_index] == baseline[:failed_index]
-    assert summaries[failed_index + 1 :] == baseline[failed_index + 1 :]
+    assert isinstance(summaries[position], FailedSummary)
+    assert summaries[position].error_type == "SpecError"
+    assert summaries[:position] == baseline[:position]
+    assert summaries[position + 1 :] == baseline[position + 1 :]
 
-
-def test_strict_mode_propagates_the_injected_fault(default_context):
-    specs, _ = make_specs(), None
-    plan = FaultPlan(site="batch.replay", at_call=2, action="raise")
-    with inject(plan):
-        with pytest.raises(InjectedFault):
-            BatchReplayRunner(default_context).run(specs)
+    with pytest.raises(ValueError) as raised:
+        BatchReplayRunner(default_context).run(specs)
+    assert str(raised.value) == message
 
 
 def test_group_fault_degrades_to_fallback_bit_for_bit(
-    default_context, batch_baseline
+    default_context, batch_baseline, monkeypatch
 ):
-    """A failed batched group re-runs per replay with zero loss."""
+    """A group whose batch constructor raises re-runs its members one
+    replay at a time on the simulator path, with zero loss."""
     specs, baseline = batch_baseline
-    plan = FaultPlan(site="batch.group", at_call=1, action="raise")
-    runner = BatchReplayRunner(default_context, on_error="quarantine")
-    with inject(plan):
-        result = runner.run(specs)
+
+    def broken_group(*args, **kwargs):
+        raise RuntimeError("group constructor failed")
+
+    monkeypatch.setattr(batch_module, "GovernorReplayBatch", broken_group)
+    result = BatchReplayRunner(default_context, on_error="quarantine").run(
+        specs
+    )
     assert result.quarantined_count == 0
-    assert result.fallback_count > 0
+    assert result.fallback_count == sum(not spec.is_fleet for spec in specs)
     assert result.summaries() == baseline
 
-
-# -- tuner quarantine ------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_single_corrupt_objective_drops_exactly_one_trial(
-    seed, default_context, tuner_trace, tuner_baseline
-):
-    """NaN-corrupting any one objective quarantines only that trial."""
-    baseline_labels = [
-        trial.config.label() for trial in tuner_baseline.trials
-    ]
-    plan = FaultPlan.seeded(
-        seed,
-        sites=("tuner.objective",),
-        max_call=len(baseline_labels),
-        actions=("nan",),
-    )
-    tuner = PolicyTuner(
-        default_context, WEB_SEARCH, tuner_trace, on_error="quarantine"
-    )
-    with inject(plan):
-        result = tuner.tune(SPACE, GridSearch())
-    dropped_label = baseline_labels[plan.at_call - 1]
-    assert [t.config.label() for t in result.trials] == [
-        label for label in baseline_labels if label != dropped_label
-    ]
-    # Surviving trials are bit for bit the baseline trials.
-    survivors = {t.config.label(): t for t in tuner_baseline.trials}
-    for trial in result.trials:
-        assert trial == survivors[trial.config.label()]
-    (record,) = result.quarantined
-    assert record["label"] == dropped_label
-    assert record["failure"]["failed"] is True
-    if dropped_label != tuner_baseline.best_config.label():
-        assert result.best_trial == tuner_baseline.best_trial
-    else:
-        assert result.best_config.label() != dropped_label
-
-
-# -- scenario quarantine ---------------------------------------------------------------
-
-
-def test_run_all_quarantines_only_the_faulted_scenario():
-    registry = ScenarioRegistry()
-    registry.register(REGISTRY.get("fig2_qos"))
-    registry.register(REGISTRY.get("table1_ddr4"))
-    runner = ScenarioRunner(registry=registry)
-
-    plan = FaultPlan(site="scenario.run", at_call=1, action="raise")
-    with inject(plan), obs.capture() as cap:
-        results = runner.run_all(on_error="quarantine")
-    assert cap.counter_deltas()["resilience.quarantined"] == 1
-    failed = results["fig2_qos"]
-    assert isinstance(failed, FailedSummary)
-    assert "fig2_qos" in failed.identity
-    survivor = results["table1_ddr4"]
-    assert survivor.name == "table1_ddr4"
-    assert survivor.key_scalars()["rows"] > 0
-
-    # Strict mode propagates instead.
-    with inject(plan):
-        with pytest.raises(InjectedFault):
-            runner.run_all()
+    with pytest.raises(RuntimeError, match="group constructor failed"):
+        BatchReplayRunner(default_context).run(specs)

@@ -269,6 +269,16 @@ def test_cli_run_json_and_csv_files(tmp_path, capsys):
     assert csv_text.splitlines()[0].startswith("scenario,workload_name")
 
 
+def test_outdir_and_output_write_complete_artifacts(tmp_path, capsys):
+    out = tmp_path / "nested" / "table1.json"
+    code = cli_main(
+        ["run", "table1_ddr4", "--format", "json", "--output", str(out)]
+    )
+    assert code == 0
+    assert f"wrote {out}" in capsys.readouterr().out
+    assert json.loads(out.read_text())["scenario"] == "table1_ddr4"
+
+
 def test_cli_run_rejects_bad_usage(capsys, tmp_path):
     assert cli_main(["run"]) == 2
     assert cli_main(["run", "fig2_qos", "--all"]) == 2
@@ -287,7 +297,7 @@ def test_cli_run_rejects_bad_usage(capsys, tmp_path):
     assert cli_main(["run", "no_such"]) == 2
 
 
-def test_cli_run_all_runs_every_registered_scenario(tmp_path, capsys):
+def test_cli_run_with_all_flag_runs_every_registered_scenario(tmp_path, capsys):
     # A small private registry keeps --all fast while still proving it
     # hits every registered scenario exactly once.
     from repro.scenarios import ScenarioRegistry
@@ -325,12 +335,17 @@ def test_cli_run_unknown_name_fails_and_lists_known_names(capsys):
 
 def test_cli_run_unknown_name_among_valid_ones_still_fails(capsys, tmp_path):
     # One bad name poisons the whole invocation (non-zero exit), even
-    # when other requested scenarios exist.
+    # when other requested scenarios exist -- and it is caught before
+    # any scenario runs, so nothing is printed or written.
     code = cli_main(
         ["run", "table1_ddr4", "no_such", "--outdir", str(tmp_path)]
     )
     assert code == 2
-    assert "unknown scenario 'no_such'" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "unknown scenario 'no_such'" in captured.err
+    assert "wrote" not in captured.out
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_run_timing_table(capsys):
