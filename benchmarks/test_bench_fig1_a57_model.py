@@ -1,34 +1,33 @@
 """Figure 1: A57 voltage and power versus frequency per technology flavour.
 
 Regenerates the paper's Figure 1 series -- Vdd(f) and 36-core chip
-power(f) for bulk 28nm, FD-SOI and FD-SOI with forward body bias -- and
-prints them as a table.
+power(f) for bulk 28nm, FD-SOI and FD-SOI with forward body bias -- from
+the ``ablation_body_bias`` scenario's ``figure1`` analysis, and prints
+them as a table.
 """
 
-from repro.analysis.figures import figure1_series
+from repro.scenarios import ScenarioRunner
 from repro.utils.tables import format_table
 from repro.utils.units import mhz
 
 
 def _build_series():
-    frequencies = [mhz(value) for value in range(100, 3501, 200)]
-    return figure1_series(frequencies_hz=frequencies)
+    return ScenarioRunner().run("ablation_body_bias").extras["figure1"]
 
 
-def test_bench_figure1_series(benchmark):
+def test_bench_figure1_a57_model(benchmark):
     series = benchmark(_build_series)
 
     rows = []
     flavours = list(series)
-    frequencies = series["fdsoi"]["vdd"].x_values
-    for index, frequency in enumerate(frequencies):
-        row = [f"{frequency:.0f}"]
+    for frequency in series["fdsoi"]["frequency_hz"]:
+        row = [f"{frequency / 1e6:.0f}"]
         for flavour in flavours:
-            xs = series[flavour]["vdd"].x_values
-            if frequency in xs:
-                position = xs.index(frequency)
-                row.append(f"{series[flavour]['vdd'].y_values[position]:.2f}")
-                row.append(f"{series[flavour]['power'].y_values[position]:.1f}")
+            points = series[flavour]
+            if frequency in points["frequency_hz"]:
+                position = points["frequency_hz"].index(frequency)
+                row.append(f"{points['vdd_v'][position]:.2f}")
+                row.append(f"{points['chip_core_power_w'][position]:.1f}")
             else:
                 row.append("-")
                 row.append("-")
@@ -44,13 +43,11 @@ def test_bench_figure1_series(benchmark):
     # Shape checks matching the paper's reading of the figure: at the
     # same (2.1GHz) frequency FD-SOI burns less power than bulk, and the
     # FD-SOI flavours reach the near-threshold frequencies bulk cannot.
-    common = 2100.0
-    bulk_power = series["bulk"]["power"].y_values[
-        series["bulk"]["power"].x_values.index(common)
-    ]
-    fdsoi_power = series["fdsoi"]["power"].y_values[
-        series["fdsoi"]["power"].x_values.index(common)
-    ]
-    assert bulk_power > fdsoi_power
-    assert min(series["fdsoi"]["vdd"].x_values) <= 200.0
-    assert min(series["fdsoi-fbb"]["vdd"].x_values) <= 200.0
+    def power_at(flavour, frequency):
+        points = series[flavour]
+        return points["chip_core_power_w"][points["frequency_hz"].index(frequency)]
+
+    common = mhz(2100)
+    assert power_at("bulk", common) > power_at("fdsoi", common)
+    assert min(series["fdsoi"]["frequency_hz"]) <= mhz(200)
+    assert min(series["fdsoi-fbb"]["frequency_hz"]) <= mhz(200)

@@ -1,6 +1,5 @@
 """Figure 2: 99th-percentile latency normalised to QoS versus core frequency."""
 
-from repro.analysis.figures import figure2_series
 from repro.scenarios import ScenarioRunner, get_scenario
 from repro.utils.tables import format_table
 
@@ -13,19 +12,22 @@ def _build(configuration, frequencies):
         frequency_grid_hz=tuple(sorted(frequencies)),
     )
     result = ScenarioRunner().run(spec)
-    series = figure2_series(configuration, frequencies, sweep=result.sweep)
-    return series, result.extras["qos_floors"]
+    return result.sweep.group_by("workload_name"), result.extras["qos_floors"]
 
 
 def test_bench_figure2_qos_latency(benchmark, server_configuration, sweep_frequencies):
-    series, floors = benchmark(_build, server_configuration, sweep_frequencies)
+    workloads, floors = benchmark(_build, server_configuration, sweep_frequencies)
 
-    names = list(series)
-    frequencies = series[names[0]].x_values
+    names = list(workloads)
+    latency = {
+        name: table.column("latency_normalized_to_qos")
+        for name, table in workloads.items()
+    }
+    frequencies = workloads[names[0]].column("frequency_hz")
     rows = []
     for index, frequency in enumerate(frequencies):
-        row = [f"{frequency:.1f}"]
-        row.extend(f"{series[name].y_values[index]:.2f}" for name in names)
+        row = [f"{frequency / 1e9:.1f}"]
+        row.extend(f"{latency[name][index]:.2f}" for name in names)
         rows.append(row)
 
     print()
@@ -44,4 +46,4 @@ def test_bench_figure2_qos_latency(benchmark, server_configuration, sweep_freque
         assert 100e6 <= floor <= 500e6
     # Latency normalised to QoS is below 1.0 at the nominal frequency.
     for name in names:
-        assert series[name].y_values[-1] < 1.0
+        assert latency[name][-1] < 1.0

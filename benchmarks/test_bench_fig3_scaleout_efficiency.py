@@ -5,7 +5,6 @@ lowest functional frequency, the SoC optimum moves to ~1GHz and the
 server optimum to ~1-1.2GHz.
 """
 
-from repro.analysis.figures import efficiency_series_by_scope
 from repro.core.efficiency import EfficiencyScope
 from repro.scenarios import ScenarioRunner, get_scenario
 from repro.utils.tables import format_table
@@ -17,23 +16,24 @@ def _build(configuration, frequencies):
         base_configuration=configuration, frequency_grid_hz=tuple(frequencies)
     )
     result = ScenarioRunner().run(spec)
-    series = efficiency_series_by_scope(list(spec.workloads()), result.sweep)
-    return series, result.extras["efficiency_optima"]
+    return result.sweep.group_by("workload_name"), result.extras["efficiency_optima"]
 
 
 def test_bench_figure3_scaleout_efficiency(
     benchmark, server_configuration, sweep_frequencies
 ):
-    series, optima = benchmark(_build, server_configuration, sweep_frequencies)
+    workloads, optima = benchmark(_build, server_configuration, sweep_frequencies)
 
+    names = list(workloads)
+    frequencies = workloads[names[0]].column("frequency_hz")
     for scope in EfficiencyScope:
-        scope_series = series[scope]
-        names = list(scope_series)
-        frequencies = scope_series[names[0]].x_values
+        efficiency = {
+            name: table.efficiency(scope) for name, table in workloads.items()
+        }
         rows = []
         for index, frequency in enumerate(frequencies):
-            row = [f"{frequency:.1f}"]
-            row.extend(f"{scope_series[name].y_values[index]:.3f}" for name in names)
+            row = [f"{frequency / 1e9:.1f}"]
+            row.extend(f"{efficiency[name][index] / 1e9:.3f}" for name in names)
             rows.append(row)
         print()
         print(f"Figure 3 ({scope.value}): efficiency in GUIPS/W vs core frequency (GHz)")

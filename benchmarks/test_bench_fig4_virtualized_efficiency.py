@@ -1,6 +1,5 @@
 """Figure 4: UIPS/Watt of the cores, SoC and server for the virtualized VMs."""
 
-from repro.analysis.figures import efficiency_series_by_scope
 from repro.core.efficiency import EfficiencyScope
 from repro.scenarios import ScenarioRunner, get_scenario
 from repro.utils.tables import format_table
@@ -13,23 +12,28 @@ def _build(configuration, frequencies):
         base_configuration=configuration, frequency_grid_hz=tuple(frequencies)
     )
     result = ScenarioRunner().run(spec)
-    series = efficiency_series_by_scope(list(spec.workloads()), result.sweep)
-    return series, result.extras["efficiency_optima"], result.extras["nominal_uips"]
+    return (
+        result.sweep.group_by("workload_name"),
+        result.extras["efficiency_optima"],
+        result.extras["nominal_uips"],
+    )
 
 
 def test_bench_figure4_virtualized_efficiency(
     benchmark, server_configuration, sweep_frequencies
 ):
-    series, optima, uips = benchmark(_build, server_configuration, sweep_frequencies)
+    workloads, optima, uips = benchmark(_build, server_configuration, sweep_frequencies)
 
+    names = list(workloads)
+    frequencies = workloads[names[0]].column("frequency_hz")
     for scope in EfficiencyScope:
-        scope_series = series[scope]
-        names = list(scope_series)
-        frequencies = scope_series[names[0]].x_values
+        efficiency = {
+            name: table.efficiency(scope) for name, table in workloads.items()
+        }
         rows = []
         for index, frequency in enumerate(frequencies):
-            row = [f"{frequency:.1f}"]
-            row.extend(f"{scope_series[name].y_values[index]:.3f}" for name in names)
+            row = [f"{frequency / 1e9:.1f}"]
+            row.extend(f"{efficiency[name][index] / 1e9:.3f}" for name in names)
             rows.append(row)
         print()
         print(f"Figure 4 ({scope.value}): efficiency in GUIPS/W vs core frequency (GHz)")

@@ -2,36 +2,38 @@
 
 Reproduces the Figure 1 comparison and the body-bias knobs of
 Section II-A: the supply voltage and chip core power needed at each
-frequency per flavour, the near-threshold frequencies reachable at 0.5V,
-and the state-retentive sleep-mode leakage reduction offered by reverse
-body bias.  The body-bias knob numbers come from the registered
-``ablation_body_bias`` scenario, so this example and the benchmark
-harness print the same experiment.
+frequency per flavour, the near-threshold frequencies reachable at the
+minimum functional voltage, and the state-retentive sleep-mode leakage
+reduction offered by reverse body bias.  The Figure 1 series, the
+near-threshold reach and the body-bias knob rows come from the
+registered ``ablation_body_bias`` scenario (its ``figure1`` and
+``body_bias`` analyses), so this example and the benchmark harness
+print the same experiment.
 
 Run with:  python examples/technology_comparison.py
 """
 
-from repro.analysis.figures import figure1_series
 from repro.scenarios import ScenarioRunner
-from repro.technology import BodyBiasModel, FDSOI_28NM, default_flavour_models
+from repro.technology import BodyBiasModel, FDSOI_28NM
 from repro.utils.tables import format_table
 from repro.utils.units import mhz
 
 
 def main() -> None:
+    extras = ScenarioRunner().run("ablation_body_bias").extras
+    figure = extras["figure1"]
     frequencies = [mhz(value) for value in (200, 500, 1000, 1500, 2000, 2500, 3000, 3500)]
-    series = figure1_series(frequencies_hz=frequencies)
 
     print("Figure 1: supply voltage and 36-core power per technology flavour")
     rows = []
     for frequency in frequencies:
         row = [f"{frequency / 1e6:.0f}"]
         for flavour in ("bulk", "fdsoi", "fdsoi-fbb"):
-            xs = series[flavour]["vdd"].x_values
-            if frequency / 1e6 in xs:
-                index = xs.index(frequency / 1e6)
-                row.append(f"{series[flavour]['vdd'].y_values[index]:.2f}V")
-                row.append(f"{series[flavour]['power'].y_values[index]:.0f}W")
+            points = figure[flavour]
+            if frequency in points["frequency_hz"]:
+                index = points["frequency_hz"].index(frequency)
+                row.append(f"{points['vdd_v'][index]:.2f}V")
+                row.append(f"{points['chip_core_power_w'][index]:.0f}W")
             else:
                 row.append("-")
                 row.append("-")
@@ -50,18 +52,18 @@ def main() -> None:
 
     print("\nNear-threshold reach at the minimum functional voltage")
     rows = []
-    for label, model in default_flavour_models().items():
+    for label, points in figure.items():
         rows.append(
             (
                 label,
-                f"{model.technology.min_functional_vdd:.2f}V",
-                f"{model.min_voltage_frequency() / 1e6:.0f} MHz",
+                f"{points['min_functional_vdd_v']:.2f}V",
+                f"{points['frequency_at_min_vdd_hz'] / 1e6:.0f} MHz",
             )
         )
     print(format_table(("flavour", "min Vdd", "max f at min Vdd"), rows))
 
     print("\nBody-bias knobs (UTBB FD-SOI, from the ablation_body_bias scenario)")
-    ablation = ScenarioRunner().run("ablation_body_bias").extras["body_bias"]
+    ablation = extras["body_bias"]
     bias = BodyBiasModel(FDSOI_28NM)
     sleep = ablation["sleep"]
     print(f"  Vth shift per volt of bias:      {FDSOI_28NM.body_effect_coefficient * 1000:.0f} mV/V")

@@ -11,8 +11,6 @@ Micron DDR4 datasheet.  This package provides the equivalent substrate:
   constraints between ACTIVATE / READ / WRITE / PRECHARGE.
 * :mod:`repro.dram.controller` -- per-channel FR-FCFS memory controller.
 * :mod:`repro.dram.system` -- multi-channel memory system facade.
-* :mod:`repro.dram.power_counters` -- converts command/traffic counters
-  into energy with the Table I chip profiles.
 """
 
 from repro._lazy import lazy_exports
@@ -26,7 +24,6 @@ __getattr__, __dir__ = lazy_exports(
         "bank": ("Bank", "BankState"),
         "controller": ("ChannelController", "ControllerStats"),
         "system": ("MemorySystem", "MemorySystemStats"),
-        "power_counters": ("DramEnergyAccountant", "DramEnergyReport"),
     },
 )
 
@@ -44,6 +41,4 @@ __all__ = [
     "ControllerStats",
     "MemorySystem",
     "MemorySystemStats",
-    "DramEnergyAccountant",
-    "DramEnergyReport",
 ]

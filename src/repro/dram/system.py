@@ -7,7 +7,7 @@ DDR4-1600 subsystem of the paper's server and exposes:
   cache-line fill/writeback),
 * a batch ``run`` path used by trace-driven simulation,
 * aggregate statistics (bandwidth, latency, row-hit rate) and the
-  command/traffic counters consumed by the energy accountant.
+  command/traffic counters.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ replay kills the batch" with "bad replays are isolated, everything
 else completes".  A real input trips it: a disturbance schedule that
 does not fit its fleet, a total outage, or a thermal cap below the
 frequency grid.  The isolated replays are reported as
-:class:`FailedSummary` placeholders: frozen, JSON-able records of the
+:class:`FailedSummary` placeholders: frozen records of the
 failing replay's identity and fault, which take the failed replay's
 slot in results so positions stay stable and callers can tell exactly
 which replays were lost.
@@ -15,9 +15,8 @@ which replays were lost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
-from repro.resilience.errors import ExecutionFault, classify
+from repro.resilience.errors import ExecutionFault
 
 
 @dataclass(frozen=True)
@@ -26,8 +25,8 @@ class FailedSummary:
 
     Sits where the real summary dict would have been, so a batch of B
     replays always yields B entries -- callers check
-    ``isinstance(entry, FailedSummary)`` (or the ``"failed"`` key of
-    :meth:`as_dict`) to tell quarantined slots from real summaries.
+    ``isinstance(entry, FailedSummary)`` to tell quarantined slots from
+    real summaries.
     """
 
     identity: str
@@ -44,24 +43,3 @@ class FailedSummary:
             error_type=type(fault).__name__,
             message=str(fault),
         )
-
-    @classmethod
-    def from_exception(
-        cls, error: BaseException, *, identity: str = ""
-    ) -> "FailedSummary":
-        """Classify an arbitrary exception and record it."""
-        return cls.from_fault(classify(error, identity=identity))
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-able record (reports, logs)."""
-        return {
-            "failed": True,
-            "identity": self.identity,
-            "stage": self.stage,
-            "error_type": self.error_type,
-            "message": self.message,
-        }
-
-    def describe(self) -> str:
-        """One log-friendly line: identity, fault type and message."""
-        return f"{self.identity or 'item'}: {self.error_type}: {self.message}"

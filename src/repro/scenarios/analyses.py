@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.sweep.context import ModelContext
 from repro.sweep.result import SweepResult
+from repro.utils.units import mhz
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenarios.spec import ScenarioSpec
@@ -85,21 +86,18 @@ def body_bias(spec: "ScenarioSpec", context: ModelContext, sweep: SweepResult) -
     bias, the leakage cost, and the reverse-bias sleep-mode leakage
     reduction.
     """
-    from repro.technology.a57_model import BodyBiasPolicy, CortexA57PowerModel
     from repro.technology.body_bias import BodyBiasModel
     from repro.technology.leakage import LeakageModel
 
     technology = context.configuration.technology
     bias_model = BodyBiasModel(technology)
     leakage = LeakageModel(technology)
+    # The V/f model depends only on technology and temperature, not on
+    # the bias policy, so the scenario's own core model serves every row.
+    vf_model = context.core_power_model.vf_model
     rows = []
     for bias in (0.0, 0.5, 1.0, 1.5, 2.0, 2.55):
-        model = CortexA57PowerModel(
-            technology=technology,
-            bias_policy=BodyBiasPolicy.FIXED,
-            fixed_body_bias=bias if bias > 0 else 0.01,
-        )
-        boost = model.vf_model.max_frequency(0.5, body_bias=bias)
+        boost = vf_model.max_frequency(0.5, body_bias=bias)
         vth = bias_model.effective_threshold(bias)
         rows.append(
             {
@@ -118,6 +116,43 @@ def body_bias(spec: "ScenarioSpec", context: ModelContext, sweep: SweepResult) -
             ),
         },
     }
+
+
+FIGURE1_FREQUENCIES_HZ = tuple(mhz(value) for value in range(100, 3501, 100))
+"""Figure 1's frequency axis: 100MHz to 3.5GHz in 100MHz steps."""
+
+
+def figure1(spec: "ScenarioSpec", context: ModelContext, sweep: SweepResult) -> dict:
+    """Figure 1: supply voltage and chip core power versus frequency.
+
+    One entry per :func:`~repro.technology.a57_model.default_flavour_models`
+    flavour (bulk, FD-SOI, FD-SOI with forward body bias): its minimum
+    functional voltage, the highest frequency it reaches there, and the
+    Vdd and chip core power series over the points of
+    :data:`FIGURE1_FREQUENCIES_HZ` it can reach.  Each flavour's points
+    come from a context whose core model equals the flavour's model, so
+    the process-wide solve memo serves them.
+    """
+    from repro.technology.a57_model import default_flavour_models
+
+    configuration = context.configuration
+    result = {}
+    for label, model in default_flavour_models().items():
+        flavour = ModelContext(
+            configuration.with_technology(model.technology, model.bias_policy)
+        )
+        frequencies = flavour.reachable_frequencies(FIGURE1_FREQUENCIES_HZ)
+        points = [flavour.operating_point(frequency) for frequency in frequencies]
+        result[label] = {
+            "min_functional_vdd_v": model.technology.min_functional_vdd,
+            "frequency_at_min_vdd_hz": model.min_voltage_frequency(),
+            "frequency_hz": list(frequencies),
+            "vdd_v": [point.vdd for point in points],
+            "chip_core_power_w": [
+                point.total_power * configuration.core_count for point in points
+            ],
+        }
+    return result
 
 
 def memory_technology(
@@ -529,6 +564,7 @@ ANALYSES: Dict[str, AnalysisFn] = {
     "nominal_uips": nominal_uips,
     "memory_table": memory_table,
     "body_bias": body_bias,
+    "figure1": figure1,
     "memory_technology": memory_technology,
     "consolidation": consolidation,
     "dvfs_replay": dvfs_replay,

@@ -150,11 +150,13 @@ def _builtin_specs() -> List[ScenarioSpec]:
             workload_names=("Web Search",),
             technology="fdsoi-28nm-fbb",
             bias_policy="optimal",
-            analyses=("body_bias", "efficiency_optima"),
+            analyses=("body_bias", "efficiency_optima", "figure1"),
             notes=(
                 "Section II-A ablation: threshold shift, 0.5V frequency "
                 "boost and sleep-leakage reduction versus forward bias, "
-                "plus the sweep with the power-optimal bias policy."
+                "plus the sweep with the power-optimal bias policy.  The "
+                "figure1 analysis is the paper's Fig. 1: Vdd and 36-core "
+                "power versus frequency for bulk, FD-SOI and FD-SOI+FBB."
             ),
         ),
         ScenarioSpec(

@@ -4,7 +4,6 @@ The paper measures UIPC with the Flexus full-system simulator using the
 SMARTS statistical sampling methodology.  This package provides the
 equivalent machinery for the synthetic workloads:
 
-* :mod:`repro.sim.engine` -- a small discrete-event simulation kernel.
 * :mod:`repro.sim.statistics` -- sample statistics, confidence
   intervals and UIPC/UIPS measurement records.
 * :mod:`repro.sim.sampling` -- SMARTS-style systematic sampling with a
@@ -20,7 +19,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "engine": ("Event", "EventQueue", "Simulator"),
         "statistics": ("SampleStatistics", "UipsMeasurement", "confidence_interval"),
         "sampling": ("SmartsSampler", "SamplingResult"),
         "cluster": ("ClusterSimulator", "ClusterSimConfig", "ClusterSimResult"),
@@ -29,9 +27,6 @@ __getattr__, __dir__ = lazy_exports(
 )
 
 __all__ = [
-    "Event",
-    "EventQueue",
-    "Simulator",
     "SampleStatistics",
     "UipsMeasurement",
     "confidence_interval",

@@ -14,9 +14,6 @@ This package implements the technology-level substrate of the paper:
 * :mod:`repro.technology.leakage` -- sub-threshold/gate leakage power
   model with temperature and body-bias dependence.
 * :mod:`repro.technology.dynamic_power` -- switching (CV^2 f) power.
-* :mod:`repro.technology.scaling` -- core-generation frequency scaling
-  factors (Cortex-A9 -> A53/A57) and the Exynos-5433-style DVFS anchor
-  table used for calibration.
 * :mod:`repro.technology.a57_model` -- the calibrated Cortex-A57 core
   power/performance model used to reproduce Figure 1.
 """
@@ -38,7 +35,6 @@ __getattr__, __dir__ = lazy_exports(
         "body_bias": ("BodyBiasModel",),
         "leakage": ("LeakageModel",),
         "dynamic_power": ("DynamicPowerModel",),
-        "scaling": ("CoreGenerationScaling", "EXYNOS_5433_DVFS_TABLE", "DVFSAnchor"),
         "a57_model": (
             "CortexA57PowerModel",
             "CoreOperatingPoint",
@@ -59,9 +55,6 @@ __all__ = [
     "BodyBiasModel",
     "LeakageModel",
     "DynamicPowerModel",
-    "CoreGenerationScaling",
-    "EXYNOS_5433_DVFS_TABLE",
-    "DVFSAnchor",
     "CortexA57PowerModel",
     "CoreOperatingPoint",
     "BodyBiasPolicy",

@@ -5,8 +5,6 @@ library:
 
 * :mod:`repro.utils.units` -- unit conversion helpers and canonical unit
   conventions used everywhere in the code base (Hz, V, W, J, bytes, s).
-* :mod:`repro.utils.interpolation` -- monotone interpolation and curve
-  fitting helpers used by the calibrated technology models.
 * :mod:`repro.utils.validation` -- argument validation helpers that raise
   consistent, descriptive exceptions.
 * :mod:`repro.utils.tables` -- minimal plain-text table rendering used by
@@ -44,7 +42,6 @@ __getattr__, __dir__ = lazy_exports(
             "check_in_range",
             "check_fraction",
         ),
-        "interpolation": ("PiecewiseLinear", "monotone_increasing"),
         "tables": ("format_table",),
         "files": ("atomic_write_text",),
     },
@@ -72,8 +69,6 @@ __all__ = [
     "check_non_negative",
     "check_in_range",
     "check_fraction",
-    "PiecewiseLinear",
-    "monotone_increasing",
     "format_table",
     "atomic_write_text",
 ]

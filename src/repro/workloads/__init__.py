@@ -38,7 +38,6 @@ __getattr__, __dir__ = lazy_exports(
             "BankingVmGenerator",
         ),
         "bitbrains": ("BitbrainsTraceModel", "VmTraceSample"),
-        "request_model": ("RequestServiceModel",),
         "trace_gen": ("SyntheticTraceGenerator", "TraceRecord"),
     },
 )
@@ -57,7 +56,6 @@ __all__ = [
     "BankingVmGenerator",
     "BitbrainsTraceModel",
     "VmTraceSample",
-    "RequestServiceModel",
     "SyntheticTraceGenerator",
     "TraceRecord",
 ]

@@ -1,11 +1,7 @@
-"""Tests for the multi-channel memory system and its energy accounting."""
+"""Tests for the multi-channel memory system."""
 
-import pytest
-
-from repro.dram.power_counters import DramEnergyAccountant
 from repro.dram.system import MemorySystem
 from repro.dram.timing import DDR4_1600_4GBIT
-from repro.power.dram_power import LPDDR4_4GBIT_X8, MemoryPowerModel
 
 
 def test_system_has_four_channels():
@@ -61,33 +57,3 @@ def test_average_read_latency_positive_and_bounded():
     latency = system.stats().average_read_latency_cycles
     assert DDR4_1600_4GBIT.row_hit_latency <= latency <= 10 * DDR4_1600_4GBIT.row_conflict_latency
 
-
-def test_energy_accountant_matches_power_model_coefficients():
-    accountant = DramEnergyAccountant()
-    report = accountant.report_from_counters(
-        interval_seconds=1.0, bytes_read=10_000_000_000, bytes_written=4_000_000_000
-    )
-    model = MemoryPowerModel()
-    assert report.background_energy == pytest.approx(model.background_power())
-    assert report.dynamic_energy == pytest.approx(model.dynamic_power(10e9, 4e9))
-    assert report.average_power == pytest.approx(model.total_power(10e9, 4e9))
-
-
-def test_energy_accountant_from_simulated_system():
-    system = MemorySystem()
-    requests = [MemorySystem.make_request(line * 64, False, line) for line in range(100)]
-    system.run(requests)
-    report = DramEnergyAccountant().report(system, interval_seconds=1e-6)
-    assert report.read_energy == pytest.approx(100 * 64 * 0.2566e-9)
-    assert report.total_energy > report.read_energy
-
-
-def test_energy_accountant_lpddr4_lowers_background():
-    ddr4 = DramEnergyAccountant().report_from_counters(1.0, 0, 0)
-    lpddr4 = DramEnergyAccountant(chip=LPDDR4_4GBIT_X8).report_from_counters(1.0, 0, 0)
-    assert lpddr4.background_energy < ddr4.background_energy
-
-
-def test_energy_accountant_rejects_negative_counters():
-    with pytest.raises(ValueError):
-        DramEnergyAccountant().report_from_counters(1.0, -1, 0)

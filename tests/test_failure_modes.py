@@ -187,15 +187,6 @@ def test_scenario_duplicate_workload_names_rejected():
         )
 
 
-def test_figure2_series_rejects_sweep_missing_workloads():
-    from repro.analysis.figures import figure2_series
-    from repro.scenarios import ScenarioRunner
-
-    vm_sweep = ScenarioRunner().run("fig4_virtualized").sweep
-    with pytest.raises(ValueError, match="does not cover scale-out workload"):
-        figure2_series(sweep=vm_sweep)
-
-
 def test_duplicate_scenario_registration_rejected():
     from repro.scenarios import ScenarioRegistry, ScenarioSpec
 

@@ -61,15 +61,12 @@ def test_classify_wraps_and_passes_through():
 
 
 def test_failed_summary_round_trip():
-    failed = FailedSummary.from_exception(
-        RuntimeError("boom"), identity="replay 5"
+    failed = FailedSummary.from_fault(
+        classify(RuntimeError("boom"), identity="replay 5")
     )
     assert failed.identity == "replay 5"
     assert failed.error_type == "ReplayFault"
-    record = failed.as_dict()
-    assert record["failed"] is True
-    assert record["message"] == "boom"
-    assert "replay 5" in failed.describe()
+    assert failed.message == "boom"
 
 
 def test_check_on_error():

@@ -1,116 +1,9 @@
-"""Tests for the event engine, statistics and SMARTS sampling."""
+"""Tests for the sample statistics and SMARTS sampling."""
 
 import pytest
 
-from repro.sim.engine import EventQueue, Simulator
 from repro.sim.sampling import SmartsSampler
 from repro.sim.statistics import SampleStatistics, UipsMeasurement, confidence_interval
-
-
-# -- event engine -------------------------------------------------------------------
-
-
-def test_events_processed_in_time_order():
-    simulator = Simulator()
-    order = []
-    simulator.schedule(5.0, lambda s: order.append("late"))
-    simulator.schedule(1.0, lambda s: order.append("early"))
-    simulator.run()
-    assert order == ["early", "late"]
-
-
-def test_simultaneous_events_preserve_insertion_order():
-    simulator = Simulator()
-    order = []
-    simulator.schedule(1.0, lambda s: order.append("first"))
-    simulator.schedule(1.0, lambda s: order.append("second"))
-    simulator.run()
-    assert order == ["first", "second"]
-
-
-def test_callbacks_can_schedule_followups():
-    simulator = Simulator()
-    seen = []
-
-    def first(sim):
-        seen.append(sim.now)
-        sim.schedule(2.0, lambda s: seen.append(s.now))
-
-    simulator.schedule(1.0, first)
-    simulator.run()
-    assert seen == [1.0, 3.0]
-
-
-def test_run_until_stops_early():
-    simulator = Simulator()
-    seen = []
-    simulator.schedule(1.0, lambda s: seen.append(1))
-    simulator.schedule(10.0, lambda s: seen.append(10))
-    simulator.run(until=5.0)
-    assert seen == [1]
-    assert simulator.now == 5.0
-
-
-def test_cannot_schedule_in_the_past():
-    simulator = Simulator()
-    simulator.schedule(1.0, lambda s: None)
-    simulator.run()
-    with pytest.raises(ValueError):
-        simulator.schedule_at(0.5, lambda s: None)
-
-
-def test_non_finite_event_times_are_rejected():
-    """NaN/inf times would corrupt heap ordering nondeterministically."""
-    queue = EventQueue()
-    for bad in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValueError):
-            queue.push(bad, lambda s: None)
-    simulator = Simulator()
-    with pytest.raises(ValueError):
-        simulator.schedule(float("nan"), lambda s: None)
-    with pytest.raises(ValueError):
-        simulator.schedule_at(float("inf"), lambda s: None)
-
-
-def test_tie_breaking_is_fifo_across_interleaved_pushes_and_pops():
-    """Same-time events run in insertion order, even when scheduled mid-run."""
-    simulator = Simulator()
-    order = []
-
-    def spawner(sim):
-        order.append("spawner")
-        # Scheduled at the same time as the already-queued "sibling"
-        # events; FIFO tie-breaking must run them after the siblings.
-        sim.schedule(0.0, lambda s: order.append("child-a"))
-        sim.schedule(0.0, lambda s: order.append("child-b"))
-
-    simulator.schedule(1.0, spawner)
-    simulator.schedule(1.0, lambda s: order.append("sibling-1"))
-    simulator.schedule(1.0, lambda s: order.append("sibling-2"))
-    simulator.run()
-    assert order == ["spawner", "sibling-1", "sibling-2", "child-a", "child-b"]
-
-
-def test_event_order_reproducible_across_runs():
-    """Two identical schedules drain in the identical order."""
-
-    def drain():
-        simulator = Simulator()
-        order = []
-        for index in range(20):
-            time = float(index % 5)
-            simulator.schedule(
-                time, lambda s, i=index: order.append(i), label=f"e{index}"
-            )
-        simulator.run()
-        return order
-
-    assert drain() == drain()
-
-
-def test_empty_queue_pop_raises():
-    with pytest.raises(IndexError):
-        EventQueue().pop()
 
 
 # -- statistics ---------------------------------------------------------------------

@@ -24,7 +24,6 @@ from repro.workloads.cloudsuite import (
     qos_limits_ms,
     scale_out_workloads,
 )
-from repro.workloads.request_model import RequestServiceModel
 from repro.workloads.trace_gen import SyntheticTraceGenerator
 
 
@@ -234,35 +233,6 @@ def test_trace_addresses_are_line_aligned_nonnegative():
     for record in generator.records(300):
         assert record.address >= 0
         assert record.instruction_gap >= 0
-
-
-# -- request service model -------------------------------------------------------------
-
-
-def test_request_service_mean_time():
-    model = RequestServiceModel(WEB_SEARCH)
-    assert model.mean_service_time(1.0e9) == pytest.approx(8.0e-3)
-
-
-def test_request_service_rate_inverse_of_mean():
-    model = RequestServiceModel(WEB_SEARCH)
-    assert model.service_rate(1.0e9) == pytest.approx(1.0 / model.mean_service_time(1.0e9))
-
-
-def test_request_percentile_above_mean():
-    model = RequestServiceModel(DATA_SERVING)
-    assert model.percentile_service_time(0.7e9, 99.0) > model.mean_service_time(0.7e9)
-
-
-def test_request_model_rejects_vm_workloads():
-    with pytest.raises(ValueError):
-        RequestServiceModel(VMS_LOW_MEM)
-
-
-def test_request_percentile_bounds_checked():
-    model = RequestServiceModel(DATA_SERVING)
-    with pytest.raises(ValueError):
-        model.percentile_service_time(1e9, 100.0)
 
 
 @pytest.mark.parametrize("seed", [2016, 7])
