@@ -23,8 +23,9 @@ the trace axis; this module adds the batch axis:
   the row's thermal-cap tops; ``routing`` on the states before each
   step's crashes land, where ``pack``'s spill is one node-axis
   accumulate over the whole tensor; ``selection``, where synchronized
-  ``least_loaded`` rows (memoryless governor, no wake or static
-  restore, no cap below nominal) take the grid-index chain of
+  ``least_loaded`` rows (memoryless governor, no cap below nominal,
+  and no wake or static restore unless the governor is
+  ``performance``) take the grid-index chain of
   :mod:`repro.kernels.fleet` in one pass, while the other
   ``least_loaded`` rows and ``conservative`` stay step-sequential
   *within* a replay but run on whole ``(B, N)`` step slices *across*

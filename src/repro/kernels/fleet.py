@@ -17,9 +17,10 @@ axis:
    (:func:`_pack_shares`); ``least_loaded`` couples to the previous
    step's frequencies, so it is routed during selection.
 3. **Synchronized least_loaded** -- a replay with a memoryless
-   governor, no wake, no static-fleet restore and no cap below nominal
-   keeps all its routing targets on one previous grid index, so a
-   step's shares and choice depend only on (step, that index):
+   governor and no cap below nominal, and either no wake and no
+   static-fleet restore or the ``performance`` governor, keeps all its
+   routing targets on one previous grid index, so a step's shares and
+   choice depend only on (step, that index):
    :func:`_least_loaded_chain` settles every such row with one kernel
    call over each step's few distinct candidate shares.
 4. **Tails and sums** -- :func:`_worst_tails` reduces each step to its
@@ -31,11 +32,12 @@ Queueing tails are evaluated by :func:`tail_latencies`, a closed-form
 vectorized twin of the scalar
 :class:`~repro.latency.queueing.MM1Queue` / :class:`MG1Queue` math: it
 solves every (grid index, demand) pair it is handed with the exact
-float expressions the scalar queue models use (one ``math.log`` per
-waiting pair, because ``np.log`` is not bit-identical to ``math.log``
-on every platform).  :func:`_worst_tails` keeps the pairs few: it hands
-over only the first node of each run of neighbours loaded with one
-step's same (grid index, share), since the rest share its tail.
+float expressions the scalar queue models use, and takes the M/G/1
+waiting tail's log from the scalar model's own
+:data:`~repro.latency.queueing.waiting_tail_log`, applied once to the
+array of waiting ratios.  :func:`_worst_tails` keeps the pairs few: it
+hands over only the first node of each run of neighbours loaded with
+one step's same (grid index, share), since the rest share its tail.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro import obs
-from repro.dvfs.governors import Governor
+from repro.dvfs.governors import Governor, PerformanceGovernor
 from repro.dvfs.trace import LoadTrace
 from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.disturbance import THERMAL_CAP, DisturbanceSchedule
@@ -64,6 +66,7 @@ from repro.kernels.governors import (
     select_step_indices,
 )
 from repro.kernels.table import FrequencyTable
+from repro.latency.queueing import waiting_tail_log
 from repro.workloads.base import WorkloadCharacteristics
 
 _STABILITY_EPSILON = 1e-9
@@ -218,11 +221,14 @@ def _synchronized(
     static-fleet restore (``resets``) the serving set only shrinks, so
     under a memoryless governor and no cap below nominal (``top``, the
     replay's cap tops or ``None``) all of a step's routing targets hold
-    one previous index: the last step's common choice.
+    one previous index: the last step's common choice.  ``performance``
+    is the exception to the first rule: its every choice, and every
+    restart, is the nominal index, so its targets hold that index even
+    when nodes wake or restore.
     """
     return (
         is_memoryless_kernel(governor)
-        and not resets
+        and (not resets or type(governor) is PerformanceGovernor)
         and (top is None or int(top.min()) >= table.nominal_index)
     )
 
@@ -287,9 +293,11 @@ def _least_loaded_chain(
     evaluates every step on each distinct ratio for its k; where those
     candidate choices agree, the step's choice is known whatever p was,
     and only the steps where they differ walk the chain
-    ``p(t + 1) = choice(t, p(t))`` in plain Python.  A step with no
-    serving node is followed by one with no target, which raises, so
-    every routed step's p is the previous step's choice.
+    ``p(t + 1) = choice(t, p(t))`` in plain Python.  Without a wake, a
+    step with no serving node is followed by one with no target, which
+    raises, so every routed step's p is the previous step's choice; a
+    row that wakes or restores nodes is ``performance``'s, whose every
+    choice is the nominal index whether a node serves or not.
 
     Returns ``(shares, idx)`` shaped like ``targets``: bit for bit the
     step loops' shares, and the common choice at every node (only the
@@ -359,9 +367,10 @@ def tail_latencies(
     Marchal-corrected M/G/1 percentile with the scalar models'
     expressions term for term.  Every handed pair is solved where it
     stands, repeats included.  The one transcendental term,
-    ``log(rho / tail_probability)``, is evaluated with ``math.log`` per
-    waiting pair because ``np.log`` is not bit-identical to
-    ``math.log`` everywhere.
+    ``log(rho / tail_probability)``, is one
+    :data:`~repro.latency.queueing.waiting_tail_log` call over every
+    waiting pair's ratio: the function ``MG1Queue`` applies to each
+    scalar, so the two agree on any host.
     """
     indices = np.asarray(indices, dtype=np.int64)
     demand = np.asarray(demand_uips, dtype=np.float64)
@@ -405,14 +414,9 @@ def tail_latencies(
             waiting_tail = np.zeros(len(rho), dtype=np.float64)
             if np.any(waits):
                 ratios = rho[waits] / _P99_TAIL_PROBABILITY
-                logs = np.fromiter(
-                    map(math.log, ratios.tolist()),
-                    dtype=np.float64,
-                    count=len(ratios),
-                )
                 waiting_tail[waits] = (
                     mean_waiting[waits] / rho[waits]
-                ) * logs
+                ) * waiting_tail_log(ratios, out=ratios)
             response_p99 = service_time + waiting_tail
         out[stable] = base[stable] + np.maximum(
             0.0, response_p99 - service_time

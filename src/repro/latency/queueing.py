@@ -11,6 +11,9 @@ provide that extension:
 * :class:`MG1Queue` -- general service times via the
   Pollaczek-Khinchine formula, with a percentile approximation based on
   an exponential tail matched to the mean response time.
+
+:data:`waiting_tail_log` is the one log behind the corrected M/G/1
+percentile, for :class:`MG1Queue` and the fleet tail kernel alike.
 """
 
 from __future__ import annotations
@@ -18,7 +21,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.utils.validation import check_positive
+
+waiting_tail_log = np.log
+"""The log in the corrected M/G/1 waiting tail, ``log(rho / p)``.
+
+:meth:`MG1Queue.response_time_percentile` applies it to one Python
+float and :func:`repro.kernels.fleet.tail_latencies` to a whole array
+of ratios, so the scalar queue and the kernel agree bit for bit on any
+host: NumPy's ``log`` gives a scalar the value it gives the same
+element of an array, whichever SIMD path it dispatches to, whereas
+``math.log`` (the C library's) may differ from it in the last bit.
+"""
 
 
 @dataclass(frozen=True)
@@ -113,7 +129,9 @@ class MG1Queue:
         the P-K mean waiting time over ``rho``, and the service time is
         added back deterministically.  For the M/M/1 special case this
         converges to the exact percentile as ``rho -> 1``, and the
-        squared CV now scales the tail itself, not just the mean.
+        squared CV now scales the tail itself, not just the mean.  The
+        tail's log is :data:`waiting_tail_log`, the fleet tail kernel's
+        own, and the result is a Python float.
         """
         if not (0.0 < percentile < 100.0):
             raise ValueError(f"percentile must be in (0, 100), got {percentile}")
@@ -126,8 +144,8 @@ class MG1Queue:
             # the request never waits.
             waiting_tail = 0.0
         else:
-            waiting_tail = (self.mean_waiting_time / rho) * math.log(
-                rho / tail_probability
+            waiting_tail = (self.mean_waiting_time / rho) * float(
+                waiting_tail_log(rho / tail_probability)
             )
         return self.mean_service_time + waiting_tail
 

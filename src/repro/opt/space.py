@@ -25,12 +25,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.dvfs.trace import LoadTrace
-from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.routing import PackRouting, RoutingPolicy, router_by_name
 from repro.workloads.base import WorkloadCharacteristics
 
 if TYPE_CHECKING:
+    from repro.dvfs.trace import LoadTrace
+    from repro.fleet.autoscaler import Autoscaler
     from repro.kernels.batch import ReplaySpec
 
 Band = Optional[Tuple[float, float]]
@@ -96,6 +96,10 @@ class PolicyConfig:
         """The configured autoscaler, ``None`` for a static fleet."""
         if self.band is None:
             return None
+        # Imported here: checking a space, as every ScenarioSpec does,
+        # must not load the fleet engine and numpy.
+        from repro.fleet.autoscaler import Autoscaler
+
         return Autoscaler(
             low=self.band[0],
             high=self.band[1],

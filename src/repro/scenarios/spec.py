@@ -42,6 +42,29 @@ ALL_WORKLOADS = "all"
 WORKLOAD_SETS = (SCALE_OUT, VIRTUALIZED, ALL_WORKLOADS)
 """Named workload sets a scenario can sweep."""
 
+# The registry names a spec is checked against, in the order its error
+# messages list them.  Spelled out here, one tuple per registry,
+# because the load-trace and analysis registries import numpy and the
+# model stack, which listing or showing a spec never needs; a test pins
+# each tuple to its registry's keys.
+GOVERNOR_NAMES = (
+    "performance", "powersave", "ondemand", "conservative", "qos_tracker",
+)
+"""Keys of :data:`repro.dvfs.governors.GOVERNORS`, in registry order."""
+LOAD_TRACE_NAMES = ("bitbrains", "bursty", "constant", "diurnal")
+"""Keys of :data:`repro.dvfs.trace.LOAD_TRACES`, sorted."""
+ROUTING_NAMES = ("round_robin", "least_loaded", "pack", "spread")
+"""Keys of :data:`repro.fleet.routing.ROUTERS`, in registry order."""
+STRATEGY_NAMES = ("grid", "halving")
+"""Keys of :data:`repro.opt.strategies.STRATEGIES`, in registry order."""
+ANALYSIS_NAMES = (
+    "body_bias", "consolidation", "dvfs_replay", "efficiency_optima",
+    "figure1", "fleet_replay", "fleet_stress", "memory_table",
+    "memory_technology", "nominal_uips", "policy_opt", "qos_floors",
+    "sweep_governor_grid",
+)
+"""Keys of :data:`repro.scenarios.analyses.ANALYSES`, sorted."""
+
 
 def workload_set(name: str) -> Dict[str, WorkloadCharacteristics]:
     """Resolve a named workload set, keyed by workload name.
@@ -279,20 +302,20 @@ class ScenarioSpec:
                 f"scenario {self.name!r}: unknown efficiency scope "
                 f"{self.efficiency_scope!r}; known scopes: {', '.join(scopes)}"
             )
-        # DVFS knobs are validated against the repro.dvfs registries;
-        # imported here to keep module import order acyclic.
-        from repro.dvfs.governors import GOVERNORS
-        from repro.dvfs.trace import LOAD_TRACES
-
-        if self.load_trace is not None and self.load_trace not in LOAD_TRACES:
-            known = ", ".join(sorted(LOAD_TRACES))
+        if (
+            self.load_trace is not None
+            and self.load_trace not in LOAD_TRACE_NAMES
+        ):
+            known = ", ".join(LOAD_TRACE_NAMES)
             raise ValueError(
                 f"scenario {self.name!r}: unknown load trace "
                 f"{self.load_trace!r}; known traces: {known}"
             )
-        unknown_governors = [g for g in self.governors if g not in GOVERNORS]
+        unknown_governors = [
+            g for g in self.governors if g not in GOVERNOR_NAMES
+        ]
         if unknown_governors:
-            known = ", ".join(GOVERNORS)
+            known = ", ".join(GOVERNOR_NAMES)
             raise ValueError(
                 f"scenario {self.name!r}: unknown governors "
                 f"{unknown_governors}; known governors: {known}"
@@ -302,18 +325,16 @@ class ScenarioSpec:
                 f"scenario {self.name!r}: governors contains duplicates: "
                 f"{self.governors}"
             )
-        # Fleet knobs are validated against the repro.fleet registries;
-        # imported here to keep module import order acyclic.
-        from repro.fleet.routing import ROUTERS
-
         if self.fleet_size is not None:
             try:
                 check_fleet(self.fleet_size, off_power_w=0.0)
             except ValueError as error:
                 raise ValueError(f"scenario {self.name!r}: {error}") from None
-        unknown_routings = [r for r in self.fleet_routings if r not in ROUTERS]
+        unknown_routings = [
+            r for r in self.fleet_routings if r not in ROUTING_NAMES
+        ]
         if unknown_routings:
-            known = ", ".join(ROUTERS)
+            known = ", ".join(ROUTING_NAMES)
             raise ValueError(
                 f"scenario {self.name!r}: unknown fleet routings "
                 f"{unknown_routings}; known policies: {known}"
@@ -323,8 +344,8 @@ class ScenarioSpec:
                 f"scenario {self.name!r}: fleet_routings contains "
                 f"duplicates: {self.fleet_routings}"
             )
-        if self.fleet_governor not in GOVERNORS:
-            known = ", ".join(GOVERNORS)
+        if self.fleet_governor not in GOVERNOR_NAMES:
+            known = ", ".join(GOVERNOR_NAMES)
             raise ValueError(
                 f"scenario {self.name!r}: unknown fleet governor "
                 f"{self.fleet_governor!r}; known governors: {known}"
@@ -359,12 +380,9 @@ class ScenarioSpec:
         except (ValueError, TypeError) as error:
             raise ValueError(f"scenario {self.name!r}: {error}") from None
         # Optimizer knobs are validated by the repro.opt package itself
-        # (the space and strategy constructors carry the precise
-        # errors); imported here to keep module import order acyclic.
-        from repro.opt.strategies import STRATEGIES
-
-        if self.opt_strategy not in STRATEGIES:
-            known = ", ".join(STRATEGIES)
+        # (the space and strategy constructors carry the precise errors).
+        if self.opt_strategy not in STRATEGY_NAMES:
+            known = ", ".join(STRATEGY_NAMES)
             raise ValueError(
                 f"scenario {self.name!r}: unknown opt strategy "
                 f"{self.opt_strategy!r}; known strategies: {known}"
@@ -374,13 +392,11 @@ class ScenarioSpec:
             self.opt_strategy_instance()
         except ValueError as error:
             raise ValueError(f"scenario {self.name!r}: {error}") from None
-        # Analysis names are validated against the analysis registry;
-        # imported here to keep module import order acyclic.
-        from repro.scenarios.analyses import ANALYSES
-
-        unknown_analyses = [a for a in self.analyses if a not in ANALYSES]
+        unknown_analyses = [
+            a for a in self.analyses if a not in ANALYSIS_NAMES
+        ]
         if unknown_analyses:
-            known = ", ".join(sorted(ANALYSES))
+            known = ", ".join(ANALYSIS_NAMES)
             raise ValueError(
                 f"scenario {self.name!r}: unknown analyses {unknown_analyses}; "
                 f"known analyses: {known}"

@@ -10,7 +10,7 @@ interpreter: each case here starts one.
 The same goes for the lazy package exports (``repro._lazy``) and the
 import guards: a package's names must resolve, and a replay harness or
 ``python -m repro.scenarios list`` must leave the rarely used modules
-unloaded, on a first import.
+(and, for ``list``, numpy) unloaded, on a first import.
 """
 
 import os
@@ -40,8 +40,8 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def _loaded_repro_modules(*args: str) -> list:
-    """``repro`` modules a fresh ``python -X importtime ARGS`` loads."""
+def _loaded_modules(*args: str, package: str = "repro") -> list:
+    """``package`` modules a fresh ``python -X importtime ARGS`` loads."""
     completed = _python("-X", "importtime", *args)
     assert completed.returncode == 0, completed.stderr
     # A submodule that its package's __init__ imports is listed twice:
@@ -52,7 +52,9 @@ def _loaded_repro_modules(*args: str) -> list:
         if line.startswith("import time:") and line.count("|") == 2
     }
     return sorted(
-        name for name in names if name == "repro" or name.startswith("repro.")
+        name
+        for name in names
+        if name == package or name.startswith(package + ".")
     )
 
 
@@ -161,7 +163,7 @@ DETAILED_PATH = (
 
 
 def test_replay_harness_imports_leave_rare_modules_unloaded():
-    modules = _loaded_repro_modules("-c", PERFBENCH_IMPORTS)
+    modules = _loaded_modules("-c", PERFBENCH_IMPORTS)
     loaded = _deferred(
         modules,
         packages=("repro.opt", "repro.analysis", "repro.dram", "repro.sim"),
@@ -185,13 +187,17 @@ def test_replay_harness_imports_leave_rare_modules_unloaded():
 
 
 def test_scenario_list_leaves_the_engines_unloaded():
-    modules = _loaded_repro_modules("-m", "repro.scenarios", "list")
+    args = ("-m", "repro.scenarios", "list")
+    modules = _loaded_modules(*args)
     loaded = _deferred(
         modules,
         packages=("repro.kernels", "repro.analysis", "repro.dram", "repro.sim"),
         exact=(
             "repro.opt.tuner",
             "repro.obs.report",
+            "repro.scenarios.analyses",
+            "repro.dvfs.trace",
+            "repro.fleet.autoscaler",
             "repro.fleet.simulator",
             "repro.fleet.economics",
         )
@@ -199,5 +205,6 @@ def test_scenario_list_leaves_the_engines_unloaded():
     )
     print(f"'python -m repro.scenarios list' loads {len(modules)} repro modules")
     assert not loaded, loaded
-    # The registry still checks every spec, which needs these.
-    assert {"repro.opt.space", "repro.scenarios.analyses"} <= set(modules)
+    # The registry still checks every spec's parameter space.
+    assert "repro.opt.space" in modules
+    assert _loaded_modules(*args, package="numpy") == []

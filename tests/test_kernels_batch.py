@@ -1113,6 +1113,79 @@ def test_ragged_least_loaded_batch_splits_chain_and_step_rows(
             assert summaries[position] == references[index].summary(), label
 
 
+@pytest.mark.parametrize(
+    "governor, chained", [("performance", True), ("powersave", False)]
+)
+def test_performance_least_loaded_rows_that_wake_take_the_chain(
+    governor, chained, default_context
+):
+    """Under ``performance`` every choice and every restart is the
+    nominal index, so autoscaled rows that wake nodes (``wake_steps`` 0
+    and > 0) and a static row that crashes and restores a node all keep
+    their targets on one index and take the chain -- bit for bit the
+    object path, steps that route only booting nodes included.  Under
+    ``powersave`` a woken node restarts at nominal while the others sit
+    at index 0, so the same rows step."""
+    ramp = make_trace([0.05] * 4 + [0.8] * 6 + [0.2] * 4 + [0.9] * 6)
+    bursty = LoadTrace.bursty(steps=40, seed=8)
+    rows = [
+        # Node 0 serves alone, then crashes as nodes 1-3 start booting:
+        # the next step routes the mass to booting nodes only.
+        (ramp, Autoscaler(wake_steps=2), (node_crash(0, 4),)),
+        (ramp, Autoscaler(wake_steps=0), (node_crash(0, 4),)),
+        (bursty, Autoscaler(wake_steps=1), ()),
+        (bursty.head(29), Autoscaler(wake_steps=0), ()),
+        (bursty, None, (node_crash(0, 5), node_restore(0, 11))),
+    ]
+    specs = [
+        ReplaySpec(
+            workload=WEB_SEARCH,
+            trace=trace,
+            governor=governor,
+            fleet_size=4,
+            routing="least_loaded",
+            autoscaler=autoscaler,
+            disturbances=DisturbanceSchedule(events) if events else None,
+        )
+        for trace, autoscaler, events in rows
+    ]
+    references = [
+        FleetSimulator(
+            default_context,
+            WEB_SEARCH,
+            fleet_size=4,
+            governor=governor,
+            autoscaler=spec.autoscaler,
+        ).run(
+            spec.trace, "least_loaded", reference=True,
+            disturbances=spec.disturbances,
+        )
+        for spec in specs
+    ]
+    # Every row restarts a node, and the first routes booting nodes alone.
+    for reference in references[:-1]:
+        assert reference.column("wake_events").sum() > 0
+    booting_only = (references[0].column("serving_servers") == 0) & (
+        references[0].column("booting_servers") > 0
+    )
+    assert booting_only.any()
+    with obs.capture() as window:
+        result = BatchReplayRunner(default_context).run(specs)
+    counters = window.counter_deltas()
+    assert counters.get("fleet.selection_chain_rows", 0) == (
+        len(specs) if chained else 0
+    )
+    assert counters.get("fleet.selection_step_rows", 0) == (
+        0 if chained else len(specs)
+    )
+    summaries = result.summaries()
+    for row, reference in enumerate(references):
+        _assert_fleet_results_equal(
+            result.result(row), reference, f"{governor} row {row}"
+        )
+        assert summaries[row] == reference.summary(), f"{governor} row {row}"
+
+
 # -- mixed batches, fallbacks and edge specs --------------------------------------------
 
 

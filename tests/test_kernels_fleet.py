@@ -545,14 +545,40 @@ def _assert_tails_exactly_equal(table, workload, indices, demand):
         )
 
 
-def test_mg1_tails_equal_scalar_queue_math(default_context):
-    """Web Search (cv=1.2): the Marchal-corrected M/G/1 path, exactly."""
+waiting_fractions = st.one_of(
+    # Just past the idle atom: utilisation barely above the 1% tail.
+    st.floats(min_value=0.01, max_value=0.0105, exclude_min=True),
+    st.floats(min_value=0.3, max_value=0.7),
+    # Within 1e-9 of the saturation cut at 1 - 1e-9, on either side.
+    st.floats(min_value=1.0 - 2e-9, max_value=1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    drawn=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=10**6), waiting_fractions),
+        min_size=1,
+        max_size=64,
+    )
+)
+@example(drawn=[(19, 0.0100000001), (0, 0.5), (7, 1.0 - 1e-9), (3, 1.0 - 1.5e-9)])
+def test_mg1_tails_equal_scalar_queue_math(default_context, drawn):
+    """Web Search (cv=1.2): the Marchal-corrected M/G/1 path, exactly.
+
+    Fixed loads span idle, the idle-atom region, heavy load and
+    saturation (>= 1 - epsilon maps to +inf in both paths); the drawn
+    (grid index, load fraction) pairs sit densely in the waiting branch
+    -- just past the idle atom, at mid-load and on either side of the
+    saturation cut -- where the tail takes the shared log.
+    """
     table = default_context.frequency_table(WEB_SEARCH)
     rng = np.random.default_rng(7)
     indices = rng.integers(0, len(table), size=500)
-    # Load fractions spanning idle, the idle-atom region, heavy load
-    # and saturation (>= 1 - epsilon maps to +inf in both paths).
     fraction = rng.uniform(0.0, 1.2, size=500)
+    drawn_indices = np.array([index % len(table) for index, _ in drawn])
+    indices = np.concatenate([indices, drawn_indices])
+    fraction = np.concatenate([fraction, [load for _, load in drawn]])
     demand = fraction * table.capacity_uips[indices]
     _assert_tails_exactly_equal(table, WEB_SEARCH, indices, demand)
 

@@ -1,10 +1,11 @@
 """Tests for the queueing, tail-latency and degradation models."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.latency.degradation import BatchDegradationModel
-from repro.latency.queueing import MG1Queue, MM1Queue
+from repro.latency.queueing import MG1Queue, MM1Queue, waiting_tail_log
 from repro.latency.tail import TailLatencyModel
 from repro.workloads.banking_vm import VMS_LOW_MEM
 from repro.workloads.cloudsuite import DATA_SERVING, WEB_SEARCH
@@ -123,6 +124,28 @@ def test_corrected_percentile_grows_with_cv_at_fixed_load():
     ]
     assert percentiles == sorted(percentiles)
     assert percentiles[-1] > 3.0 * percentiles[0]
+
+
+def test_waiting_tail_log_of_a_float_equals_its_log_in_an_array():
+    """The corrected tail's one log, applied by MG1Queue to a Python
+    float and by the fleet tail kernel to an array of waiting ratios,
+    gives each ratio the same bits either way, whichever SIMD path
+    NumPy dispatches to on the running host."""
+    rng = np.random.default_rng(30)
+    # Waiting ratios rho / 0.01 lie in (1, 100]: uniform draws, draws
+    # crowded just above 1, and both ends.
+    ratios = np.concatenate(
+        [
+            rng.uniform(1.0, 100.0, size=100_000),
+            1.0 + rng.uniform(0.0, 1e-3, size=20_000),
+            [np.nextafter(1.0, 2.0), 100.0],
+        ]
+    )
+    assert ratios.min() > 1.0 and ratios.max() <= 100.0
+    scalar = [waiting_tail_log(ratio) for ratio in ratios.tolist()]
+    assert np.array_equal(waiting_tail_log(ratios), np.array(scalar))
+    queue = MG1Queue(arrival_rate=80.0, mean_service_time=0.01, service_time_cv=2.0)
+    assert type(queue.response_time_percentile(99.0, corrected=True)) is float
 
 
 @pytest.mark.parametrize("percentile", [0.0, 100.0, -5.0, 120.0])

@@ -28,6 +28,7 @@ from repro.scenarios import (
     scenario_names,
     workload_set,
 )
+from repro.scenarios import spec as spec_module
 from repro.scenarios.cli import main as cli_main
 from repro.technology.process import FDSOI_28NM_FBB
 from repro.utils.units import mhz
@@ -45,6 +46,54 @@ def test_workload_sets_resolve():
 def test_workload_set_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown workload set 'gpu'"):
         workload_set("gpu")
+
+
+def test_spec_name_tuples_are_the_registries_in_message_order():
+    """A spec checks names against numpy-free tuples: each holds its
+    registry's keys in the order the spec's error message lists them,
+    so every message reads as it did when it listed the registry."""
+    from repro.dvfs.trace import LOAD_TRACES
+    from repro.opt.strategies import STRATEGIES
+
+    cases = [
+        (
+            spec_module.GOVERNOR_NAMES, list(GOVERNORS),
+            {"governors": ("nope",)},
+            "unknown governors ['nope']; known governors: ",
+        ),
+        (
+            spec_module.GOVERNOR_NAMES, list(GOVERNORS),
+            {"fleet_governor": "nope"},
+            "unknown fleet governor 'nope'; known governors: ",
+        ),
+        (
+            spec_module.LOAD_TRACE_NAMES, sorted(LOAD_TRACES),
+            {"load_trace": "nope"},
+            "unknown load trace 'nope'; known traces: ",
+        ),
+        (
+            spec_module.ROUTING_NAMES, list(ROUTERS),
+            {"fleet_routings": ("nope",)},
+            "unknown fleet routings ['nope']; known policies: ",
+        ),
+        (
+            spec_module.STRATEGY_NAMES, list(STRATEGIES),
+            {"opt_strategy": "nope"},
+            "unknown opt strategy 'nope'; known strategies: ",
+        ),
+        (
+            spec_module.ANALYSIS_NAMES, sorted(ANALYSES),
+            {"analyses": ("nope",)},
+            "unknown analyses ['nope']; known analyses: ",
+        ),
+    ]
+    for names, keys, fields, message in cases:
+        assert names == tuple(keys), message
+        with pytest.raises(ValueError) as error:
+            ScenarioSpec(name="named", title="t", **fields)
+        assert str(error.value) == (
+            f"scenario 'named': {message}{', '.join(keys)}"
+        )
 
 
 def test_spec_configuration_applies_all_deltas():
