@@ -15,8 +15,9 @@ columnar table.
 Run with:  python examples/scaleout_qos_exploration.py
 """
 
-from repro.core import SweepResult, render_summary
+from repro.core import render_summary
 from repro.scenarios import ScenarioRunner
+from repro.sweep import SweepResult
 from repro.utils.tables import format_table
 from repro.utils.units import to_mhz
 

@@ -11,10 +11,13 @@ in Figures 1-4 and Table I.
 Typical entry points
 --------------------
 
->>> from repro.core import default_server, DesignSpaceExplorer
+>>> from repro.core import default_server
+>>> from repro.sweep import SweepRunner
 >>> from repro.workloads import WEB_SEARCH
->>> explorer = DesignSpaceExplorer(default_server())
->>> summary = explorer.summarize(WEB_SEARCH)
+>>> sweep = SweepRunner.for_configuration(default_server()).run([WEB_SEARCH])
+>>> floor_hz, optima_hz = sweep.qos_floor(), sweep.scope_optima()
+>>> from repro.scenarios import ScenarioRunner
+>>> summaries = ScenarioRunner().run("fig3_scaleout").summaries
 
 Sub-packages
 ------------
@@ -26,21 +29,21 @@ Sub-packages
 ``repro.sim``         cluster/chip trace-driven simulation + SMARTS sampling
 ``repro.workloads``   CloudSuite-like and virtualized workload models
 ``repro.latency``     queueing, tail latency, degradation models
-``repro.core``        server configuration, efficiency, QoS, DSE engine
-``repro.sweep``       batched sweep engine over a shared model context
+``repro.core``        configuration, performance, efficiency scopes, analyzers
+``repro.sweep``       batched sweep engine, QoS floors and efficiency optima
 ``repro.dvfs``        load traces and DVFS governor replay
 ``repro.fleet``       multi-server fleets: routing, autoscaling, economics
 ``repro.opt``         policy auto-tuner: grid / successive-halving search
 ``repro.scenarios``   declarative scenario registry, runner and CLI
-``repro.analysis``    figure/table data builders, paper-claim validation
+``repro.analysis``    Table I data, paper-claim validation
 
 Importing a package loads none of its modules: every package
 ``__init__`` exports its names lazily (PEP 562, through
 :func:`repro._lazy.lazy_exports`), so a name imports its submodule on
 first access and is cached there.  A process compiles only what it
 uses: the replay benchmark's imports (``perfbench/suite.py``) load 67
-of the 114 ``repro`` modules and ``python -m repro.scenarios list``
-62, and neither loads the tuner, the report schema or the detailed
+of the 106 ``repro`` modules and ``python -m repro.scenarios list``
+48, and neither loads the tuner, the report schema or the detailed
 cache/DRAM simulators.
 """
 

@@ -1,36 +1,17 @@
-"""Table I, derived memory-power numbers, and sweep-derived tables."""
+"""Table I and the derived memory-power numbers."""
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.efficiency import EfficiencyScope
 from repro.power.dram_power import (
     DDR4_4GBIT_X8,
     DramChipEnergyProfile,
     MemoryOrganization,
     MemoryPowerModel,
 )
-from repro.sweep.result import SweepResult
 
 NJ = 1.0e-9
-
-
-def efficiency_optima_rows(sweep: SweepResult) -> List[Dict[str, float]]:
-    """Per-workload efficiency-optimum frequencies from one sweep table.
-
-    Returns one row per workload (first-appearance order) with the
-    optimum frequency in Hz at each scope -- the reduction Figures 3/4
-    annotate and the benchmark harnesses print.
-    """
-    rows = []
-    for name, group in sweep.group_by("workload_name").items():
-        row: Dict[str, float] = {"workload": name}
-        for scope in EfficiencyScope:
-            index = group.argmax(group.efficiency(scope))
-            row[scope.value] = float(group.column("frequency_hz")[index])
-        rows.append(row)
-    return rows
 
 
 def table1_rows(chip: DramChipEnergyProfile = DDR4_4GBIT_X8) -> List[Dict[str, float]]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.analysis.tables import efficiency_optima_rows
 from repro.core.config import ServerConfiguration, default_server
 from repro.core.energy_proportionality import EnergyProportionalityAnalyzer
 from repro.sweep.context import ModelContext
@@ -174,7 +173,8 @@ def _efficiency_checks(sweep: SweepResult, context: ModelContext) -> List[ClaimC
     cores_at_floor = []
     soc_near_1ghz = []
     server_at_or_above_soc = []
-    for optima in efficiency_optima_rows(sweep):
+    for rows in sweep.group_by("workload_name").values():
+        optima = rows.scope_optima()
         cores_at_floor.append(optima["cores"] <= grid[1])
         soc_near_1ghz.append(mhz(600) <= optima["soc"] <= mhz(1400))
         server_at_or_above_soc.append(optima["server"] >= optima["soc"])

@@ -31,7 +31,7 @@ from repro.technology.a57_model import BodyBiasPolicy, CortexA57PowerModel
 from repro.technology.process import FDSOI_28NM, ProcessTechnology
 from repro.uarch.core_model import CoreConfig, IntervalCoreModel, UncoreLatencies
 from repro.utils.units import MB, ghz, mhz
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_distinct, check_positive
 
 
 def default_frequency_grid() -> Tuple[float, ...]:
@@ -70,6 +70,7 @@ class ServerConfiguration:
             raise ValueError("frequency_grid must contain at least one point")
         if any(value <= 0 for value in self.frequency_grid):
             raise ValueError("frequency_grid entries must be positive")
+        check_distinct("frequency_grid (Hz)", self.frequency_grid)
 
     # -- derived quantities -------------------------------------------------------
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Sequence
 
-from repro.core.qos import QosAnalyzer
 from repro.workloads.base import WorkloadCharacteristics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,13 +45,6 @@ class ConsolidationPlan:
         if self.chip_uips <= 0.0:
             return float("inf")
         return self.server_power / (self.chip_uips / 1.0e9)
-
-    @property
-    def throughput_per_vm(self) -> float:
-        """UIPS available to each consolidated VM."""
-        if self.vm_count == 0:
-            return 0.0
-        return self.chip_uips / self.vm_count
 
 
 @dataclass(frozen=True)
@@ -134,10 +126,4 @@ class ConsolidationAnalyzer:
             )
         return min(
             candidates, key=lambda plan: plan.energy_per_giga_instructions
-        )
-
-    def qos_floor(self, workload: WorkloadCharacteristics) -> float | None:
-        """Frequency floor of the workload under the context's bound."""
-        return QosAnalyzer(self.context).frequency_floor(
-            workload, self.context.degradation_bound
         )

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Sequence
 
-from repro.core.efficiency import EfficiencyAnalyzer, EfficiencyScope
 from repro.power.dram_power import LPDDR4_4GBIT_X8, DramChipEnergyProfile
 from repro.workloads.base import WorkloadCharacteristics
 
@@ -38,11 +37,6 @@ class ProportionalityReport:
     fixed_power_fraction_at_nominal: float
     fixed_power_fraction_at_floor: float
     server_optimum_hz: float
-
-    @property
-    def is_energy_proportional(self) -> bool:
-        """True when power tracks throughput closely (index >= 0.8)."""
-        return self.proportionality_index >= 0.8
 
 
 @dataclass(frozen=True)
@@ -70,25 +64,14 @@ class EnergyProportionalityAnalyzer:
             index = (1 - P_min/P_peak) / (1 - T_min/T_peak)
 
         where the peak is the nominal operating point and the minimum is
-        the lowest reachable frequency.  A perfectly proportional server
-        (power tracks delivered throughput) scores 1.0; a server whose
-        power barely drops when throughput collapses scores close to 0.
-        This is the dynamic-range flavour of Barroso and Hoelzle's
+        the lowest reachable frequency, wherever the grid lists it.  A
+        perfectly proportional server (power tracks delivered
+        throughput) scores 1.0; a server whose power barely drops when
+        throughput collapses scores close to 0.  This is the
+        dynamic-range flavour of Barroso and Hoelzle's
         energy-proportionality argument the paper builds on.
         """
-        context = self.context
-        grid = context.reachable_frequencies(frequencies)
-        if not grid:
-            raise ValueError("no reachable frequencies to analyse")
-        nominal = context.evaluate(
-            workload, context.configuration.nominal_frequency_hz
-        )
-        floor = context.evaluate(workload, grid[0])
-        power_range = 1.0 - floor.server_power / nominal.server_power
-        throughput_range = 1.0 - floor.chip_uips / nominal.chip_uips
-        if throughput_range <= 0.0:
-            return 1.0
-        return max(0.0, min(1.0, power_range / throughput_range))
+        return self.report(workload, frequencies).proportionality_index
 
     def fixed_power_fraction(
         self, workload: WorkloadCharacteristics, frequency_hz: float
@@ -107,19 +90,36 @@ class EnergyProportionalityAnalyzer:
         workload: WorkloadCharacteristics,
         frequencies: Sequence[float] | None = None,
     ) -> ProportionalityReport:
-        """Full proportionality report for one workload."""
-        grid = self.context.reachable_frequencies(frequencies)
-        optimum = EfficiencyAnalyzer(self.context).optimal_frequency(
-            workload, EfficiencyScope.SERVER, grid
-        ).frequency_hz
+        """Full proportionality report for one workload.
+
+        Over the reachable grid, in whatever order it is given: the
+        floor is the record of the lowest frequency and the server
+        optimum the first record of peak server UIPS/W.
+        """
+        context = self.context
+        records = context.evaluate_workload(workload, frequencies)
+        if not records:
+            raise ValueError("no reachable frequencies to analyse")
+        nominal_hz = context.configuration.nominal_frequency_hz
+        nominal = context.evaluate(workload, nominal_hz)
+        floor = min(records, key=lambda record: record.frequency_hz)
+        optimum = max(records, key=lambda record: record.server_efficiency)
+        power_range = 1.0 - floor.server_power / nominal.server_power
+        throughput_range = 1.0 - floor.chip_uips / nominal.chip_uips
+        if throughput_range <= 0.0:
+            index = 1.0
+        else:
+            index = max(0.0, min(1.0, power_range / throughput_range))
         return ProportionalityReport(
             workload_name=workload.name,
-            proportionality_index=self.proportionality_index(workload, grid),
+            proportionality_index=index,
             fixed_power_fraction_at_nominal=self.fixed_power_fraction(
-                workload, self.context.configuration.nominal_frequency_hz
+                workload, nominal_hz
             ),
-            fixed_power_fraction_at_floor=self.fixed_power_fraction(workload, grid[0]),
-            server_optimum_hz=optimum,
+            fixed_power_fraction_at_floor=self.fixed_power_fraction(
+                workload, floor.frequency_hz
+            ),
+            server_optimum_hz=optimum.frequency_hz,
         )
 
     # -- memory technology ablation -------------------------------------------------------
@@ -139,7 +139,7 @@ class EnergyProportionalityAnalyzer:
         """
         # Function-local: repro.sweep.context imports repro.core, so a
         # module-level import would break `import repro.sweep` as a first
-        # import (see repro.core.dse).
+        # import.
         from repro.sweep.context import ModelContext
 
         configuration = self.context.configuration

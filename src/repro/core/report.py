@@ -3,16 +3,15 @@
 The benchmark harnesses print the same rows/series the paper reports;
 these helpers render sweep results -- a columnar
 :class:`~repro.sweep.result.SweepResult` or any iterable of
-:class:`~repro.core.dse.OperatingPointRecord` -- and
-:class:`~repro.core.dse.DseSummary` collections as aligned text tables.
+:class:`~repro.sweep.result.OperatingPointRecord` -- and
+:class:`~repro.sweep.result.DseSummary` collections as aligned text tables.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List
 
-from repro.core.dse import DseSummary, OperatingPointRecord
-from repro.sweep.result import SweepResult
+from repro.sweep.result import DseSummary, OperatingPointRecord, SweepResult
 from repro.utils.tables import format_table
 from repro.utils.units import to_mhz
 

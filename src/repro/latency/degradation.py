@@ -8,6 +8,11 @@ production data centres, and up to 4x in the relaxed case.  Execution
 time is inversely proportional to per-core throughput, so::
 
     degradation(f) = UIPS(f_nominal) / UIPS(f)
+
+The bound is checked once per design point, by
+:class:`~repro.sweep.context.ModelContext` against its own bound, and a
+sweep's :meth:`~repro.sweep.result.SweepResult.qos_floor` reads the
+floor for any other bound from the degradation column.
 """
 
 from __future__ import annotations
@@ -15,10 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.utils.validation import check_positive
-from repro.workloads.banking_vm import (
-    DEGRADATION_LIMIT_RELAXED,
-    DEGRADATION_LIMIT_STRICT,
-)
 from repro.workloads.base import WorkloadCharacteristics
 
 
@@ -41,20 +42,3 @@ class BatchDegradationModel:
         check_positive("core_uips_nominal", core_uips_nominal)
         return core_uips_nominal / core_uips
 
-    def meets_bound(
-        self,
-        core_uips: float,
-        core_uips_nominal: float,
-        bound: float = DEGRADATION_LIMIT_RELAXED,
-    ) -> bool:
-        """True when the degradation stays within ``bound``."""
-        check_positive("bound", bound)
-        return self.degradation(core_uips, core_uips_nominal) <= bound + 1e-9
-
-    @staticmethod
-    def bounds() -> dict:
-        """The strict (2x) and relaxed (4x) bounds used in the paper."""
-        return {
-            "strict": DEGRADATION_LIMIT_STRICT,
-            "relaxed": DEGRADATION_LIMIT_RELAXED,
-        }

@@ -42,13 +42,9 @@ def efficiency_optima(
     spec: "ScenarioSpec", context: ModelContext, sweep: SweepResult
 ) -> dict:
     """Efficiency-optimum frequency per workload and scope (Figures 3/4)."""
-    from repro.analysis.tables import efficiency_optima_rows
-
     return {
-        row["workload"]: {
-            scope: row[scope] for scope in ("cores", "soc", "server")
-        }
-        for row in efficiency_optima_rows(sweep)
+        name: sweep.filter(workload_name=name).scope_optima()
+        for name in spec.workloads()
     }
 
 
@@ -162,11 +158,6 @@ def memory_technology(
     from repro.core.energy_proportionality import EnergyProportionalityAnalyzer
     from repro.power.dram_power import dram_chip_by_name
 
-    if spec.compare_memory_chip is None:
-        raise ValueError(
-            f"scenario {spec.name!r}: the memory_technology analysis needs "
-            "compare_memory_chip to be set"
-        )
     analyzer = EnergyProportionalityAnalyzer(context)
     alternative = dram_chip_by_name(spec.compare_memory_chip)
     return {

@@ -107,8 +107,6 @@ class ScenarioResult:
         workloads: Dict[str, object] = {}
         for summary in self.summaries:
             rows = self.sweep.filter(workload_name=summary.workload_name)
-            scope_efficiency = rows.efficiency(self.spec.scope)
-            peak_index = rows.argmax(scope_efficiency)
             energy_per_gi = None
             if summary.best_qos_respecting_frequency is not None:
                 best = rows.filter(
@@ -129,10 +127,10 @@ class ScenarioResult:
                     summary.best_qos_respecting_efficiency
                 ),
                 "peak_efficiency_uips_per_w": _round(
-                    float(scope_efficiency[peak_index])
+                    float(rows.efficiency(self.spec.scope).max())
                 ),
                 "peak_efficiency_frequency_hz": _round(
-                    float(rows.column("frequency_hz")[peak_index])
+                    summary.optimal_frequency_by_scope[self.spec.efficiency_scope]
                 ),
                 "energy_per_giga_instruction_j": _round(energy_per_gi),
             }

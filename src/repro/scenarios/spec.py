@@ -27,7 +27,7 @@ from repro.core.efficiency import EfficiencyScope
 from repro.power.dram_power import DRAM_CHIPS, dram_chip_by_name
 from repro.technology.a57_model import BodyBiasPolicy
 from repro.technology.process import TECHNOLOGIES, technology_by_name
-from repro.utils.validation import check_fleet
+from repro.utils.validation import check_distinct, check_fleet
 from repro.workloads.banking_vm import (
     DEGRADATION_LIMIT_RELAXED,
     virtualized_workloads,
@@ -108,13 +108,14 @@ class ScenarioSpec:
         Optional DRAM chip profile name from
         :data:`repro.power.dram_power.DRAM_CHIPS`.
     compare_memory_chip:
-        Alternative DRAM chip for the ``memory_technology`` analysis.
+        Alternative DRAM chip for the ``memory_technology`` analysis
+        (required by it).
     cluster_count / cores_per_cluster:
         Optional cluster-organisation ablation knobs.
     frequency_grid_hz:
         Optional explicit sweep grid; ``None`` keeps the
-        configuration's default 100MHz-2GHz grid.  An empty grid is a
-        contradiction and is rejected.
+        configuration's default 100MHz-2GHz grid.  An empty grid, or
+        one that repeats a frequency, is rejected; the order is free.
     degradation_bound:
         Execution-time degradation bound for virtualized workloads
         (must be >= 1: a VM cannot be required to beat its nominal).
@@ -291,6 +292,10 @@ class ScenarioSpec:
                     f"scenario {self.name!r}: frequency grid entries must be "
                     f"positive, got {self.frequency_grid_hz}"
                 )
+            try:
+                check_distinct("frequency grid (Hz)", self.frequency_grid_hz)
+            except ValueError as error:
+                raise ValueError(f"scenario {self.name!r}: {error}") from None
         if self.degradation_bound < 1.0:
             raise ValueError(
                 f"scenario {self.name!r}: degradation bound must be >= 1 "
@@ -400,6 +405,11 @@ class ScenarioSpec:
             raise ValueError(
                 f"scenario {self.name!r}: unknown analyses {unknown_analyses}; "
                 f"known analyses: {known}"
+            )
+        if "memory_technology" in self.analyses and self.compare_memory_chip is None:
+            raise ValueError(
+                f"scenario {self.name!r}: the memory_technology analysis needs "
+                "compare_memory_chip to be set"
             )
         if "dvfs_replay" in self.analyses and self.load_trace is None:
             raise ValueError(

@@ -314,6 +314,18 @@ class SweepResult(Sequence):
             return None
         return float(self._columns["frequency_hz"][mask].min())
 
+    def scope_optima(self) -> Dict[str, float]:
+        """Frequency (Hz) of peak UIPS/W at each scope, keyed by scope value.
+
+        The reduction Figures 3/4 annotate, over one workload's rows;
+        the first row of a tied maximum wins.
+        """
+        frequencies = self._columns["frequency_hz"]
+        return {
+            scope.value: float(frequencies[self.argmax(self.efficiency(scope))])
+            for scope in EfficiencyScope
+        }
+
     def argmax(self, column: str | np.ndarray) -> int:
         """Index of the first row maximising a column (or a given array)."""
         values = self.column(column) if isinstance(column, str) else np.asarray(column)

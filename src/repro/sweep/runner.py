@@ -1,16 +1,17 @@
 """Batched design-space sweep execution.
 
 :class:`SweepRunner` evaluates every (workload, reachable frequency)
-pair of a sweep in one pass over a shared :class:`ModelContext`, returns
-the points as a columnar :class:`SweepResult`, and derives the
-per-workload :class:`DseSummary` rows from that single table -- each
-design point is evaluated exactly once per sweep.
+pair of a sweep in one pass over a shared :class:`ModelContext` and
+returns the points as a columnar :class:`SweepResult`;
+:meth:`SweepRunner.summarize_workload` derives a workload's
+:class:`DseSummary` from that one table -- each design point is
+evaluated exactly once per sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.config import ServerConfiguration
 from repro.core.efficiency import EfficiencyScope
@@ -74,46 +75,16 @@ class SweepRunner:
 
     # -- summaries -----------------------------------------------------------------------
 
-    def summarize(
-        self,
-        workloads: Iterable[WorkloadCharacteristics],
-        frequencies: Sequence[float] | None = None,
-    ) -> List[DseSummary]:
-        """One :class:`DseSummary` per workload from a single-pass sweep."""
-        workload_list = list(workloads)
-        result = self.run(workload_list, frequencies)
-        # Rows are workload-major over a common grid, so each workload
-        # owns one equal contiguous chunk (robust to duplicate names).
-        chunk = len(result) // len(workload_list) if workload_list else 0
-        return [
-            self._summarize_rows(
-                result[index * chunk : (index + 1) * chunk], workload.name
-            )
-            for index, workload in enumerate(workload_list)
-        ]
-
     @staticmethod
     def summarize_workload(result: SweepResult, workload_name: str) -> DseSummary:
         """Derive one workload's summary from an existing sweep table."""
-        return SweepRunner._summarize_rows(
-            result.filter(workload_name=workload_name), workload_name
-        )
-
-    @staticmethod
-    def _summarize_rows(rows: SweepResult, workload_name: str) -> DseSummary:
+        rows = result.filter(workload_name=workload_name)
         if len(rows) == 0:
             raise ValueError(f"sweep has no rows for workload {workload_name!r}")
 
-        optima: Dict[str, float] = {}
-        for scope in EfficiencyScope:
-            best = rows.argmax(rows.efficiency(scope))
-            optima[scope.value] = float(rows.column("frequency_hz")[best])
-
-        meets = rows.column("meets_qos")
-        qos_floor = rows.qos_floor()
-
         best_frequency = None
         best_efficiency = None
+        meets = rows.column("meets_qos")
         if meets.any():
             qos_ok = rows[meets]
             server_efficiency = qos_ok.efficiency(EfficiencyScope.SERVER)
@@ -123,8 +94,8 @@ class SweepRunner:
 
         return DseSummary(
             workload_name=workload_name,
-            qos_floor_hz=qos_floor,
-            optimal_frequency_by_scope=optima,
+            qos_floor_hz=rows.qos_floor(),
+            optimal_frequency_by_scope=rows.scope_optima(),
             best_qos_respecting_frequency=best_frequency,
             best_qos_respecting_efficiency=best_efficiency,
         )

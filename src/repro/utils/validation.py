@@ -47,6 +47,15 @@ def check_probability_sum(name: str, values, tolerance: float = 1e-6):
     return values
 
 
+def check_distinct(name: str, values) -> None:
+    """Raise ``ValueError`` naming the first entry ``values`` repeats."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{name} repeats {value!r}")
+        seen.add(value)
+
+
 def check_flag(name: str, value: bool) -> bool:
     """Return ``value`` if it is a ``bool``, otherwise raise ``ValueError``.
 

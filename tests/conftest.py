@@ -17,14 +17,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import default_server
-from repro.core.dse import DesignSpaceExplorer
-from repro.core.efficiency import EfficiencyAnalyzer
-from repro.core.qos import QosAnalyzer
 from repro.dvfs import GovernorSimulator, LoadTrace
 from repro.scenarios import REGISTRY, ScenarioRunner
-from repro.sweep.context import ModelContext
-from repro.workloads.banking_vm import VMS_LOW_MEM
-from repro.workloads.cloudsuite import WEB_SEARCH
+from repro.sweep import ModelContext, SweepRunner
+from repro.workloads.banking_vm import VMS_LOW_MEM, virtualized_workloads
+from repro.workloads.cloudsuite import WEB_SEARCH, scale_out_workloads
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -82,21 +79,13 @@ def default_context(default_configuration):
 
 
 @pytest.fixture(scope="session")
-def default_explorer(default_configuration):
-    """A shared DSE facade over the default configuration (read-only)."""
-    return DesignSpaceExplorer(default_configuration)
+def default_sweep(default_context):
+    """Every workload swept over the default grid on the shared context.
 
-
-@pytest.fixture(scope="session")
-def efficiency_analyzer(default_configuration):
-    """A shared efficiency analyzer over its own default-server context."""
-    return EfficiencyAnalyzer(ModelContext(default_configuration))
-
-
-@pytest.fixture(scope="session")
-def qos_analyzer(default_configuration):
-    """A shared QoS analyzer over its own default-server context."""
-    return QosAnalyzer(ModelContext(default_configuration))
+    Scale-out workloads first, then the VMs; a read-only columnar table.
+    """
+    workloads = {**scale_out_workloads(), **virtualized_workloads()}
+    return SweepRunner(context=default_context).run(workloads.values())
 
 
 @pytest.fixture(scope="session")

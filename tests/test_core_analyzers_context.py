@@ -2,11 +2,10 @@
 
 Every core operating point (the body-bias scan behind vdd and core
 power) is solved by :meth:`ModelContext.operating_point`, once per
-process for each core-model value, and the efficiency, QoS,
-consolidation and proportionality analyzers read the records a
-scenario's sweep already memoized: their scope powers, optima and
-floors equal the sweep's columns bit for bit and add no design point to
-the context.
+process for each core-model value, and the consolidation and
+proportionality analyzers read the records a scenario's sweep already
+memoized: their powers, throughputs, floors and optima equal the
+sweep's columns bit for bit and add no design point to the context.
 """
 
 import collections
@@ -15,20 +14,11 @@ import sys
 import pytest
 
 from repro.core.consolidation import ConsolidationAnalyzer
-from repro.core.efficiency import (
-    SCOPE_POWER_COLUMN,
-    EfficiencyAnalyzer,
-    EfficiencyScope,
-)
+from repro.core.efficiency import SCOPE_POWER_COLUMN, EfficiencyScope
 from repro.core.energy_proportionality import EnergyProportionalityAnalyzer
-from repro.core.qos import QosAnalyzer
 from repro.scenarios import ScenarioRunner
 from repro.sweep.context import ModelContext
 from repro.technology.a57_model import CortexA57PowerModel, operating_point_memo
-from repro.workloads.banking_vm import (
-    DEGRADATION_LIMIT_RELAXED,
-    DEGRADATION_LIMIT_STRICT,
-)
 
 SCENARIOS = ("ablation_memory_tech", "consolidation_oversubscribe", "colocation_mixed")
 
@@ -91,34 +81,26 @@ def test_no_operating_point_is_solved_twice_in_the_process(traced_runs):
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_analyzers_read_the_sweep_bit_for_bit(traced_runs, name):
+    """Plans, record powers and summaries are the sweep's columns."""
     result = traced_runs[0][name]
     context = result.context
-    efficiency = EfficiencyAnalyzer(context)
-    qos = QosAnalyzer(context)
+    consolidation = ConsolidationAnalyzer(context)
     summaries = result.summary_by_workload()
     for workload_name, workload in result.spec.workloads().items():
         rows = result.sweep.filter(workload_name=workload_name)
         frequencies = rows.column("frequency_hz").tolist()
-        assert efficiency.reachable_frequencies() == frequencies
-        for scope, column in SCOPE_POWER_COLUMN.items():
-            powers = [efficiency.power(workload, f, scope) for f in frequencies]
+        assert list(context.reachable_frequencies()) == frequencies
+        records = [context.evaluate(workload, f) for f in frequencies]
+        for column in SCOPE_POWER_COLUMN.values():
+            powers = [getattr(record, column) for record in records]
             assert powers == rows.column(column).tolist()
-            optimum = efficiency.optimal_frequency(workload, scope)
-            best = rows.argmax(rows.efficiency(scope))
-            assert optimum.frequency_hz == frequencies[best]
-            assert optimum.efficiency == rows.efficiency(scope)[best]
-            assert (
-                optimum.frequency_hz
-                == summaries[workload_name].optimal_frequency_by_scope[scope.value]
-            )
-        if workload.is_scale_out:
-            assert qos.frequency_floor(workload) == rows.qos_floor()
-        else:
-            for bound in (DEGRADATION_LIMIT_STRICT, DEGRADATION_LIMIT_RELAXED):
-                assert qos.frequency_floor(workload, bound) == rows.qos_floor(bound)
-            assert ConsolidationAnalyzer(context).qos_floor(
-                workload
-            ) == rows.qos_floor(context.degradation_bound)
+        for index, frequency in enumerate(frequencies):
+            plan = consolidation.plan(workload, frequency)
+            assert plan.server_power == rows.column("server_power")[index]
+            assert plan.chip_uips == rows.column("chip_uips")[index]
+        summary = summaries[workload_name]
+        assert summary.optimal_frequency_by_scope == rows.scope_optima()
+        assert summary.qos_floor_hz == rows.qos_floor()
     # Every read above was a memo hit on the sweep's records.
     assert context.evaluated_points == len(result.sweep)
 
@@ -130,13 +112,13 @@ def test_proportionality_reads_the_sweep_columns(traced_runs):
         rows = result.sweep.filter(workload_name=workload_name)
         power = rows.column("server_power")
         uips = rows.column("chip_uips")
-        nominal = rows.column("frequency_hz").tolist().index(
-            result.context.configuration.nominal_frequency_hz
+        frequencies = rows.column("frequency_hz").tolist()
+        floor = frequencies.index(min(frequencies))
+        nominal = frequencies.index(result.context.configuration.nominal_frequency_hz)
+        expected = (1.0 - power[floor] / power[nominal]) / (
+            1.0 - uips[floor] / uips[nominal]
         )
-        expected = (1.0 - power[0] / power[nominal]) / (1.0 - uips[0] / uips[nominal])
         assert analyzer.proportionality_index(workload) == max(0.0, min(1.0, expected))
         best = rows.argmax(rows.efficiency(EfficiencyScope.SERVER))
-        assert analyzer.report(workload).server_optimum_hz == float(
-            rows.column("frequency_hz")[best]
-        )
+        assert analyzer.report(workload).server_optimum_hz == frequencies[best]
     assert result.context.evaluated_points == len(result.sweep)

@@ -1,9 +1,10 @@
-"""Tests for the design-space exploration engine and report rendering."""
+"""Tests for design-point evaluation, sweep summaries and report rendering."""
 
 import pytest
 
 from repro.core.config import default_server
 from repro.core.report import render_operating_points, render_summary
+from repro.sweep import ModelContext, SweepRunner
 from repro.technology.a57_model import BodyBiasPolicy
 from repro.technology.process import BULK_28NM, FDSOI_28NM_FBB
 from repro.utils.units import ghz, mhz
@@ -11,17 +12,17 @@ from repro.workloads.banking_vm import VMS_LOW_MEM
 from repro.workloads.cloudsuite import DATA_SERVING, WEB_SEARCH, scale_out_workloads
 
 
-# Session-scoped in tests/conftest.py: the explorer's model caches are
-# shared with every other module probing the default server.
+# The context and its sweep are session-scoped in tests/conftest.py: their
+# model caches are shared with every other module probing the default server.
 
 
 @pytest.fixture
-def explorer(default_explorer):
-    return default_explorer
+def summary(default_sweep):
+    return lambda workload: SweepRunner.summarize_workload(default_sweep, workload.name)
 
 
-def test_evaluate_produces_consistent_record(explorer):
-    record = explorer.evaluate(WEB_SEARCH, ghz(1))
+def test_evaluate_produces_consistent_record(default_context):
+    record = default_context.evaluate(WEB_SEARCH, ghz(1))
     assert record.workload_name == "Web Search"
     assert record.frequency_hz == pytest.approx(ghz(1))
     assert record.core_power < record.soc_power < record.server_power
@@ -30,38 +31,34 @@ def test_evaluate_produces_consistent_record(explorer):
     assert record.degradation is None
 
 
-def test_evaluate_vm_record_has_degradation(explorer):
-    record = explorer.evaluate(VMS_LOW_MEM, ghz(1))
+def test_evaluate_vm_record_has_degradation(default_context):
+    record = default_context.evaluate(VMS_LOW_MEM, ghz(1))
     assert record.degradation is not None
     assert record.latency_seconds is None
 
 
-def test_explore_covers_grid_for_all_workloads(explorer):
+def test_explore_covers_grid_for_all_workloads(default_context):
     workloads = list(scale_out_workloads().values())
-    records = explorer.explore(workloads, [mhz(500), ghz(1), ghz(2)])
+    records = SweepRunner(context=default_context).run(
+        workloads, [mhz(500), ghz(1), ghz(2)]
+    )
     assert len(records) == len(workloads) * 3
 
 
-def test_summary_contains_optima_and_floor(explorer):
-    summary = explorer.summarize(DATA_SERVING)
-    assert summary.qos_floor_hz is not None
-    assert set(summary.optimal_frequency_by_scope) == {"cores", "soc", "server"}
-    assert summary.best_qos_respecting_frequency is not None
-    assert summary.best_qos_respecting_frequency >= summary.qos_floor_hz
+def test_summary_contains_optima_and_floor(summary):
+    result = summary(DATA_SERVING)
+    assert result.qos_floor_hz is not None
+    assert set(result.optimal_frequency_by_scope) == {"cores", "soc", "server"}
+    assert result.best_qos_respecting_frequency is not None
+    assert result.best_qos_respecting_frequency >= result.qos_floor_hz
 
 
-def test_best_qos_respecting_point_meets_qos(explorer):
-    summary = explorer.summarize(WEB_SEARCH)
-    record = explorer.evaluate(WEB_SEARCH, summary.best_qos_respecting_frequency)
-    assert record.meets_qos
+def test_best_qos_respecting_point_meets_qos(summary, default_context):
+    frequency = summary(WEB_SEARCH).best_qos_respecting_frequency
+    assert default_context.evaluate(WEB_SEARCH, frequency).meets_qos
 
 
-def test_summarize_all(explorer):
-    summaries = explorer.summarize_all(scale_out_workloads().values())
-    assert len(summaries) == 4
-
-
-def test_compare_technologies_orders_power(explorer):
+def test_compare_technologies_orders_power():
     configurations = {
         "bulk": default_server().with_technology(BULK_28NM),
         "fdsoi": default_server(),
@@ -69,33 +66,38 @@ def test_compare_technologies_orders_power(explorer):
             FDSOI_28NM_FBB, BodyBiasPolicy.OPTIMAL
         ),
     }
-    results = explorer.compare_technologies(WEB_SEARCH, configurations, ghz(1))
-    assert set(results) == {"bulk", "fdsoi", "fdsoi-fbb"}
+    results = {
+        label: ModelContext(configuration).evaluate(WEB_SEARCH, ghz(1))
+        for label, configuration in configurations.items()
+    }
     assert results["bulk"].core_power > results["fdsoi"].core_power
     assert results["fdsoi"].core_power >= results["fdsoi-fbb"].core_power
     # Throughput is technology independent (same frequency).
     assert results["bulk"].chip_uips == pytest.approx(results["fdsoi"].chip_uips)
 
 
-def test_compare_technologies_skips_unreachable(explorer):
-    configurations = {"bulk": default_server().with_technology(BULK_28NM)}
-    results = explorer.compare_technologies(WEB_SEARCH, configurations, 3.4e9)
-    assert results == {}
+def test_compare_technologies_skips_unreachable():
+    bulk = ModelContext(default_server().with_technology(BULK_28NM))
+    assert not bulk.is_reachable(3.4e9)
+    assert len(SweepRunner(context=bulk).run([WEB_SEARCH], [3.4e9])) == 0
 
 
-def test_meets_qos_flag_false_at_very_low_frequency(explorer):
-    record = explorer.evaluate(DATA_SERVING, mhz(100))
+def test_meets_qos_flag_false_at_very_low_frequency(default_context):
+    record = default_context.evaluate(DATA_SERVING, mhz(100))
     assert not record.meets_qos
 
 
-def test_render_operating_points_table(explorer):
-    records = [explorer.evaluate(WEB_SEARCH, ghz(1)), explorer.evaluate(WEB_SEARCH, ghz(2))]
+def test_render_operating_points_table(default_context):
+    records = [
+        default_context.evaluate(WEB_SEARCH, ghz(1)),
+        default_context.evaluate(WEB_SEARCH, ghz(2)),
+    ]
     text = render_operating_points(records)
     assert "Web Search" in text
     assert "1000" in text and "2000" in text
 
 
-def test_render_summary_table(explorer):
-    text = render_summary([explorer.summarize(DATA_SERVING)])
+def test_render_summary_table(summary):
+    text = render_summary([summary(DATA_SERVING)])
     assert "Data Serving" in text
     assert "QoS floor" in text

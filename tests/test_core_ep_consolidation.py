@@ -6,6 +6,7 @@ from repro.core.config import default_server
 from repro.core.consolidation import ConsolidationAnalyzer
 from repro.core.energy_proportionality import EnergyProportionalityAnalyzer
 from repro.power.dram_power import LPDDR4_4GBIT_X8
+from repro.scenarios import ScenarioRunner, get_scenario
 from repro.sweep.context import ModelContext
 from repro.utils.units import ghz, mhz
 from repro.workloads.banking_vm import VMS_HIGH_MEM, VMS_LOW_MEM
@@ -52,6 +53,21 @@ def test_lpddr4_moves_server_optimum_down_or_equal(ep):
         comparison["lpddr4-4gbit-x8"].server_optimum_hz
         <= comparison["ddr4-4gbit-x8"].server_optimum_hz
     )
+
+
+def test_memory_technology_block_ignores_grid_order():
+    """The floor is the lowest reachable frequency wherever the grid lists it."""
+    spec = get_scenario("ablation_memory_tech")
+    ascending = (mhz(300), mhz(500), ghz(1), ghz(2))
+    blocks = [
+        ScenarioRunner()
+        .run(spec.with_overrides(frequency_grid_hz=grid))
+        .extras["memory_technology"]
+        for grid in (ascending, ascending[::-1], (mhz(500), ghz(2), mhz(300), ghz(1)))
+    ]
+    assert blocks[1] == blocks[0]
+    assert blocks[2] == blocks[0]
+    assert blocks[0]["Data Serving"]["ddr4-4gbit-x8"]["proportionality_index"] < 1.0
 
 
 def test_custom_alternative_chip(ep):
@@ -111,9 +127,3 @@ def test_best_plan_beats_naive_nominal_plan(consolidation):
 def test_plan_rejects_zero_vms_per_core(consolidation):
     with pytest.raises(ValueError):
         consolidation.plan(VMS_LOW_MEM, ghz(1), vms_per_core=0)
-
-
-def test_qos_floor_for_scale_out_via_consolidation(consolidation):
-    floor = consolidation.qos_floor(DATA_SERVING)
-    assert floor is not None
-    assert floor <= mhz(500)

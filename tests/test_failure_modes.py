@@ -4,11 +4,9 @@ import pytest
 
 from repro.core.config import ServerConfiguration, default_server
 from repro.core.consolidation import ConsolidationAnalyzer
-from repro.core.efficiency import EfficiencyAnalyzer, EfficiencyScope
-from repro.core.qos import QosAnalyzer
 from repro.dram.commands import MemoryRequest, RequestType
 from repro.power.dram_power import MemoryOrganization, MemoryPowerModel
-from repro.sweep.context import ModelContext
+from repro.sweep import ModelContext, SweepRunner
 from repro.technology.a57_model import CortexA57PowerModel
 from repro.technology.process import BULK_28NM
 from repro.utils.units import ghz, mhz
@@ -19,13 +17,10 @@ from repro.workloads.cloudsuite import DATA_SERVING
 def test_bulk_server_has_reduced_frequency_grid():
     """A bulk-technology server cannot reach the lowest NTC grid points."""
     configuration = default_server().with_technology(BULK_28NM)
-    analyzer = EfficiencyAnalyzer(ModelContext(configuration))
-    reachable = analyzer.reachable_frequencies()
+    reachable = ModelContext(configuration).reachable_frequencies()
     assert min(reachable) >= mhz(100)
     # Bulk cannot use the 100MHz point that FD-SOI reaches at 0.5V...
-    fdsoi_reachable = EfficiencyAnalyzer(
-        ModelContext(default_server())
-    ).reachable_frequencies()
+    fdsoi_reachable = ModelContext(default_server()).reachable_frequencies()
     assert len(reachable) <= len(fdsoi_reachable)
 
 
@@ -39,9 +34,8 @@ def test_qos_floor_is_none_when_no_frequency_meets_qos():
         minimum_latency_99th_seconds=19.9e-3,
         qos_limit_seconds=20.0e-3,
     )
-    analyzer = QosAnalyzer(ModelContext(default_server()))
-    floor = analyzer.qos_frequency_floor(tight, [mhz(200), mhz(500)])
-    assert floor is None
+    runner = SweepRunner.for_configuration(default_server())
+    assert runner.run([tight], [mhz(200), mhz(500)]).qos_floor() is None
 
 
 def test_consolidation_best_plan_raises_when_bound_unreachable():
@@ -73,10 +67,10 @@ def test_memory_model_with_single_channel_has_lower_peak():
 
 def test_unreachable_frequency_in_efficiency_curve_is_skipped():
     configuration = default_server().with_technology(BULK_28NM)
-    analyzer = EfficiencyAnalyzer(ModelContext(configuration))
-    points = analyzer.curve(DATA_SERVING, EfficiencyScope.SOC, [mhz(100), ghz(1), 5e9])
-    frequencies = [point.frequency_hz for point in points]
-    assert 5e9 not in frequencies
+    sweep = SweepRunner.for_configuration(configuration).run(
+        [DATA_SERVING], [mhz(100), ghz(1), 5e9]
+    )
+    assert 5e9 not in sweep.column("frequency_hz")
 
 
 def test_core_model_activity_bounds_enforced():
@@ -90,12 +84,18 @@ def test_server_configuration_rejects_negative_frequency_grid():
         ServerConfiguration(frequency_grid=(1e9, -1.0))
 
 
-def test_degradation_bound_zero_rejected():
-    from repro.latency.degradation import BatchDegradationModel
+def test_server_configuration_rejects_a_repeated_grid_frequency():
+    with pytest.raises(
+        ValueError, match=r"frequency_grid \(Hz\) repeats 1000000000\.0$"
+    ):
+        ServerConfiguration(frequency_grid=(5e8, 1e9, 1e9, 2e9))
 
-    model = BatchDegradationModel(VMS_LOW_MEM)
-    with pytest.raises(ValueError):
-        model.meets_bound(1e9, 2e9, bound=0.0)
+
+def test_degradation_bound_zero_rejected():
+    from repro.scenarios import ScenarioSpec
+
+    with pytest.raises(ValueError, match="degradation bound must be >= 1"):
+        ScenarioSpec(name="bad", title="t", degradation_bound=0.0)
 
 
 # -- scenario layer ---------------------------------------------------------------
@@ -120,6 +120,18 @@ def test_scenario_negative_frequency_rejected():
 
     with pytest.raises(ValueError, match="must be positive"):
         ScenarioSpec(name="bad", title="t", frequency_grid_hz=(1e9, -2e9))
+
+
+def test_scenario_repeated_grid_frequency_rejected():
+    from repro.scenarios import ScenarioSpec, get_scenario
+
+    with pytest.raises(
+        ValueError,
+        match=r"scenario 'fig2_qos': frequency grid \(Hz\) repeats 1000000000\.0$",
+    ):
+        get_scenario("fig2_qos").with_overrides(frequency_grid_hz=(5e8, 1e9, 1e9, 2e9))
+    # The order is free: a descending grid constructs.
+    ScenarioSpec(name="ok", title="t", frequency_grid_hz=(2e9, 1e9, 5e8))
 
 
 def test_scenario_degradation_bound_below_one_rejected():
@@ -225,6 +237,17 @@ def test_scenario_duplicate_governors_rejected():
             load_trace="diurnal",
             governors=("performance", "performance"),
         )
+
+
+def test_scenario_memory_technology_requires_a_compare_chip():
+    from repro.scenarios import get_scenario
+
+    with pytest.raises(
+        ValueError,
+        match="scenario 'ablation_memory_tech': the memory_technology analysis "
+        "needs compare_memory_chip",
+    ):
+        get_scenario("ablation_memory_tech").with_overrides(compare_memory_chip=None)
 
 
 def test_scenario_dvfs_replay_requires_a_load_trace():

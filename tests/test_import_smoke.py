@@ -172,8 +172,6 @@ def test_replay_harness_imports_leave_rare_modules_unloaded():
             "repro.sweep.runner",
             "repro.resilience.quarantine",
             "repro.obs.report",
-            "repro.core.dse",
-            "repro.core.qos",
             "repro.core.consolidation",
             "repro.core.energy_proportionality",
             "repro.core.report",

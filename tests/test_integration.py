@@ -6,6 +6,7 @@ from repro.core.config import default_server
 from repro.core.efficiency import EfficiencyScope
 from repro.core.performance import ServerPerformanceModel
 from repro.sim.cluster import ClusterSimConfig, ClusterSimulator
+from repro.sweep import SweepRunner
 from repro.utils.units import ghz, mhz
 from repro.workloads.cloudsuite import (
     DATA_SERVING,
@@ -72,42 +73,40 @@ def test_detailed_to_interval_uipc_ratio_at_grid_ends(
         assert detailed_uipc / interval_uipc == pytest.approx(expected, abs=0.005)
 
 
-def test_qos_constrained_best_point_is_more_efficient_than_nominal(default_explorer):
+def test_qos_constrained_best_point_is_more_efficient_than_nominal(
+    default_sweep, default_context
+):
     """Running at the QoS-respecting efficiency optimum beats 2GHz."""
-    summary = default_explorer.summarize(WEB_SEARCH)
-    best = default_explorer.evaluate(WEB_SEARCH, summary.best_qos_respecting_frequency)
-    nominal = default_explorer.evaluate(WEB_SEARCH, ghz(2))
+    summary = SweepRunner.summarize_workload(default_sweep, WEB_SEARCH.name)
+    best = default_context.evaluate(WEB_SEARCH, summary.best_qos_respecting_frequency)
+    nominal = default_context.evaluate(WEB_SEARCH, ghz(2))
     assert best.server_efficiency > nominal.server_efficiency
     assert best.meets_qos
 
 
 def test_full_stack_power_budget_respected_at_nominal(
-    default_explorer, default_configuration
+    default_context, default_configuration
 ):
     for workload in (DATA_SERVING, WEB_SEARCH):
-        record = default_explorer.evaluate(workload, ghz(2))
+        record = default_context.evaluate(workload, ghz(2))
         assert record.soc_power < default_configuration.power_budget_watts
 
 
-def test_qos_floor_below_soc_optimum(default_explorer, qos_analyzer):
+def test_qos_floor_below_soc_optimum(default_sweep):
     """The QoS floor never forces operation above the efficiency optimum."""
     for workload in (DATA_SERVING, WEB_SEARCH):
-        floor = qos_analyzer.qos_frequency_floor(workload)
-        summary = default_explorer.summarize(workload)
-        assert floor <= summary.optimal_frequency_by_scope[EfficiencyScope.SOC.value]
+        rows = default_sweep.filter(workload_name=workload.name)
+        soc_optimum = rows.scope_optima()[EfficiencyScope.SOC.value]
+        assert rows.qos_floor() <= soc_optimum
 
 
 def test_uncore_voltage_scaling_ablation_moves_soc_optimum_down():
     """If the uncore scaled with core voltage, low frequencies get better."""
     from dataclasses import replace
 
-    from repro.core.efficiency import EfficiencyAnalyzer
-    from repro.sweep.context import ModelContext
+    def soc_optimum(configuration):
+        sweep = SweepRunner.for_configuration(configuration).run([WEB_SEARCH])
+        return sweep.scope_optima()[EfficiencyScope.SOC.value]
 
-    baseline = EfficiencyAnalyzer(ModelContext(default_server()))
-    scaled = EfficiencyAnalyzer(
-        ModelContext(replace(default_server(), uncore_voltage_scales_with_core=True))
-    )
-    baseline_opt = baseline.optimal_frequency(WEB_SEARCH, EfficiencyScope.SOC)
-    scaled_opt = scaled.optimal_frequency(WEB_SEARCH, EfficiencyScope.SOC)
-    assert scaled_opt.frequency_hz <= baseline_opt.frequency_hz
+    scaled = replace(default_server(), uncore_voltage_scales_with_core=True)
+    assert soc_optimum(scaled) <= soc_optimum(default_server())

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.config import default_server
 from repro.latency.degradation import BatchDegradationModel
 from repro.latency.queueing import MG1Queue, MM1Queue, waiting_tail_log
 from repro.latency.tail import TailLatencyModel
+from repro.sweep.context import ModelContext
+from repro.utils.units import ghz, mhz
 from repro.workloads.banking_vm import VMS_LOW_MEM
 from repro.workloads.cloudsuite import DATA_SERVING, WEB_SEARCH
 
@@ -256,16 +259,14 @@ def test_degradation_is_throughput_ratio():
     assert model.degradation(core_uips=0.5e9, core_uips_nominal=2.0e9) == pytest.approx(4.0)
 
 
-def test_degradation_bounds_dictionary():
-    bounds = BatchDegradationModel.bounds()
-    assert bounds["strict"] == 2.0
-    assert bounds["relaxed"] == 4.0
-
-
 def test_meets_bound():
-    model = BatchDegradationModel(VMS_LOW_MEM)
-    assert model.meets_bound(1.0e9, 2.0e9, bound=2.0)
-    assert not model.meets_bound(0.4e9, 2.0e9, bound=2.0)
+    """A VM record meets QoS when its degradation is within the context's bound."""
+    context = ModelContext(default_server(), degradation_bound=2.0)
+    for frequency in (mhz(500), ghz(1), ghz(2)):
+        record = context.evaluate(VMS_LOW_MEM, frequency)
+        assert record.meets_qos == (record.degradation <= 2.0 + 1e-9)
+    assert not context.evaluate(VMS_LOW_MEM, mhz(500)).meets_qos
+    assert context.evaluate(VMS_LOW_MEM, ghz(1)).meets_qos
 
 
 def test_degradation_model_rejects_scale_out_workload():

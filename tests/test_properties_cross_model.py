@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import default_server
-from repro.core.efficiency import EfficiencyAnalyzer, EfficiencyScope
 from repro.core.performance import ServerPerformanceModel
 from repro.sweep.context import ModelContext
 from repro.technology.a57_model import CortexA57PowerModel
@@ -89,11 +88,8 @@ def test_uips_never_exceeds_issue_width_times_frequency(workload, frequency):
     frequency=913990701.0,
 )
 def test_scope_power_ordering_holds_for_random_workloads(workload, frequency):
-    analyzer = EfficiencyAnalyzer(ModelContext(default_server()))
-    cores = analyzer.power(workload, frequency, EfficiencyScope.CORES)
-    soc = analyzer.power(workload, frequency, EfficiencyScope.SOC)
-    server = analyzer.power(workload, frequency, EfficiencyScope.SERVER)
-    assert 0.0 < cores < soc < server
+    record = ModelContext(default_server()).evaluate(workload, frequency)
+    assert 0.0 < record.core_power < record.soc_power < record.server_power
 
 
 @settings(max_examples=20, deadline=None)

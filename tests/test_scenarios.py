@@ -142,10 +142,11 @@ def test_bias_policy_without_technology_applies_to_base():
     assert spec.configuration().technology == default_server().technology
 
 
-def test_memory_technology_analysis_requires_compare_chip(scenario_results):
-    result = scenario_results("fig2_qos")
+def test_memory_technology_analysis_requires_compare_chip(scenario_registry):
+    """Declaring the analysis without its chip fails at construction."""
+    spec = scenario_registry.get("fig2_qos")
     with pytest.raises(ValueError, match="compare_memory_chip"):
-        ANALYSES["memory_technology"](result.spec, result.context, result.sweep)
+        spec.with_overrides(analyses=spec.analyses + ("memory_technology",))
 
 
 # -- registry --------------------------------------------------------------------------

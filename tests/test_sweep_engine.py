@@ -2,17 +2,17 @@
 
 The central guarantee: the batched :class:`SweepRunner` produces
 records numerically identical to evaluating every point through a
-fresh per-point :class:`DesignSpaceExplorer`, and
-``summarize_all`` resolves each (workload, frequency) point exactly
-once.
+fresh per-point :class:`ModelContext`, and a sweep plus its summaries
+resolve each (workload, frequency) point exactly once.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import default_server
-from repro.core.dse import DesignSpaceExplorer
 from repro.core.efficiency import EfficiencyScope
 from repro.power.soc import SoCPowerModel
 from repro.sweep import ModelContext, SweepResult, SweepRunner
@@ -99,52 +99,68 @@ def test_sweep_runner_matches_per_point_explorer(params_list, grid):
     expected = []
     for workload in workloads:
         for frequency in grid:
-            # A fresh explorer per point: no state shared with the runner.
-            explorer = DesignSpaceExplorer(configuration)
-            if not explorer.context.is_reachable(frequency):
+            # A fresh context per point: no context state shared with the runner.
+            context = ModelContext(configuration)
+            if not context.is_reachable(frequency):
                 continue
-            expected.append(explorer.evaluate(workload, frequency))
+            expected.append(context.evaluate(workload, frequency))
 
     assert len(batched) == len(expected)
     assert batched.to_records() == expected
 
 
-def test_summarize_all_evaluates_each_point_exactly_once():
-    explorer = DesignSpaceExplorer(default_server())
+def test_sweep_and_summaries_evaluate_each_point_exactly_once():
+    runner = SweepRunner.for_configuration(default_server())
     workloads = list(scale_out_workloads().values()) + list(
         virtualized_workloads().values()
     )
-    summaries = explorer.summarize_all(workloads)
-    grid = explorer.context.reachable_frequencies()
-    assert explorer.context.evaluated_points == len(workloads) * len(grid)
+    sweep = runner.run(workloads)
+    summaries = [
+        SweepRunner.summarize_workload(sweep, workload.name) for workload in workloads
+    ]
+    grid = runner.context.reachable_frequencies()
+    assert runner.context.evaluated_points == len(workloads) * len(grid)
     assert [summary.workload_name for summary in summaries] == [
         workload.name for workload in workloads
     ]
-    # Re-summarising hits the record cache: no new evaluations.
-    explorer.summarize_all(workloads)
-    assert explorer.context.evaluated_points == len(workloads) * len(grid)
+    # Re-sweeping hits the record cache: no new evaluations.
+    runner.run(workloads)
+    assert runner.context.evaluated_points == len(workloads) * len(grid)
 
 
 def test_summarize_workload_matches_batched_summaries():
-    configuration = default_server()
+    """A workload's summary is the same from one batched sweep of every
+    workload as from a sweep of that workload alone."""
+    runner = SweepRunner.for_configuration(default_server())
     workloads = list(scale_out_workloads().values())
-    runner = SweepRunner.for_configuration(configuration)
-    result = runner.run(workloads)
-    batched = runner.summarize(workloads)
-    assert [
-        SweepRunner.summarize_workload(result, workload.name)
-        for workload in workloads
-    ] == batched
+    batched = runner.run(workloads)
+    for workload in workloads:
+        alone = runner.run([workload])
+        assert SweepRunner.summarize_workload(
+            batched, workload.name
+        ) == SweepRunner.summarize_workload(alone, workload.name)
     with pytest.raises(ValueError, match="no rows"):
-        SweepRunner.summarize_workload(result, "no-such-workload")
+        SweepRunner.summarize_workload(batched, "no-such-workload")
 
 
 def test_summarize_matches_per_workload_summaries():
-    explorer = DesignSpaceExplorer(default_server())
-    workloads = list(scale_out_workloads().values())
-    batched = explorer.summarize_all(workloads)
-    individual = [explorer.summarize(workload) for workload in workloads]
-    assert batched == individual
+    """Each summary field is the matching reduction of the workload's rows."""
+    runner = SweepRunner.for_configuration(default_server())
+    workloads = list(scale_out_workloads().values()) + list(
+        virtualized_workloads().values()
+    )
+    sweep = runner.run(workloads)
+    for workload in workloads:
+        rows = sweep.filter(workload_name=workload.name)
+        summary = SweepRunner.summarize_workload(sweep, workload.name)
+        assert summary.qos_floor_hz == rows.qos_floor()
+        assert summary.optimal_frequency_by_scope == rows.scope_optima()
+        best = max(
+            (record for record in rows if record.meets_qos),
+            key=lambda record: record.server_efficiency,
+        )
+        assert summary.best_qos_respecting_frequency == best.frequency_hz
+        assert summary.best_qos_respecting_efficiency == best.server_efficiency
 
 
 # -- ModelContext -----------------------------------------------------------------------
@@ -193,11 +209,12 @@ def test_context_reachable_frequencies_preserve_order():
 
 @pytest.fixture(scope="module")
 def sweep():
-    explorer = DesignSpaceExplorer(default_server())
     workloads = list(scale_out_workloads().values()) + list(
         virtualized_workloads().values()
     )
-    return explorer.explore(workloads, [mhz(500), ghz(1.0), ghz(2.0)])
+    return SweepRunner.for_configuration(default_server()).run(
+        workloads, [mhz(500), ghz(1.0), ghz(2.0)]
+    )
 
 
 def test_result_roundtrips_records(sweep):
@@ -257,6 +274,19 @@ def test_result_qos_floor(sweep):
     assert strict is not None and relaxed is not None
     assert relaxed <= strict
     assert vms.qos_floor(degradation_bound=0.0) is None
+
+
+def test_result_scope_optima_take_the_first_peak(sweep):
+    record = sweep.filter(workload_name="Web Search").record(0)
+    tied = SweepResult.from_records(
+        dataclasses.replace(record, frequency_hz=frequency)
+        for frequency in (ghz(2.0), ghz(1.0), mhz(500))
+    )
+    assert tied.scope_optima() == {
+        "cores": ghz(2.0),
+        "soc": ghz(2.0),
+        "server": ghz(2.0),
+    }
 
 
 def test_result_argmax_empty_raises(sweep):
